@@ -9,32 +9,75 @@ bounded lattice is the top element).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .fdr import bh_fdr, bonferroni
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
-from .mdi import MODES, test_bipartitions
+from .mdi import test_masks, test_results
 from .partitions import (
+    Bipartition,
     Partition,
-    entailed_dichotomies,
-    enumerate_bipartitions,
-    meet_all,
+    bipartition_masks,
+    entailed_masks,
+    meet_masks,
+    members_masks,
 )
 
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
+# Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
+# tracemalloc at n = 13, a test peaks at about 190 bytes for the per-test
+# arrays and the kernel's and the meet's temporaries, 370 more once the
+# TestResults and Bipartitions are built, and 2 KiB while the command line
+# renders JSON; BYTES_PER_TEST takes the largest.  MAX_VARIABLES keeps an
+# analysis within about 1 GiB.
+BYTES_PER_TEST = 2048
+MAX_VARIABLES = 20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class InferenceOutcome:
-    """All test results plus the surviving dichotomies and their meet."""
+    """All test results plus the surviving dichotomies and their meet.
 
-    tests: tuple
-    delta_hat: tuple
+    The tests are held as read-only, index-aligned arrays: `masks` (uint64
+    members bitmasks of all bipartitions, ascending), `statistics`, `df`,
+    `p_values` and `rejected`.  The objects `tests` (TestResults) and
+    `delta_hat` (the surviving Bipartitions) are built from them on first
+    access.
+    """
+
+    masks: np.ndarray
+    statistics: np.ndarray
+    df: np.ndarray
+    p_values: np.ndarray
+    rejected: np.ndarray
     mu_hat: Partition
     alpha: float
     correction: str
     mode: str
     m: int
     m_thres: int
+    k: int
+
+    def __post_init__(self):
+        for array in (self.masks, self.statistics, self.df, self.p_values,
+                      self.rejected):
+            array.setflags(write=False)
+
+    @cached_property
+    def tests(self):
+        n = self.mu_hat.n
+        return tuple(test_results(
+            (Bipartition(n, members) for members in self.masks.tolist()),
+            self.k, self.statistics, self.df, self.p_values, self.mode,
+        ))
+
+    @cached_property
+    def delta_hat(self):
+        survivors = self.masks[~self.rejected].tolist()
+        return tuple(Bipartition(self.mu_hat.n, members) for members in survivors)
 
 
 @dataclass(frozen=True)
@@ -51,53 +94,80 @@ class ConfusionCounts:
         return self.tp + self.fn + self.tn + self.fp
 
 
-def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
-    """Correct the p-values, keep the survivors, and meet them.
+def resolve_masks(n, masks, pvalues, alpha, correction="fdr"):
+    """The array form of resolve_pattern: (rejected, mu_hat, m_thres).
 
-    Returns (delta_hat, mu_hat, m_thres).  This is the combination step of
-    the pipeline, usable directly when p-values come from elsewhere.
+    `rejected` is a boolean array aligned with the members bitmasks `masks`;
+    mu_hat is the meet of the survivors, the one-block partition when none
+    survives (the empty meet in a bounded lattice is the top element).
     """
     if correction not in CORRECTIONS:
         raise ValueError(
             f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
         )
     outcome = CORRECTIONS[correction](pvalues, alpha)
-    delta_hat = tuple(
-        b for b, rej in zip(bipartitions, outcome.rejected, strict=True) if not rej
+    rejected = np.array(outcome.rejected, dtype=bool)
+    if rejected.shape != np.shape(masks):
+        raise ValueError(f"need one p-value per bipartition, got {rejected.size} "
+                         f"for {np.size(masks)}")
+    return rejected, meet_masks(masks[~rejected], n), outcome.m_thres
+
+
+def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
+    """Correct the p-values, keep the survivors, and meet them.
+
+    Returns (delta_hat, mu_hat, m_thres).  This is the combination step of
+    the pipeline, usable directly when p-values come from elsewhere.
+    """
+    bipartitions = list(bipartitions)
+    rejected, mu_hat, m_thres = resolve_masks(
+        n, members_masks(bipartitions), pvalues, alpha, correction
     )
-    if delta_hat:
-        mu_hat = meet_all(b.to_partition() for b in delta_hat)
-    else:
-        mu_hat = Partition.one_block(n)
-    return delta_hat, mu_hat, outcome.m_thres
+    delta_hat = tuple(b for b, rej in zip(bipartitions, rejected.tolist()) if not rej)
+    return delta_hat, mu_hat, m_thres
+
+
+def check_variable_count(n):
+    """Refuse n above MAX_VARIABLES before anything is allocated."""
+    if n > MAX_VARIABLES:
+        m = 2 ** (n - 1) - 1
+        raise ValueError(
+            f"n={n} variables means {m} dichotomy tests, about "
+            f"{m * BYTES_PER_TEST / 2**30:.1f} GiB at {BYTES_PER_TEST} bytes per "
+            f"test; the limit is n <= {MAX_VARIABLES}"
+        )
 
 
 def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
     """Run every dichotomy test on a correlation model and intersect survivors.
 
     A positive-definiteness failure in any submatrix aborts the whole
-    inference: a silently skipped test would bias the survivor set.
+    inference: a silently skipped test would bias the survivor set.  Models
+    over MAX_VARIABLES variables are refused with a ValueError.
     """
     if not isinstance(model, CorrelationModel):
         raise TypeError("expected a CorrelationModel")
     if model.n < 2:
         raise ValueError("inference needs at least 2 variables")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bipartitions = enumerate_bipartitions(model.n)
-    tests = test_bipartitions(model, bipartitions, mode)
-    delta_hat, mu_hat, m_thres = resolve_pattern(
-        model.n, bipartitions, [t.p_value for t in tests], alpha, correction
+    check_variable_count(model.n)
+    masks = bipartition_masks(model.n)
+    statistics, df, p_values = test_masks(model, masks, mode)
+    rejected, mu_hat, m_thres = resolve_masks(
+        model.n, masks, p_values, alpha, correction
     )
     return InferenceOutcome(
-        tests=tuple(tests),
-        delta_hat=delta_hat,
+        masks=masks,
+        statistics=statistics,
+        df=df,
+        p_values=p_values,
+        rejected=rejected,
         mu_hat=mu_hat,
         alpha=alpha,
         correction=correction,
         mode=mode,
-        m=len(bipartitions),
+        m=masks.size,
         m_thres=m_thres,
+        k=model.k,
     )
 
 
@@ -124,20 +194,15 @@ def classify_against_truth(outcome, truth):
         raise ValueError(
             f"dimension mismatch: truth has n={truth.n}, outcome has n={outcome.mu_hat.n}"
         )
-    negatives = set(entailed_dichotomies(truth))
-    kept = set(outcome.delta_hat)
-    tp = fn = tn = fp = 0
-    for t in outcome.tests:
-        b = t.bipartition
-        rejected = b not in kept
-        if b in negatives:
-            if rejected:
-                fp += 1
-            else:
-                tn += 1
-        else:
-            if rejected:
-                tp += 1
-            else:
-                fn += 1
-    return ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
+    negative = entailed_masks(outcome.masks, truth)
+    rejected = outcome.rejected
+
+    def count(flags):
+        return int(np.count_nonzero(flags))
+
+    return ConfusionCounts(
+        tp=count(rejected & ~negative),
+        fn=count(~rejected & ~negative),
+        tn=count(~rejected & negative),
+        fp=count(rejected & negative),
+    )

@@ -9,6 +9,8 @@ so two equal partitions are representation-equal and hash-equal.
 import functools
 import re
 
+import numpy as np
+
 # Largest n accepted by the public counting functions.  Bell/Stirling values
 # up to this point stay within the range of 64-bit consumers; Python ints are
 # exact regardless, the bound just keeps the contract portable.
@@ -132,8 +134,7 @@ class Bipartition:
     __slots__ = ("_n", "_members")
 
     def __init__(self, n, members):
-        if not 2 <= n <= 32:
-            raise ValueError(f"bipartitions support 2 <= n <= 32, got n={n}")
+        _check_bipartition_n(n)
         members = int(members)
         full = (1 << n) - 1
         if members & 1 == 0:
@@ -181,6 +182,11 @@ class Bipartition:
 
     def __str__(self):
         return format_partition(self.to_partition())
+
+
+def _check_bipartition_n(n):
+    if not 2 <= n <= 32:
+        raise ValueError(f"bipartitions support 2 <= n <= 32, got n={n}")
 
 
 def _check_same_n(p, q):
@@ -238,11 +244,68 @@ def meet_all(partitions):
     return functools.reduce(meet, partitions)
 
 
+def bipartition_masks(n):
+    """Members bitmasks of all 2^(n-1) - 1 bipartitions of {1..n}, ascending.
+
+    The bitmasks with bit 0 (element 1) set, except the full set: the odd
+    numbers below 2^n - 1, as a uint64 array.
+    """
+    _check_bipartition_n(n)
+    return np.arange(1, 2**n - 1, 2, dtype=np.uint64)
+
+
 def enumerate_bipartitions(n):
     """All 2^(n-1) - 1 bipartitions of {1..n}, ascending by members bitmask."""
-    if not 2 <= n <= 32:
-        raise ValueError(f"bipartitions support 2 <= n <= 32, got n={n}")
-    return [Bipartition(n, 1 | (s << 1)) for s in range(2 ** (n - 1) - 1)]
+    return [Bipartition(n, members) for members in bipartition_masks(n).tolist()]
+
+
+def members_masks(bipartitions):
+    """The members bitmasks of bipartitions, as a uint64 array."""
+    return np.array([b.members for b in bipartitions], dtype=np.uint64)
+
+
+def block_masks(mu):
+    """The bitmask of each block of mu (bit i-1 for element i), blocks
+    ordered by least element."""
+    out = [0] * mu.block_count
+    for i, b in enumerate(mu.assignment):
+        out[b] |= 1 << i
+    return out
+
+
+def mask_bits(masks, n):
+    """The (len(masks), n) 0/1 matrix whose row t holds the bits of masks[t]."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    return bits.astype(np.uint8)
+
+
+def entailed_masks(masks, mu):
+    """Boolean array: which members bitmasks are dichotomies entailed by mu.
+
+    A dichotomy is entailed exactly when it splits no block of mu, that is
+    when mask & B is 0 or B for every block mask B.  Agrees with membership
+    in entailed_dichotomies(mu).
+    """
+    masks = np.asarray(masks, dtype=np.uint64)
+    entailed = np.ones(masks.shape, dtype=bool)
+    for block in block_masks(mu):
+        block = np.uint64(block)
+        inside = masks & block
+        entailed &= (inside == 0) | (inside == block)
+    return entailed
+
+
+def meet_masks(masks, n):
+    """Meet of the bipartitions of {1..n} with these members bitmasks.
+
+    Elements i and j share a block of the meet iff bits i and j agree in
+    every mask, so the blocks are the classes of equal columns of the bit
+    matrix.  With no masks all columns are equal and the result is the
+    one-block partition, the top of the lattice and so the empty meet.
+    """
+    columns = np.ascontiguousarray(mask_bits(masks, n).T)
+    return Partition(column.tobytes() for column in columns)
 
 
 def entailed_dichotomies(mu):
@@ -252,17 +315,14 @@ def entailed_dichotomies(mu):
     mu; there are 2^(k-1) - 1 of them for k blocks (none when k == 1).
     Returned ascending by members bitmask.
     """
-    k = mu.block_count
-    block_masks = [0] * k
-    for i, b in enumerate(mu.assignment):
-        block_masks[b] |= 1 << i
+    blocks = block_masks(mu)
     out = []
-    for s in range(2 ** (k - 1) - 1):
+    for s in range(2 ** (len(blocks) - 1) - 1):
         selector = 1 | (s << 1)
         members = 0
-        for j in range(k):
+        for j, block in enumerate(blocks):
             if (selector >> j) & 1:
-                members |= block_masks[j]
+                members |= block
         out.append(Bipartition(mu.n, members))
     out.sort(key=lambda b: b.members)
     return out

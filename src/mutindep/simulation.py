@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NotPositiveDefiniteError
-from .inference import classify_against_truth, infer_from_model
+from .inference import check_variable_count, classify_against_truth, infer_from_model
 from .linalg import DataMatrix, sample_correlation
 from .mdi import MODES
-from .partitions import entailed_dichotomies, enumerate_bipartitions, format_partition
+from .partitions import bipartition_masks, entailed_masks, format_partition
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
@@ -61,6 +61,7 @@ class SimulationConfig:
         object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
         if self.n < 2:
             raise ValueError("need at least 2 variables")
+        check_variable_count(self.n)
         if not self.block_counts:
             raise ValueError("need at least one block count")
         for blocks in self.block_counts:
@@ -129,18 +130,20 @@ def auc(pvalues, truth):
     `truth`; negatives are the entailed ones.  None when either side is
     empty (e.g. a 1-block or all-singleton truth).
     """
-    bipartitions = enumerate_bipartitions(truth.n)
     p = np.asarray(pvalues, dtype=np.float64)
-    if p.shape[0] != len(bipartitions):
+    negative = entailed_masks(bipartition_masks(truth.n), truth)
+    if p.shape != negative.shape:
         raise ValueError("need one p-value per bipartition")
-    negatives = set(entailed_dichotomies(truth))
-    neg_mask = np.array([b in negatives for b in bipartitions])
-    pos = p[~neg_mask]
-    neg = p[neg_mask]
+    pos = p[~negative]
+    neg = np.sort(p[negative])
     if pos.size == 0 or neg.size == 0:
         return None
-    wins = np.count_nonzero(pos[:, None] < neg[None, :])
-    ties = np.count_nonzero(pos[:, None] == neg[None, :])
+    # rank-sum (Mann-Whitney) count: for each positive, the negatives below,
+    # tied with and above its p-value, from the sorted negatives
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    wins = int(pos.size * neg.size - not_above.sum())
+    ties = int((not_above - below).sum())
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
@@ -195,15 +198,13 @@ def _execute_run(config, run_id, blocks):
         except (DegenerateDataError, NotPositiveDefiniteError):
             analyses.append(SubsetAnalysis(size, True, None, None, None, None))
             continue
-        confusion = classify_against_truth(outcome, truth)
-        p_values = tuple(t.p_value for t in outcome.tests)
         analyses.append(
             SubsetAnalysis(
                 size=size,
                 failed=False,
-                p_values=p_values,
-                confusion=confusion,
-                auc=auc(p_values, truth),
+                p_values=tuple(outcome.p_values.tolist()),
+                confusion=classify_against_truth(outcome, truth),
+                auc=auc(outcome.p_values, truth),
                 correct=outcome.mu_hat == truth,
             )
         )

@@ -112,6 +112,16 @@ def test_correlation_input_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_infer_over_the_size_limit_is_a_usage_error(tmp_path, capsys):
+    from mutindep.inference import MAX_VARIABLES
+
+    path = tmp_path / "identity.txt"
+    np.savetxt(path, np.eye(MAX_VARIABLES + 1))
+    assert main(["infer", "--correlation", str(path), "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    assert f"n={MAX_VARIABLES + 1}" in err and f"n <= {MAX_VARIABLES}" in err
+
+
 def test_dichotomies_command(capsys):
     assert main(["dichotomies", "12|3|4"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -4,6 +4,7 @@ import pytest
 from mutindep.datasets import hiv_model
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
 from mutindep.inference import (
+    MAX_VARIABLES,
     classify_against_truth,
     infer_from_data,
     infer_from_model,
@@ -62,6 +63,12 @@ def test_resolve_pattern_validation():
         resolve_pattern(3, bips, [0.5] * 3, 0.1, correction="storey")
     with pytest.raises(ValueError):
         resolve_pattern(3, bips, [0.5] * 2, 0.1)  # length mismatch
+
+
+def test_size_guard_refuses_before_allocating():
+    n = MAX_VARIABLES + 1
+    with pytest.raises(ValueError, match=rf"n={n} .* GiB .* n <= {MAX_VARIABLES}"):
+        infer_from_model(CorrelationModel(np.eye(n), 100))
 
 
 def test_identity_model_keeps_everything():

@@ -3,20 +3,32 @@ import math
 import numpy as np
 import pytest
 
+import mutindep._kernels
 from mutindep.datasets import hiv_model
-from mutindep.errors import NotPositiveDefiniteError
+from mutindep.distributions import chi2_sf, noncentral_chi2_sf
+from mutindep.errors import InternalNumericError, NotPositiveDefiniteError
+from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 # aliased: the package names start with "test_", which pytest would collect
 from mutindep.mdi import test_bipartition as run_test
 from mutindep.mdi import test_bipartitions as run_tests
+from mutindep.mdi import test_masks as run_mask_tests
 from mutindep.mdi import (
+    MODES,
     degrees_of_freedom,
     mdi_statistic,
     mdi_statistics,
     noncentrality,
 )
-from mutindep.partitions import Bipartition, enumerate_bipartitions
+from mutindep.partitions import (
+    Bipartition,
+    Partition,
+    bipartition_masks,
+    entailed_masks,
+    enumerate_bipartitions,
+)
 from mutindep.randomness import RngStream, sample_mvn, sample_wishart_correlation
+from mutindep.simulation import generate_model
 
 import oracles
 
@@ -189,6 +201,87 @@ def test_clamp_policy():
     assert out.tolist() == [3.0, 0.0, 0.0]
     with pytest.raises(InternalNumericError):
         _clamped(np.array([3.0, -1e-8]))
+
+
+def _ill_conditioned_two_blocks(seed):
+    # two 6x6 correlation blocks with eigenvalues log-spaced over 1..1e-7
+    rng = np.random.default_rng(seed)
+    r = np.eye(12)
+    for idx in (np.arange(6), np.arange(6, 12)):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        c = (q * np.logspace(0, -7, 6)) @ q.T
+        d = np.sqrt(np.diag(c))
+        r[np.ix_(idx, idx)] = c / np.outer(d, d)
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    return Partition([0] * 6 + [1] * 6), r
+
+
+def _wishart_blocks(n, seed):
+    return generate_model(n, 2 + seed % (n - 1), RngStream(20261018, seed))
+
+
+# Exactly block-diagonal models: their entailed statistics are 0 up to a
+# rounding that grows with k and with the conditioning of the blocks.  Each
+# of these raised InternalNumericError under a fixed -1e-9 slack.
+BLOCK_DIAGONAL_MODELS = [
+    pytest.param(lambda n=n, seed=seed: _wishart_blocks(n, seed), 10**9,
+                 id=f"wishart-n{n}-seed{seed}")
+    for n, seed in ((6, 5), (6, 15), (8, 3), (8, 15))
+] + [
+    pytest.param(lambda seed=seed: _ill_conditioned_two_blocks(seed), 300,
+                 id=f"cond1e7-seed{seed}")
+    for seed in (5, 16, 27)
+]
+
+
+@pytest.mark.parametrize("make, k", BLOCK_DIAGONAL_MODELS)
+def test_exactly_block_diagonal_models_clamp_entailed_splits(make, k):
+    truth, r = make()
+    out = infer_from_model(CorrelationModel(r, k))
+    entailed = entailed_masks(out.masks, truth)
+    assert entailed.any()
+    # a positive rounding residue is not clamped, hence the tolerances
+    assert out.statistics[entailed].max() <= 1e-6
+    assert out.p_values[entailed].min() >= 1.0 - 1e-3
+    assert out.mu_hat == truth
+
+
+@pytest.mark.parametrize("make, k, margin", [
+    (lambda: (None, hiv_model().r), 107, -1e-6),
+    (lambda: _ill_conditioned_two_blocks(5), 300, -1.0),
+])
+def test_broken_determinant_margin_still_raises(monkeypatch, make, k, margin):
+    _, r = make()
+    model = CorrelationModel(r, k)
+    kernel = mutindep._kernels.mdi_statistic_batch
+
+    def broken(r, masks, k):
+        raw = kernel(r, masks, k)
+        raw[-1] = margin
+        return raw
+
+    monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", broken)
+    with pytest.raises(InternalNumericError, match="slack"):
+        mdi_statistics(model, enumerate_bipartitions(model.n))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_array_pvalues_equal_scalar_tails_bit_for_bit(mode):
+    rng = RngStream(20261020)
+    for n, blocks, k in ((4, 2, 30), (6, 3, 120), (9, 4, 400)):
+        _, sigma = generate_model(n, blocks, rng)
+        model = sample_correlation(sample_mvn(sigma, k, rng))
+        masks = bipartition_masks(n)
+        stats, df, p = run_mask_tests(model, masks, mode)
+        for members, stat, d, got in zip(masks.tolist(), stats.tolist(),
+                                         df.tolist(), p.tolist()):
+            b = Bipartition(n, members)
+            assert d == degrees_of_freedom(b)
+            if mode == "central":
+                assert got == chi2_sf(stat, d)
+            else:
+                assert got == noncentral_chi2_sf(stat, d, noncentrality(b, k))
 
 
 def test_central_noncentral_agree_for_large_k():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mutindep.inference import ConfusionCounts, infer_from_model
+from mutindep.inference import MAX_VARIABLES, ConfusionCounts, infer_from_model
 from mutindep.linalg import DataMatrix, sample_correlation
 from mutindep.partitions import (
     Partition,
@@ -93,6 +93,20 @@ def test_auc_matches_threshold_sweep_oracle():
         assert got == pytest.approx(oracles.roc_auc_sweep(pos, neg), abs=1e-12)
 
 
+def test_auc_equals_the_pairwise_count_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    truth = parse_partition("12|34|5|6")
+    entailed = set(entailed_dichotomies(truth))
+    negative = np.array([b in entailed for b in enumerate_bipartitions(6)])
+    for trial in range(200):
+        # coarse p-values tie often, fine ones rarely
+        pvals = rng.integers(0, 6 if trial % 2 else 10**6, size=31) / 5.0
+        pos, neg = pvals[~negative], pvals[negative]
+        wins = np.count_nonzero(pos[:, None] < neg[None, :])
+        ties = np.count_nonzero(pos[:, None] == neg[None, :])
+        assert auc(pvals, truth) == float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+
 def test_sensitivity_specificity_undefined_flags():
     assert sensitivity(ConfusionCounts(tp=0, fn=0, tn=3, fp=1)) is None
     assert specificity(ConfusionCounts(tp=2, fn=1, tn=0, fp=0)) is None
@@ -150,6 +164,8 @@ def test_config_validation():
         SimulationConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SimulationConfig(correction="storey")
+    with pytest.raises(ValueError, match=f"n <= {MAX_VARIABLES}"):
+        SimulationConfig(n=MAX_VARIABLES + 1, block_counts=(1,))
 
 
 def test_campaign_shape_and_determinism(tmp_path):
