@@ -15,12 +15,14 @@ import numpy as np
 
 from .fdr import bh_fdr, bonferroni
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
-from .mdi import test_masks, test_results
+from .mdi import MODES, test_bipartitions, test_masks, test_results
 from .partitions import (
     Bipartition,
     Partition,
     bipartition_masks,
     entailed_masks,
+    enumerate_bipartitions,
+    meet_all,
     meet_masks,
     members_masks,
 )
@@ -45,7 +47,8 @@ class InferenceOutcome:
     members bitmasks of all bipartitions, ascending), `statistics`, `df`,
     `p_values` and `rejected`.  The objects `tests` (TestResults) and
     `delta_hat` (the surviving Bipartitions) are built from them on first
-    access.
+    access, unless the outcome was made from the objects (infer_from_model),
+    which it then keeps.
     """
 
     masks: np.ndarray
@@ -119,12 +122,19 @@ def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
     Returns (delta_hat, mu_hat, m_thres).  This is the combination step of
     the pipeline, usable directly when p-values come from elsewhere.
     """
-    bipartitions = list(bipartitions)
-    rejected, mu_hat, m_thres = resolve_masks(
-        n, members_masks(bipartitions), pvalues, alpha, correction
+    if correction not in CORRECTIONS:
+        raise ValueError(
+            f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
+        )
+    outcome = CORRECTIONS[correction](pvalues, alpha)
+    delta_hat = tuple(
+        b for b, rej in zip(bipartitions, outcome.rejected, strict=True) if not rej
     )
-    delta_hat = tuple(b for b, rej in zip(bipartitions, rejected.tolist()) if not rej)
-    return delta_hat, mu_hat, m_thres
+    if delta_hat:
+        mu_hat = meet_all(b.to_partition() for b in delta_hat)
+    else:
+        mu_hat = Partition.one_block(n)
+    return delta_hat, mu_hat, outcome.m_thres
 
 
 def check_variable_count(n):
@@ -138,23 +148,57 @@ def check_variable_count(n):
         )
 
 
-def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
-    """Run every dichotomy test on a correlation model and intersect survivors.
-
-    A positive-definiteness failure in any submatrix aborts the whole
-    inference: a silently skipped test would bias the survivor set.  Models
-    over MAX_VARIABLES variables are refused with a ValueError.
-    """
+def _check_inputs(model, mode):
     if not isinstance(model, CorrelationModel):
         raise TypeError("expected a CorrelationModel")
     if model.n < 2:
         raise ValueError("inference needs at least 2 variables")
     check_variable_count(model.n)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
+    """Run every dichotomy test on a correlation model and intersect survivors.
+
+    The outcome carries its TestResults, one tail evaluation each; callers
+    that read only the arrays and mu_hat can use infer_masks, which gives
+    the same outcome bit for bit.  A positive-definiteness failure in any
+    submatrix aborts the whole inference: a silently skipped test would
+    bias the survivor set.  Models over MAX_VARIABLES variables are refused
+    with a ValueError.
+    """
+    _check_inputs(model, mode)
+    bipartitions = enumerate_bipartitions(model.n)
+    tests = tuple(test_bipartitions(model, bipartitions, mode))
+    p_values = np.array([t.p_value for t in tests])
+    delta_hat, mu_hat, m_thres = resolve_pattern(
+        model.n, bipartitions, p_values, alpha, correction
+    )
+    masks = members_masks(bipartitions)
+    rejected = ~np.isin(masks, members_masks(delta_hat))
+    outcome = _outcome(model, masks, np.array([t.statistic for t in tests]),
+                       np.array([t.df for t in tests], dtype=np.int64), p_values,
+                       rejected, mu_hat, alpha, correction, mode, m_thres)
+    # seeds the cached properties, so the objects are not built twice
+    outcome.__dict__.update(tests=tests, delta_hat=delta_hat)
+    return outcome
+
+
+def infer_masks(model, alpha=0.1, correction="fdr", mode="central"):
+    """The array form of infer_from_model: the same outcome, with the tails
+    evaluated on arrays and no TestResult or Bipartition built unless
+    `tests` or `delta_hat` is read."""
+    _check_inputs(model, mode)
     masks = bipartition_masks(model.n)
     statistics, df, p_values = test_masks(model, masks, mode)
-    rejected, mu_hat, m_thres = resolve_masks(
-        model.n, masks, p_values, alpha, correction
-    )
+    rejected, mu_hat, m_thres = resolve_masks(model.n, masks, p_values, alpha, correction)
+    return _outcome(model, masks, statistics, df, p_values, rejected, mu_hat, alpha,
+                    correction, mode, m_thres)
+
+
+def _outcome(model, masks, statistics, df, p_values, rejected, mu_hat, alpha,
+             correction, mode, m_thres):
     return InferenceOutcome(
         masks=masks,
         statistics=statistics,

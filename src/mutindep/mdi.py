@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-# The scalar tails stay importable from this module, where callers, and the
-# benchmark's tracer, look them up; the pipeline uses the array forms.
-from .distributions import (  # noqa: F401
+from .distributions import (
     chi2_sf,
     chi2_sf_array,
     noncentral_chi2_sf,
@@ -176,12 +174,25 @@ def test_results(bipartitions, k, statistics, df, p_values, mode):
 
 
 def test_bipartitions(model, bipartitions, mode="central"):
-    """TestResults for a batch of bipartitions over one shared model."""
+    """TestResults for a batch of bipartitions over one shared model.
+
+    The object form of test_masks: the same statistics, and one scalar tail
+    per test, equal bit for bit to the array tails.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     bipartitions = list(bipartitions)
-    for b in bipartitions:
-        _check_model(model, b.n)
-    statistics, df, p_values = test_masks(model, members_masks(bipartitions), mode)
-    return test_results(bipartitions, model.k, statistics, df, p_values, mode)
+    statistics = mdi_statistics(model, bipartitions)
+    results = []
+    for b, stat in zip(bipartitions, statistics.tolist()):
+        df = degrees_of_freedom(b)
+        lam = noncentrality(b, model.k)
+        if mode == "central":
+            p = chi2_sf(stat, df)
+        else:
+            p = noncentral_chi2_sf(stat, df, lam)
+        results.append(TestResult(b, stat, df, lam, p, mode))
+    return results
 
 
 def test_bipartition(model, bipartition, mode="central"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NotPositiveDefiniteError
-from .inference import check_variable_count, classify_against_truth, infer_from_model
+from .inference import check_variable_count, classify_against_truth, infer_masks
 from .linalg import DataMatrix, sample_correlation
 from .mdi import MODES
 from .partitions import bipartition_masks, entailed_masks, format_partition
@@ -192,7 +192,7 @@ def _execute_run(config, run_id, blocks):
     for size in config.subset_sizes:
         try:
             model = sample_correlation(DataMatrix(rows[:size]))
-            outcome = infer_from_model(
+            outcome = infer_masks(
                 model, alpha=config.alpha, correction=config.correction, mode=config.mode
             )
         except (DegenerateDataError, NotPositiveDefiniteError):
