@@ -153,9 +153,11 @@ def _render_outcome(outcome, n, k, fmt, columns=None):
                           indent=2) + "\n"
     if fmt == "csv":
         lines = ["bipartition,statistic,df,p_value,rejected"]
-        for t, rejected in zip(outcome.tests, outcome.rejected.tolist()):
+        kept = set(outcome.delta_hat)
+        for t in outcome.tests:
+            rejected = 0 if t.bipartition in kept else 1
             lines.append(
-                f"{t.bipartition},{t.statistic!r},{t.df},{t.p_value!r},{int(rejected)}"
+                f"{t.bipartition},{t.statistic!r},{t.df},{t.p_value!r},{rejected}"
             )
         return "\n".join(lines) + "\n"
     lines = [

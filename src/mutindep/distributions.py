@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 from scipy.special import gammainc, gammaincc
 
 # Truncation point for the noncentral mixture: stop once the remaining
@@ -30,36 +29,6 @@ def chi2_cdf(x, df):
     return float(gammainc(df / 2.0, x / 2.0))
 
 
-def chi2_sf_array(x, df):
-    """Elementwise upper tails P(chi2_df > x) of nonnegative statistics.
-
-    One vectorised call of the incomplete gamma that chi2_sf evaluates, so
-    element i equals chi2_sf(x[i], df[i]) bit for bit.  `df` may be an
-    array aligned with `x` or one shared value.  The arguments are not
-    validated: callers pass clamped statistics and block-size products.
-    """
-    return gammaincc(np.asarray(df) / 2.0, np.asarray(x) / 2.0)
-
-
-def _poisson_weights(lam):
-    """The Poisson(lam/2) mixture weights, in order, up to the first partial
-    sum within 1e-12 of one."""
-    q = lam / 2.0
-    log_q = math.log(q)
-    weights = []
-    total = 0.0
-    while total < 1.0 - _MIXTURE_TAIL:
-        j = len(weights)
-        weight = math.exp(-q + j * log_q - math.lgamma(j + 1))
-        weights.append(weight)
-        total += weight
-        if len(weights) > _MAX_MIXTURE_TERMS:
-            raise RuntimeError(
-                f"noncentral mixture did not converge (lambda={lam})"
-            )
-    return weights
-
-
 def noncentral_chi2_sf(x, df, lam):
     """Upper tail of the noncentral chi-squared distribution.
 
@@ -73,23 +42,18 @@ def noncentral_chi2_sf(x, df, lam):
         raise ValueError(f"the noncentrality must be nonnegative, got {lam}")
     if lam == 0.0:
         return chi2_sf(x, df)
+    q = lam / 2.0
+    log_q = math.log(q)
     acc = 0.0
-    for j, weight in enumerate(_poisson_weights(lam)):
+    total = 0.0
+    j = 0
+    while total < 1.0 - _MIXTURE_TAIL:
+        weight = math.exp(-q + j * log_q - math.lgamma(j + 1))
         acc += weight * chi2_sf(x, df + 2 * j)
+        total += weight
+        j += 1
+        if j > _MAX_MIXTURE_TERMS:
+            raise RuntimeError(
+                f"noncentral mixture did not converge (lambda={lam})"
+            )
     return min(acc, 1.0)
-
-
-def noncentral_chi2_sf_array(x, df, lam):
-    """noncentral_chi2_sf over an array of statistics sharing df and lam.
-
-    The mixture terms are added in the same order with the same weights, so
-    each element equals the scalar result bit for bit.  As with
-    chi2_sf_array, the arguments are not validated.
-    """
-    if lam == 0.0:
-        return chi2_sf_array(x, df)
-    half = np.asarray(x) / 2.0
-    acc = np.zeros(half.shape)
-    for j, weight in enumerate(_poisson_weights(lam)):
-        acc += weight * gammaincc((df + 2 * j) / 2.0, half)
-    return np.minimum(acc, 1.0)

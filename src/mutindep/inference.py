@@ -9,78 +9,42 @@ bounded lattice is the top element).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .fdr import bh_fdr, bonferroni
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
-from .mdi import MODES, test_bipartitions, test_masks, test_results
+from .mdi import MODES, test_bipartitions
 from .partitions import (
-    Bipartition,
     Partition,
-    bipartition_masks,
     entailed_masks,
     enumerate_bipartitions,
     meet_all,
-    meet_masks,
-    members_masks,
 )
 
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
 # Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
-# tracemalloc at n = 13, a test peaks at about 190 bytes for the per-test
-# arrays and the kernel's and the meet's temporaries, 370 more once the
-# TestResults and Bipartitions are built, and 2 KiB while the command line
-# renders JSON; BYTES_PER_TEST takes the largest.  MAX_VARIABLES keeps an
-# analysis within about 1 GiB.
+# tracemalloc at n = 13, infer_from_model peaks at about 590 bytes per test
+# (360 of them the TestResults and Bipartitions the outcome keeps) and the
+# command line's JSON rendering at about 1.8 KiB; BYTES_PER_TEST rounds the
+# largest up.  MAX_VARIABLES keeps an analysis within about 1 GiB.
 BYTES_PER_TEST = 2048
 MAX_VARIABLES = 20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InferenceOutcome:
-    """All test results plus the surviving dichotomies and their meet.
+    """All test results plus the surviving dichotomies and their meet."""
 
-    The tests are held as read-only, index-aligned arrays: `masks` (uint64
-    members bitmasks of all bipartitions, ascending), `statistics`, `df`,
-    `p_values` and `rejected`.  The objects `tests` (TestResults) and
-    `delta_hat` (the surviving Bipartitions) are built from them on first
-    access, unless the outcome was made from the objects (infer_from_model),
-    which it then keeps.
-    """
-
-    masks: np.ndarray
-    statistics: np.ndarray
-    df: np.ndarray
-    p_values: np.ndarray
-    rejected: np.ndarray
+    tests: tuple
+    delta_hat: tuple
     mu_hat: Partition
     alpha: float
     correction: str
     mode: str
     m: int
     m_thres: int
-    k: int
-
-    def __post_init__(self):
-        for array in (self.masks, self.statistics, self.df, self.p_values,
-                      self.rejected):
-            array.setflags(write=False)
-
-    @cached_property
-    def tests(self):
-        n = self.mu_hat.n
-        return tuple(test_results(
-            (Bipartition(n, members) for members in self.masks.tolist()),
-            self.k, self.statistics, self.df, self.p_values, self.mode,
-        ))
-
-    @cached_property
-    def delta_hat(self):
-        survivors = self.masks[~self.rejected].tolist()
-        return tuple(Bipartition(self.mu_hat.n, members) for members in survivors)
 
 
 @dataclass(frozen=True)
@@ -95,25 +59,6 @@ class ConfusionCounts:
     @property
     def total(self):
         return self.tp + self.fn + self.tn + self.fp
-
-
-def resolve_masks(n, masks, pvalues, alpha, correction="fdr"):
-    """The array form of resolve_pattern: (rejected, mu_hat, m_thres).
-
-    `rejected` is a boolean array aligned with the members bitmasks `masks`;
-    mu_hat is the meet of the survivors, the one-block partition when none
-    survives (the empty meet in a bounded lattice is the top element).
-    """
-    if correction not in CORRECTIONS:
-        raise ValueError(
-            f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
-        )
-    outcome = CORRECTIONS[correction](pvalues, alpha)
-    rejected = np.array(outcome.rejected, dtype=bool)
-    if rejected.shape != np.shape(masks):
-        raise ValueError(f"need one p-value per bipartition, got {rejected.size} "
-                         f"for {np.size(masks)}")
-    return rejected, meet_masks(masks[~rejected], n), outcome.m_thres
 
 
 def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
@@ -148,7 +93,13 @@ def check_variable_count(n):
         )
 
 
-def _check_inputs(model, mode):
+def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
+    """Run every dichotomy test on a correlation model and intersect survivors.
+
+    A positive-definiteness failure in any submatrix aborts the whole
+    inference: a silently skipped test would bias the survivor set.  Models
+    over MAX_VARIABLES variables are refused with a ValueError.
+    """
     if not isinstance(model, CorrelationModel):
         raise TypeError("expected a CorrelationModel")
     if model.n < 2:
@@ -156,62 +107,20 @@ def _check_inputs(model, mode):
     check_variable_count(model.n)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
-    """Run every dichotomy test on a correlation model and intersect survivors.
-
-    The outcome carries its TestResults, one tail evaluation each; callers
-    that read only the arrays and mu_hat can use infer_masks, which gives
-    the same outcome bit for bit.  A positive-definiteness failure in any
-    submatrix aborts the whole inference: a silently skipped test would
-    bias the survivor set.  Models over MAX_VARIABLES variables are refused
-    with a ValueError.
-    """
-    _check_inputs(model, mode)
     bipartitions = enumerate_bipartitions(model.n)
-    tests = tuple(test_bipartitions(model, bipartitions, mode))
-    p_values = np.array([t.p_value for t in tests])
+    tests = test_bipartitions(model, bipartitions, mode)
     delta_hat, mu_hat, m_thres = resolve_pattern(
-        model.n, bipartitions, p_values, alpha, correction
+        model.n, bipartitions, [t.p_value for t in tests], alpha, correction
     )
-    masks = members_masks(bipartitions)
-    rejected = ~np.isin(masks, members_masks(delta_hat))
-    outcome = _outcome(model, masks, np.array([t.statistic for t in tests]),
-                       np.array([t.df for t in tests], dtype=np.int64), p_values,
-                       rejected, mu_hat, alpha, correction, mode, m_thres)
-    # seeds the cached properties, so the objects are not built twice
-    outcome.__dict__.update(tests=tests, delta_hat=delta_hat)
-    return outcome
-
-
-def infer_masks(model, alpha=0.1, correction="fdr", mode="central"):
-    """The array form of infer_from_model: the same outcome, with the tails
-    evaluated on arrays and no TestResult or Bipartition built unless
-    `tests` or `delta_hat` is read."""
-    _check_inputs(model, mode)
-    masks = bipartition_masks(model.n)
-    statistics, df, p_values = test_masks(model, masks, mode)
-    rejected, mu_hat, m_thres = resolve_masks(model.n, masks, p_values, alpha, correction)
-    return _outcome(model, masks, statistics, df, p_values, rejected, mu_hat, alpha,
-                    correction, mode, m_thres)
-
-
-def _outcome(model, masks, statistics, df, p_values, rejected, mu_hat, alpha,
-             correction, mode, m_thres):
     return InferenceOutcome(
-        masks=masks,
-        statistics=statistics,
-        df=df,
-        p_values=p_values,
-        rejected=rejected,
+        tests=tuple(tests),
+        delta_hat=delta_hat,
         mu_hat=mu_hat,
         alpha=alpha,
         correction=correction,
         mode=mode,
-        m=masks.size,
+        m=len(bipartitions),
         m_thres=m_thres,
-        k=model.k,
     )
 
 
@@ -238,8 +147,10 @@ def classify_against_truth(outcome, truth):
         raise ValueError(
             f"dimension mismatch: truth has n={truth.n}, outcome has n={outcome.mu_hat.n}"
         )
-    negative = entailed_masks(outcome.masks, truth)
-    rejected = outcome.rejected
+    members = [t.bipartition.members for t in outcome.tests]
+    kept = {b.members for b in outcome.delta_hat}
+    negative = entailed_masks(members, truth)
+    rejected = np.array([m not in kept for m in members], dtype=bool)
 
     def count(flags):
         return int(np.count_nonzero(flags))

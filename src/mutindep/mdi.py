@@ -12,15 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import (
-    chi2_sf,
-    chi2_sf_array,
-    noncentral_chi2_sf,
-    noncentral_chi2_sf_array,
-)
+from .distributions import chi2_sf, noncentral_chi2_sf
 from .errors import InternalNumericError
 from .linalg import CorrelationModel
-from .partitions import Bipartition, mask_bits, members_masks
+from .partitions import Bipartition
 
 MODES = ("central", "noncentral")
 
@@ -31,9 +26,9 @@ MODES = ("central", "noncentral")
 # eigenvalues of a principal submatrix interlace those of R), and summing
 # the logs of pivots <= 1 adds n eps |ld|; for a correlation matrix
 # |ld_a| + |ld_c| <= |ld_full| (Hadamard's and Fischer's inequalities).
-# Negatives within (k-1) n eps (2 |ld_full| + 3 (n+1) / lambda_min), or
-# within _ABSOLUTE_SLACK, are clamped to 0; anything more negative means a
-# broken determinant.
+# Negatives within (k-1) n eps (2 |ld_full| + 3 (n+1) / lambda_min), and
+# never less than _ABSOLUTE_SLACK, are clamped to 0; anything more negative
+# means a broken determinant.
 _ABSOLUTE_SLACK = 1e-9
 
 
@@ -59,10 +54,6 @@ def _odd_cubic(t):
     return 2 * t**3 + 3 * t**2 - t
 
 
-def _noncentrality(na, nc, k):
-    return (_odd_cubic(na + nc) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
-
-
 def noncentrality(bipartition, k):
     """Noncentrality parameter of the noncentral chi-squared approximation.
 
@@ -71,7 +62,9 @@ def noncentrality(bipartition, k):
     """
     if k < 2:
         raise ValueError(f"need a sample count of at least 2, got {k}")
-    return _noncentrality(*bipartition.sizes(), k)
+    na, nc = bipartition.sizes()
+    n = bipartition.n
+    return (_odd_cubic(n) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
 
 
 def _check_model(model, n):
@@ -83,18 +76,16 @@ def _check_model(model, n):
         raise ValueError(f"the test needs a sample count of at least 3, got {model.k}")
 
 
-def _clamped(raw, model=None):
-    """Clamp cancellation-sized negatives of raw statistics to 0, or raise.
+def _clamped(raw, model):
+    """Clamp rounding-sized negatives of the raw statistics of `model` to 0,
+    or raise.
 
-    The slack is _ABSOLUTE_SLACK, widened to the rounding bound of `model`
-    when one is given; the bound costs a factorization and an eigenvalue
-    solve, so it is computed only for a statistic below -_ABSOLUTE_SLACK.
+    The rounding bound costs a factorization and an eigenvalue solve, so it
+    is computed only for a statistic below -_ABSOLUTE_SLACK.
     """
     low = raw.min(initial=0.0)
     if low < -_ABSOLUTE_SLACK:
-        slack = _ABSOLUTE_SLACK
-        if model is not None:
-            slack = max(slack, _rounding_bound(model))
+        slack = max(_ABSOLUTE_SLACK, _rounding_bound(model))
         if low < -slack:
             raise InternalNumericError(
                 f"dichotomy statistic came out at {low}, below the -{slack:.3g} "
@@ -112,11 +103,6 @@ def _rounding_bound(model):
     return (model.k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
-def _statistics(model, masks):
-    raw = _kernels.mdi_statistic_batch(model.r, masks, model.k)
-    return _clamped(raw, model)
-
-
 def mdi_statistics(model, bipartitions):
     """Statistics for a batch of bipartitions over one shared model.
 
@@ -127,7 +113,9 @@ def mdi_statistics(model, bipartitions):
     bipartitions = list(bipartitions)
     for b in bipartitions:
         _check_model(model, b.n)
-    return _statistics(model, members_masks(bipartitions))
+    masks = np.array([b.members for b in bipartitions], dtype=np.uint64)
+    raw = _kernels.mdi_statistic_batch(model.r, masks, model.k)
+    return _clamped(raw, model)
 
 
 def mdi_statistic(model, bipartition):
@@ -135,56 +123,15 @@ def mdi_statistic(model, bipartition):
     return float(mdi_statistics(model, [bipartition])[0])
 
 
-def test_masks(model, masks, mode="central"):
-    """The array form of test_bipartitions: (statistics, df, p_values).
-
-    `masks` is a uint64 array of members bitmasks (bit i-1 for element i,
-    bit 0 set, not the full set); the results are index-aligned arrays.
-    Central p-values are one vectorised tail call.  In noncentral mode the
-    noncentrality depends only on the block sizes, so each size class runs
-    one Poisson mixture over its statistics.
-    """
-    _check_model(model, model.n)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    statistics = _statistics(model, masks)
-    n, k = model.n, model.k
-    sizes = mask_bits(masks, n).sum(axis=1, dtype=np.int64)
-    df = sizes * (n - sizes)
-    if mode == "central":
-        return statistics, df, chi2_sf_array(statistics, df)
-    p_values = np.empty_like(statistics)
-    for na in np.unique(sizes).tolist():
-        where = sizes == na
-        nc = n - na
-        p_values[where] = noncentral_chi2_sf_array(
-            statistics[where], na * nc, _noncentrality(na, nc, k)
-        )
-    return statistics, df, p_values
-
-
-def test_results(bipartitions, k, statistics, df, p_values, mode):
-    """TestResult objects for bipartitions and the aligned arrays of test_masks."""
-    return [
-        TestResult(b, stat, d, noncentrality(b, k), p, mode)
-        for b, stat, d, p in zip(
-            bipartitions, statistics.tolist(), df.tolist(), p_values.tolist()
-        )
-    ]
-
-
 def test_bipartitions(model, bipartitions, mode="central"):
-    """TestResults for a batch of bipartitions over one shared model.
-
-    The object form of test_masks: the same statistics, and one scalar tail
-    per test, equal bit for bit to the array tails.
-    """
+    """TestResults for a batch of bipartitions over one shared model."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     bipartitions = list(bipartitions)
-    statistics = mdi_statistics(model, bipartitions)
+    stats = mdi_statistics(model, bipartitions)
     results = []
-    for b, stat in zip(bipartitions, statistics.tolist()):
+    for b, stat in zip(bipartitions, stats):
+        stat = float(stat)
         df = degrees_of_freedom(b)
         lam = noncentrality(b, model.k)
         if mode == "central":

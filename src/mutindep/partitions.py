@@ -259,11 +259,6 @@ def enumerate_bipartitions(n):
     return [Bipartition(n, members) for members in bipartition_masks(n).tolist()]
 
 
-def members_masks(bipartitions):
-    """The members bitmasks of bipartitions, as a uint64 array."""
-    return np.array([b.members for b in bipartitions], dtype=np.uint64)
-
-
 def block_masks(mu):
     """The bitmask of each block of mu (bit i-1 for element i), blocks
     ordered by least element."""
@@ -271,13 +266,6 @@ def block_masks(mu):
     for i, b in enumerate(mu.assignment):
         out[b] |= 1 << i
     return out
-
-
-def mask_bits(masks, n):
-    """The (len(masks), n) 0/1 matrix whose row t holds the bits of masks[t]."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    return bits.astype(np.uint8)
 
 
 def entailed_masks(masks, mu):
@@ -294,18 +282,6 @@ def entailed_masks(masks, mu):
         inside = masks & block
         entailed &= (inside == 0) | (inside == block)
     return entailed
-
-
-def meet_masks(masks, n):
-    """Meet of the bipartitions of {1..n} with these members bitmasks.
-
-    Elements i and j share a block of the meet iff bits i and j agree in
-    every mask, so the blocks are the classes of equal columns of the bit
-    matrix.  With no masks all columns are equal and the result is the
-    one-block partition, the top of the lattice and so the empty meet.
-    """
-    columns = np.ascontiguousarray(mask_bits(masks, n).T)
-    return Partition(column.tobytes() for column in columns)
 
 
 def entailed_dichotomies(mu):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NotPositiveDefiniteError
-from .inference import check_variable_count, classify_against_truth, infer_masks
+from .inference import check_variable_count, classify_against_truth, infer_from_model
 from .linalg import DataMatrix, sample_correlation
 from .mdi import MODES
 from .partitions import bipartition_masks, entailed_masks, format_partition
@@ -192,19 +192,21 @@ def _execute_run(config, run_id, blocks):
     for size in config.subset_sizes:
         try:
             model = sample_correlation(DataMatrix(rows[:size]))
-            outcome = infer_masks(
+            outcome = infer_from_model(
                 model, alpha=config.alpha, correction=config.correction, mode=config.mode
             )
         except (DegenerateDataError, NotPositiveDefiniteError):
             analyses.append(SubsetAnalysis(size, True, None, None, None, None))
             continue
+        confusion = classify_against_truth(outcome, truth)
+        p_values = tuple(t.p_value for t in outcome.tests)
         analyses.append(
             SubsetAnalysis(
                 size=size,
                 failed=False,
-                p_values=tuple(outcome.p_values.tolist()),
-                confusion=classify_against_truth(outcome, truth),
-                auc=auc(outcome.p_values, truth),
+                p_values=p_values,
+                confusion=confusion,
+                auc=auc(p_values, truth),
                 correct=outcome.mu_hat == truth,
             )
         )

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mutindep.distributions import (
-    chi2_cdf,
-    chi2_sf,
-    chi2_sf_array,
-    noncentral_chi2_sf,
-    noncentral_chi2_sf_array,
-)
+from mutindep.distributions import chi2_cdf, chi2_sf, noncentral_chi2_sf
 
 import oracles
 
@@ -82,14 +76,3 @@ def test_noncentral_bounds():
             v = noncentral_chi2_sf(x, 4, lam)
             assert 0.0 <= v <= 1.0
     assert noncentral_chi2_sf(0.0, 4, 3.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_array_tails_equal_scalar_tails_bit_for_bit():
-    x = np.concatenate([[0.0, 1e-12], np.linspace(0.01, 300.0, 60), [1e3]])
-    for df in (1, 2, 5, 9, 20, 36):
-        central = [chi2_sf(v, df) for v in x.tolist()]
-        assert chi2_sf_array(x, df).tolist() == central
-        assert chi2_sf_array(x, np.full(x.size, df)).tolist() == central
-        for lam in (0.0, 1e-3, 0.37, 4.0, 25.0):
-            expected = [noncentral_chi2_sf(v, df, lam) for v in x.tolist()]
-            assert noncentral_chi2_sf_array(x, df, lam).tolist() == expected

@@ -8,7 +8,6 @@ from mutindep.inference import (
     classify_against_truth,
     infer_from_data,
     infer_from_model,
-    infer_masks,
     resolve_pattern,
 )
 from mutindep.linalg import CorrelationModel, DataMatrix
@@ -147,24 +146,6 @@ def test_determinism():
     b = infer_from_model(model, alpha=0.1)
     assert [t.p_value for t in a.tests] == [t.p_value for t in b.tests]
     assert a.mu_hat == b.mu_hat and a.delta_hat == b.delta_hat
-
-
-def test_array_and_object_entry_points_agree():
-    # infer_masks evaluates the tails on arrays, infer_from_model one test
-    # at a time; every field and every TestResult must be equal bit for bit
-    for seed in range(6):
-        rng = RngStream(20260832, seed)
-        model = CorrelationModel(sample_wishart_correlation(6, rng), 40)
-        for mode, correction in (("central", "fdr"), ("noncentral", "bonferroni")):
-            a = infer_from_model(model, alpha=0.1, correction=correction, mode=mode)
-            b = infer_masks(model, alpha=0.1, correction=correction, mode=mode)
-            for field in ("masks", "statistics", "df", "p_values", "rejected"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert x.dtype == y.dtype and np.array_equal(x, y), field
-            assert (a.mu_hat, a.m, a.m_thres, a.k) == (b.mu_hat, b.m, b.m_thres, b.k)
-            assert a.tests == b.tests and a.delta_hat == b.delta_hat
-    with pytest.raises(ValueError, match="mode"):
-        infer_masks(model, mode="exact")
 
 
 def test_alpha_monotonicity():

@@ -16,7 +16,6 @@ from mutindep.partitions import (
     join,
     meet,
     meet_all,
-    meet_masks,
     parse_partition,
     stirling2,
 )
@@ -269,24 +268,11 @@ def test_dichotomy_reconstruction_exhaustive():
 def test_entailed_masks_match_entailed_dichotomies():
     for n in range(2, 7):
         masks = bipartition_masks(n)
+        assert masks.tolist() == [b.members for b in enumerate_bipartitions(n)]
         for mu in enumerate_partitions(n):
             expected = {b.members for b in entailed_dichotomies(mu)}
             got = entailed_masks(masks, mu)
             assert got.tolist() == [m in expected for m in masks.tolist()]
-
-
-def test_meet_masks_matches_meet_all():
-    rng = np.random.default_rng(20261018)
-    for n in range(2, 8):
-        bips = enumerate_bipartitions(n)
-        masks = bipartition_masks(n)
-        assert masks.tolist() == [b.members for b in bips]
-        for _ in range(40):
-            keep = rng.random(masks.size) < rng.random()
-            survivors = [b.to_partition() for b, k in zip(bips, keep) if k]
-            expected = meet_all(survivors) if survivors else Partition.one_block(n)
-            assert meet_masks(masks[keep], n) == expected
-        assert meet_masks(masks[:0], n) == Partition.one_block(n)
 
 
 # --- coarsenings -------------------------------------------------------------
