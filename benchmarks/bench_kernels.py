@@ -1,18 +1,37 @@
 """Benchmark the compiled kernels against the pure-numpy fallback.
 
-Usage: python benchmarks/bench_kernels.py
+Usage: python benchmarks/bench_kernels.py [--out FILE]
 
 Times the two hot operations (symmetric log-determinant and the
 all-dichotomies statistic batch) on correlation matrices of growing size,
-then an end-to-end desk simulation run through each backend.  Only the
-backends that load are timed; the speedup column needs both.
+then `infer_from_model` end to end and the 300-run desk simulation through
+each backend.  Only the backends that load are timed; the speedup column
+needs both.  The package measured is the one `import mutindep` finds, so
+running with PYTHONPATH pointing at another checkout's `src` measures that
+checkout.
+
+With --out, the printed rows are also written to FILE as JSON, together
+with the kernel backend, the number of cores and the python, numpy and
+scipy versions.
 """
 
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
+import scipy
 
+import mutindep
+from mutindep import _kernels
 from mutindep._kernels import load_backend
+from mutindep.inference import infer_from_model
+from mutindep.linalg import CorrelationModel
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 
@@ -49,14 +68,22 @@ def _cells(times, scale, unit, digits):
     return cells + (f" {times[0] / times[1]:>8.1f}x" if len(times) == 2 else "")
 
 
+def _row(bench, size, backends, times):
+    return {"bench": bench, "size": size,
+            "seconds": dict(zip(backends, times))}
+
+
 def bench_logdet(backends):
     print("logdet_spd (per call)")
     print(f"{'dim':>5}{_header(backends)}")
     rng = RngStream(1)
+    rows = []
     for dim in (4, 6, 10, 16, 24):
         r = sample_wishart_correlation(dim, rng)
         times = [_time(lambda: impl.logdet_spd(r)) for impl, _ in backends.values()]
         print(f"{dim:>5}{_cells(times, 1e6, 'us', 1)}")
+        rows.append(_row("logdet_spd", dim, backends, times))
+    return rows
 
 
 def bench_batch(backends):
@@ -64,19 +91,51 @@ def bench_batch(backends):
     print("mdi_statistic_batch over all dichotomies (per batch)")
     print(f"{'n':>5} {'tests':>6}{_header(backends)}")
     rng = RngStream(2)
+    rows = []
     for n in (4, 6, 10, 14):
         r = sample_wishart_correlation(n, rng)
         masks = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
         times = [_time(lambda: impl.mdi_statistic_batch(r, masks, 300))
                  for impl, _ in backends.values()]
         print(f"{n:>5} {len(masks):>6}{_cells(times, 1e3, 'ms', 2)}")
+        rows.append(_row("mdi_statistic_batch", n, backends, times))
+    return rows
+
+
+@contextmanager
+def _kernels_of(impl):
+    saved = _kernels.logdet_spd, _kernels.mdi_statistic_batch
+    _kernels.logdet_spd, _kernels.mdi_statistic_batch = (
+        impl.logdet_spd, impl.mdi_statistic_batch)
+    try:
+        yield
+    finally:
+        _kernels.logdet_spd, _kernels.mdi_statistic_batch = saved
+
+
+def bench_infer(backends):
+    print()
+    print("infer_from_model, central, fdr (per call)")
+    print(f"{'n':>5} {'tests':>6}{_header(backends)}")
+    rng = RngStream(3)
+    rows = []
+    for n in (6, 10, 12):
+        model = CorrelationModel(sample_wishart_correlation(n, rng), 300)
+        times = []
+        for impl, _ in backends.values():
+            with _kernels_of(impl):
+                times.append(_time(lambda: infer_from_model(model, alpha=0.1)))
+        print(f"{n:>5} {2**(n - 1) - 1:>6}{_cells(times, 1e3, 'ms', 2)}")
+        rows.append(_row("infer_from_model", n, backends, times))
+    return rows
 
 
 _CAMPAIGN_SNIPPET = """
 import time
 from mutindep.simulation import SimulationConfig, run_campaign
-config = SimulationConfig(n=6, block_counts=(2, 4), runs_per_k=50,
-                          max_samples=300, subset_sizes=(100, 300),
+config = SimulationConfig(n=6, block_counts=(1, 2, 3, 4, 5, 6), runs_per_k=50,
+                          max_samples=300,
+                          subset_sizes=(50, 100, 150, 200, 250, 300),
                           master_seed=3)
 start = time.perf_counter()
 run_campaign(config, threads=1)
@@ -87,12 +146,8 @@ print(time.perf_counter() - start)
 def bench_campaign(backends):
     # end to end, with the backend chosen the way it is in production:
     # at import time, via MUTINDEP_KERNELS
-    import os
-    import subprocess
-    import sys
-
     print()
-    print("desk simulation (100 runs x 2 sizes, single thread, fresh process)")
+    print("desk simulation (300 runs x 6 sizes, single thread, fresh process)")
     results = {}
     for name, (_, forced) in backends.items():
         env = dict(os.environ, MUTINDEP_KERNELS=forced)
@@ -104,10 +159,30 @@ def bench_campaign(backends):
         print(f"  {name:>9}: {results[name]:.2f}s")
     if len(results) == 2:
         print(f"  speedup: {results['python'] / results['compiled']:.1f}x")
+    return [_row("desk_campaign", 300, backends, list(results.values()))]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", metavar="FILE",
+                        help="also write the rows and the environment as JSON")
+    args = parser.parse_args(argv)
+    backends = _load_backends()
+    rows = (bench_logdet(backends) + bench_batch(backends)
+            + bench_infer(backends) + bench_campaign(backends))
+    if args.out:
+        result = {
+            "backend": mutindep.kernel_backend,
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "rows": rows,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":
-    backends = _load_backends()
-    bench_logdet(backends)
-    bench_batch(backends)
-    bench_campaign(backends)
+    main()

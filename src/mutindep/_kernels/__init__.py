@@ -1,9 +1,11 @@
 """Hot numeric kernels with a compiled core and a pure-numpy fallback.
 
 The compiled extension (`_fast`, Cython) is preferred when importable; the
-numpy implementation (`_pure`) has identical semantics and is used when the
-extension is missing.  Set MUTINDEP_KERNELS=c or MUTINDEP_KERNELS=python to
-force a backend (forcing "c" raises ImportError if the extension is absent).
+numpy implementation (`_pure`) is used when the extension is missing.  Both
+apply the same pivot rule and report the same failing submatrix; their
+statistics agree to about 1e-13 relative, not bit for bit.  Set
+MUTINDEP_KERNELS=c or MUTINDEP_KERNELS=python to force a backend (forcing
+"c" raises ImportError if the extension is absent).
 """
 
 import os

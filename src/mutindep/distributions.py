@@ -1,5 +1,6 @@
 """Central and noncentral chi-squared tail probabilities."""
 
+import functools
 import math
 
 from scipy.special import gammainc, gammaincc
@@ -42,18 +43,29 @@ def noncentral_chi2_sf(x, df, lam):
         raise ValueError(f"the noncentrality must be nonnegative, got {lam}")
     if lam == 0.0:
         return chi2_sf(x, df)
+    acc = 0.0
+    for j, weight in enumerate(_poisson_weights(lam)):
+        acc += weight * chi2_sf(x, df + 2 * j)
+    return min(acc, 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _poisson_weights(lam):
+    """Poisson(lam/2) weights of the mixture terms j = 0, 1, ..., up to the
+    first at which the cumulative mass reaches 1 - 1e-12.
+
+    They depend on lam alone, and lam takes only a few values per model (it
+    depends on the block sizes and k), so they are computed once per value.
+    """
     q = lam / 2.0
     log_q = math.log(q)
-    acc = 0.0
+    weights = []
     total = 0.0
-    j = 0
     while total < 1.0 - _MIXTURE_TAIL:
+        j = len(weights)
+        if j >= _MAX_MIXTURE_TERMS:
+            raise RuntimeError(f"noncentral mixture did not converge (lambda={lam})")
         weight = math.exp(-q + j * log_q - math.lgamma(j + 1))
-        acc += weight * chi2_sf(x, df + 2 * j)
+        weights.append(weight)
         total += weight
-        j += 1
-        if j > _MAX_MIXTURE_TERMS:
-            raise RuntimeError(
-                f"noncentral mixture did not converge (lambda={lam})"
-            )
-    return min(acc, 1.0)
+    return tuple(weights)

@@ -29,7 +29,7 @@ def _validated(pvalues, alpha):
 def _outcome(p, rejected):
     m_thres = int(np.count_nonzero(rejected))
     threshold = float(p[rejected].max()) if m_thres else None
-    return CorrectionOutcome(tuple(bool(x) for x in rejected), m_thres, threshold)
+    return CorrectionOutcome(tuple(rejected.tolist()), m_thres, threshold)
 
 
 def bh_fdr(pvalues, alpha):

@@ -76,3 +76,27 @@ def test_noncentral_bounds():
             v = noncentral_chi2_sf(x, 4, lam)
             assert 0.0 <= v <= 1.0
     assert noncentral_chi2_sf(0.0, 4, 3.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def _mixture_loop(x, df, lam):
+    """The noncentral tail as one loop that recomputes each Poisson weight."""
+    q = lam / 2.0
+    log_q = math.log(q)
+    acc = total = 0.0
+    j = 0
+    while total < 1.0 - 1e-12:
+        weight = math.exp(-q + j * log_q - math.lgamma(j + 1))
+        acc += weight * chi2_sf(x, df + 2 * j)
+        total += weight
+        j += 1
+    return min(acc, 1.0)
+
+
+def test_cached_weights_give_the_loop_bit_for_bit():
+    rng = np.random.default_rng(20260844)
+    lams = [1e-6, 0.03, 0.2, 1.0, 4.0, 30.0]
+    for _ in range(3):  # the second and third pass hit the weight cache
+        for lam in lams:
+            for df in (1, 4, 9, 36):
+                for x in np.concatenate([[0.0], rng.exponential(df, size=5)]):
+                    assert noncentral_chi2_sf(x, df, lam) == _mixture_loop(x, df, lam)

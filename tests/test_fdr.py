@@ -118,3 +118,12 @@ def test_false_discovery_proportion_under_full_null():
         out = bh_fdr(rng.random(31), 0.1)
         fdp.append(1.0 if out.m_thres else 0.0)
     assert np.mean(fdp) <= 0.1 + 0.02
+
+
+def test_rejected_is_a_tuple_of_python_bools():
+    p = np.random.default_rng(20260843).random(2047) ** 4
+    for rule in (bh_fdr, bonferroni):
+        out = rule(p, 0.1)
+        assert type(out.rejected) is tuple and len(out.rejected) == p.size
+        assert all(type(flag) is bool for flag in out.rejected)
+        assert sum(out.rejected) == out.m_thres > 0

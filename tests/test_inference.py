@@ -20,6 +20,7 @@ from mutindep.partitions import (
     parse_partition,
 )
 from mutindep.randomness import RngStream, sample_mvn, sample_wishart_correlation
+from mutindep.simulation import generate_model
 
 
 def oracle_pvalues(n, truth):
@@ -119,6 +120,20 @@ def test_infer_from_data_golden_independent_pair():
     data = sample_mvn(np.eye(2), 10_000, RngStream(20260802, 0))
     out = infer_from_data(data, alpha=0.1)
     assert str(out.mu_hat) == "1|2"
+
+
+def test_mu_hat_is_invariant_when_columns_are_rescaled():
+    # correlation ignores the scale of each variable, so the inferred
+    # pattern must not depend on units
+    rng = RngStream(20260842)
+    for blocks in (1, 2, 3, 6):
+        truth, sigma = generate_model(6, blocks, rng)
+        data = sample_mvn(sigma, 200, rng).values
+        scales = np.exp(rng.generator.uniform(-6.0, 6.0, size=6))
+        for mode in ("central", "noncentral"):
+            direct = infer_from_data(data, alpha=0.1, mode=mode)
+            rescaled = infer_from_data(data * scales, alpha=0.1, mode=mode)
+            assert rescaled.mu_hat == direct.mu_hat
 
 
 def test_infer_from_data_guards():
