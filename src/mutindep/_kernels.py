@@ -1,6 +1,4 @@
-"""Pure numpy implementation of the factorization kernels.
-
-Semantics (shared with the compiled backend in _fast.pyx):
+"""Factorization kernels: log-determinants and dichotomy statistics.
 
 * Cholesky factorization of symmetric positive-definite input, failing with
   NotPositiveDefiniteError when a pivot drops to or below the tolerance
@@ -11,17 +9,15 @@ Semantics (shared with the compiled backend in _fast.pyx):
   (no clamping); callers own the nonnegativity policy.
 
 The batch factors its submatrices in stacks through LAPACK, so its
-statistics agree with the compiled backend's to about 1e-13 relative, not
-bit for bit: the summation order differs.
+statistics agree with a one-matrix-at-a-time Cholesky to about 1e-13
+relative, not bit for bit: the summation order differs.
 """
 
 import math
 
 import numpy as np
 
-from ..errors import not_pd_submatrix
-
-BACKEND = "python"
+from .errors import not_pd_submatrix
 
 PIVOT_TOL = 1e-12
 

@@ -371,7 +371,8 @@ def build_parser():
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: all cores; results identical)")
+                     help="worker threads, at most one per core "
+                          "(default: all cores; results identical)")
     sim.add_argument("--csv", required=True, metavar="PATH",
                      help="per-(run,size) metrics CSV")
     sim.add_argument("--summary", metavar="PATH", help="JSON campaign summary")

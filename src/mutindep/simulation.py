@@ -227,18 +227,24 @@ def run_campaign(config, threads=None):
     """Execute the whole campaign; deterministic given config.master_seed.
 
     Each run draws from a private (master_seed, run id) stream, so the
-    result is byte-identical for any thread count.  Inference failures are
-    recorded per run with a failure flag instead of aborting the campaign.
+    result is byte-identical for any thread count.  `threads` (default: one
+    per core) must be at least 1 and is capped at the number of cores.
+    Inference failures are recorded per run with a failure flag instead of
+    aborting the campaign.
     """
+    cores = os.cpu_count() or 1
+    if threads is None:
+        threads = cores
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1 (got {threads})")
+    threads = min(threads, cores)
     jobs = []
     run_id = 0
     for blocks in config.block_counts:
         for _ in range(config.runs_per_k):
             jobs.append((run_id, blocks))
             run_id += 1
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1:
+    if threads == 1:
         records = [_execute_run(config, rid, blocks) for rid, blocks in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mutindep
 from mutindep.cli import main
 from mutindep.datasets import hiv_correlation
 from mutindep.randomness import RngStream, sample_mvn
@@ -160,6 +165,25 @@ def test_hiv_command(capsys):
         assert "finest pattern: 12356|4" in capsys.readouterr().out
 
 
+def test_hiv_ignores_a_stale_kernel_override():
+    # a stale kernel override left in the environment must not break a
+    # command: there is one kernel and nothing reads the variable
+    src = str(Path(mutindep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for override in (None, "fortran"):
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("MUTINDEP_KERNELS", None)
+        if override:
+            env["MUTINDEP_KERNELS"] = override
+        proc = subprocess.run([sys.executable, "-m", "mutindep.cli", "hiv"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "finest pattern: 12356|4" in outputs[0]
+
+
 def test_simulate_smoke_and_determinism(tmp_path, capsys):
     args = [
         "simulate", "--n", "4", "--blocks", "1..4", "--runs", "3",
@@ -218,6 +242,14 @@ def test_simulate_bad_config(tmp_path, capsys):
         "--csv", str(tmp_path / "x.csv"),
     ]) == 2
     capsys.readouterr()
+    for threads in ("0", "-3"):
+        assert main([
+            "simulate", "--n", "4", "--blocks", "2", "--runs", "1",
+            "--samples", "50", "--sizes", "50", "--threads", threads,
+            "--csv", str(tmp_path / "t.csv"),
+        ]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_infer_accepts_crlf(tmp_path, capsys):

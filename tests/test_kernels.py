@@ -1,127 +1,58 @@
-"""Backend parity: the compiled kernels must match the numpy fallback.
-
-The compiled extension is optional, so its cases skip, with a reason, where
-mutindep._kernels._fast is not built.
-"""
+"""The dichotomy kernel against brute-force oracles: numpy.linalg.slogdet
+and cofactor determinants."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mutindep._kernels import _select, load_backend
+from mutindep import _kernels as kernels
 from mutindep.errors import NotPositiveDefiniteError
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
 
-FAST_MODULE = "mutindep._kernels._fast"
-NOT_BUILT = f"{FAST_MODULE} is not built (it needs Cython at install time)"
 
-pure = load_backend("python")
-
-try:
-    load_backend("c")
-except ImportError:
-    HAVE_FAST = False
-else:
-    HAVE_FAST = True
-
-
-@pytest.fixture
-def fast():
-    return pytest.importorskip(FAST_MODULE, reason=NOT_BUILT)
-
-
-@pytest.fixture(params=["python", "c"])
-def impl(request):
-    if request.param == "c":
-        pytest.importorskip(FAST_MODULE, reason=NOT_BUILT)
-    return load_backend(request.param)
-
-
-def test_compiled_backend_is_available_and_default(monkeypatch):
-    # without a forced override the extension wins whenever it imports
-    monkeypatch.delenv("MUTINDEP_KERNELS", raising=False)
-    assert _select().BACKEND == ("c" if HAVE_FAST else "python")
-    if HAVE_FAST:
-        assert load_backend("c").BACKEND == "c"
-
-
-@pytest.mark.skipif(HAVE_FAST, reason=f"{FAST_MODULE} is built")
-def test_forcing_the_missing_compiled_backend_raises(monkeypatch):
-    monkeypatch.setenv("MUTINDEP_KERNELS", "c")
-    with pytest.raises(ImportError) as err:
-        _select()
-    message = str(err.value)
-    assert FAST_MODULE in message and "not built" in message
-    assert "Cython" in message and "MUTINDEP_KERNELS=python" in message
-
-
-def test_load_backend_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        load_backend("fortran")
-
-
-def test_logdet_parity_random_matrices(fast):
+def test_logdet_parity_random_matrices():
     rng = RngStream(20260836)
     for _ in range(200):
         dim = int(rng.generator.integers(1, 13))
         r = sample_wishart_correlation(dim, rng)
-        lp = pure.logdet_spd(r)
-        lf = fast.logdet_spd(r)
-        assert lf == pytest.approx(lp, rel=1e-12, abs=1e-12)
+        sign, expected = np.linalg.slogdet(r)
+        assert sign == 1.0
+        assert kernels.logdet_spd(r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_batch_parity_and_alignment(fast):
-    rng = RngStream(20260837)
-    for _ in range(50):
-        dim = int(rng.generator.integers(2, 9))
-        r = sample_wishart_correlation(dim, rng)
-        masks = np.arange(1, 2**dim - 1, 2, dtype=np.uint64)
-        k = int(rng.generator.integers(3, 500))
-        sp = pure.mdi_statistic_batch(r, masks, k)
-        sf = fast.mdi_statistic_batch(r, masks, k)
-        np.testing.assert_allclose(sf, sp, rtol=1e-12, atol=1e-12)
-
-
-def test_non_pd_parity(impl):
+def test_non_pd_parity():
     bad = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NotPositiveDefiniteError):
-        impl.logdet_spd(bad)
+        kernels.logdet_spd(bad)
 
     # a singular principal block makes the whole matrix singular, so the
-    # batch fails on the full factorization in both backends
+    # batch fails on the full factorization
     r = np.eye(4)
     r[0, 1] = r[1, 0] = 1.0
     masks = np.array([0b0011], dtype=np.uint64)
-    messages = []
-    for backend in (pure, impl):
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            backend.mdi_statistic_batch(r, masks, 10)
-        assert err.value.part == "full"
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        kernels.mdi_statistic_batch(r, masks, 10)
+    assert err.value.part == "full"
 
 
-def test_scalar_and_batch_agree(impl):
+def test_scalar_and_batch_agree():
     rng = RngStream(20260838)
     r = sample_wishart_correlation(6, rng)
     masks = np.arange(1, 2**6 - 1, 2, dtype=np.uint64)
-    batch = impl.mdi_statistic_batch(r, masks, 99)
-    full = impl.logdet_spd(r)
+    batch = kernels.mdi_statistic_batch(r, masks, 99)
+    full = kernels.logdet_spd(r)
     for mask, stat in zip(masks, batch):
         sel = [i for i in range(6) if (int(mask) >> i) & 1]
         comp = [i for i in range(6) if not (int(mask) >> i) & 1]
         expected = 98.0 * (
-            impl.logdet_spd(r[np.ix_(sel, sel)])
-            + impl.logdet_spd(r[np.ix_(comp, comp)])
+            kernels.logdet_spd(r[np.ix_(sel, sel)])
+            + kernels.logdet_spd(r[np.ix_(comp, comp)])
             - full
         )
         assert stat == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-# --- the batched numpy kernel against brute force ------------------------
 
 
 def _slogdet_statistics(r, masks, k):
@@ -148,11 +79,11 @@ def _rounding_tolerance(r, k):
     return 2.0 * (k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
-@pytest.mark.parametrize("stack", [3, pure._STACK])
+@pytest.mark.parametrize("stack", [3, kernels._STACK])
 def test_batched_kernel_matches_slogdet(monkeypatch, stack):
     # stack=3 splits every size group into many stacks; at the default cap
     # n=11 still has a group (462 subsets of size 5) larger than one stack
-    monkeypatch.setattr(pure, "_STACK", stack)
+    monkeypatch.setattr(kernels, "_STACK", stack)
     rng = RngStream(20260839)
     for n in range(2, 12):
         r = sample_wishart_correlation(n, rng)
@@ -163,7 +94,7 @@ def test_batched_kernel_matches_slogdet(monkeypatch, stack):
         extra = rng.generator.integers(0, 2**n, size=2 * n).astype(np.uint64)
         trivial = np.array([0, 2**n - 1], dtype=np.uint64)
         masks = np.concatenate([shuffled, shuffled[: n], extra, trivial])
-        got = pure.mdi_statistic_batch(r, masks, k)
+        got = kernels.mdi_statistic_batch(r, masks, k)
         np.testing.assert_allclose(
             got, _slogdet_statistics(r, masks, k), rtol=0,
             atol=_rounding_tolerance(r, k),
@@ -176,7 +107,7 @@ def test_small_batches_match_cofactor_determinants():
         r = sample_wishart_correlation(n, rng)
         masks = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
         full = math.log(oracles.det_cofactor(r))
-        for mask, stat in zip(masks, pure.mdi_statistic_batch(r, masks, 50)):
+        for mask, stat in zip(masks, kernels.mdi_statistic_batch(r, masks, 50)):
             sel = [i for i in range(n) if (int(mask) >> i) & 1]
             comp = [i for i in range(n) if not (int(mask) >> i) & 1]
             expected = 49.0 * (
@@ -192,7 +123,7 @@ def _scalar_logdets(r, subsets):
     out = []
     for mask in subsets:
         idx = [i for i in range(n) if (int(mask) >> i) & 1]
-        ld = pure._chol_logdet(r[np.ix_(idx, idx)])
+        ld = kernels._chol_logdet(r[np.ix_(idx, idx)])
         out.append(np.nan if ld is None else ld)
     return np.array(out)
 
@@ -210,7 +141,7 @@ def test_stack_fallback_and_pivot_rule_match_the_scalar_factorization():
         for size, subsets in ((2, [0b0011, 0b0101, 0b1100]),
                               (3, [0b0111, 0b1110, 0b1011, 0b1101])):
             subsets = np.array(subsets, dtype=np.uint64)
-            got = pure._stack_logdets(r, subsets, size)
+            got = kernels._stack_logdets(r, subsets, size)
             want = _scalar_logdets(r, subsets)
             assert np.isnan(got[0]) and np.isnan(want[0])
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -222,9 +153,9 @@ def test_first_failing_mask_in_input_order_is_named(monkeypatch):
     # a full matrix that passes the pivot rule has only passing principal
     # submatrices in exact arithmetic, so let the full factorization pass
     # to reach the per-mask reporting
-    scalar = pure._chol_logdet
+    scalar = kernels._chol_logdet
     monkeypatch.setattr(
-        pure, "_chol_logdet", lambda a: 0.0 if a.shape[0] == 4 else scalar(a)
+        kernels, "_chol_logdet", lambda a: 0.0 if a.shape[0] == 4 else scalar(a)
     )
     # variables 1, 2 and variables 3, 4 are identical pairs
     r = np.eye(4)
@@ -232,19 +163,19 @@ def test_first_failing_mask_in_input_order_is_named(monkeypatch):
     passes = 0b0101  # 13 | 24
     fails_in_complement = 0b0100  # 3 | 124
     fails_in_both = 0b0011  # 12 | 34
-    ok = pure.mdi_statistic_batch(r, np.array([passes], dtype=np.uint64), 10)
+    ok = kernels.mdi_statistic_batch(r, np.array([passes], dtype=np.uint64), 10)
     assert np.isfinite(ok).all()
     for masks, part, elements in (
         ([passes, fails_in_complement, fails_in_both], "complement", (1, 2, 4)),
         ([passes, fails_in_both, fails_in_complement], "members", (1, 2)),
     ):
         with pytest.raises(NotPositiveDefiniteError) as err:
-            pure.mdi_statistic_batch(r, np.array(masks, dtype=np.uint64), 10)
+            kernels.mdi_statistic_batch(r, np.array(masks, dtype=np.uint64), 10)
         assert err.value.part == part
         assert err.value.elements == elements
 
 
-def test_statistics_are_invariant_under_relabelling(impl):
+def test_statistics_are_invariant_under_relabelling():
     rng = RngStream(20260841)
     n = 8
     r = sample_wishart_correlation(n, rng)
@@ -258,7 +189,7 @@ def test_statistics_are_invariant_under_relabelling(impl):
         dtype=np.uint64,
     )
     np.testing.assert_allclose(
-        impl.mdi_statistic_batch(relabelled, moved, 200),
-        impl.mdi_statistic_batch(r, masks, 200),
+        kernels.mdi_statistic_batch(relabelled, moved, 200),
+        kernels.mdi_statistic_batch(r, masks, 200),
         rtol=0, atol=_rounding_tolerance(r, 200),
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mutindep import simulation
 from mutindep.inference import MAX_VARIABLES, ConfusionCounts, infer_from_model
 from mutindep.linalg import DataMatrix, sample_correlation
 from mutindep.partitions import (
@@ -243,3 +244,31 @@ def test_summary_structure(tmp_path):
     campaign.write_summary(out)
     parsed = json.loads(out.read_text())
     assert parsed == json.loads(json.dumps(summary))
+
+
+def test_campaign_pool_is_capped_at_the_core_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    config = small_config(block_counts=(2,), runs_per_k=2)
+    serial = run_campaign(config, threads=1)
+    for threads in (None, 3, 10**6):
+        campaign = run_campaign(config, threads=threads)
+        assert list(campaign.iter_rows()) == list(serial.iter_rows())
+    assert sizes == [3, 3, 3]
+    with pytest.raises(ValueError, match="at least 1"):
+        run_campaign(config, threads=0)
