@@ -96,7 +96,7 @@ def bench_campaign():
                               subset_sizes=(50, 100, 150, 200, 250, 300),
                               master_seed=3)
     start = time.perf_counter()
-    run_campaign(config, threads=1)
+    run_campaign(config)
     t = time.perf_counter() - start
     print(f"  {t:.2f}s")
     return [_row("desk_campaign", 300, t)]

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .datasets import HIV_SAMPLE_COUNT, hiv_model
 from .errors import DegenerateDataError, InternalNumericError, NotPositiveDefiniteError
@@ -139,9 +140,18 @@ def _outcome_payload(outcome, n, k, columns=None):
     return payload
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write `path` as a user-input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UserInputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(text, output_path):
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
+        with _writing(output_path), open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -267,10 +277,12 @@ def cmd_simulate(args):
         )
     except ValueError as exc:
         raise UserInputError(str(exc))
-    campaign = run_campaign(config, threads=args.threads)
-    campaign.write_csv(args.csv)
+    campaign = run_campaign(config)
+    with _writing(args.csv):
+        campaign.write_csv(args.csv)
     if args.summary:
-        campaign.write_summary(args.summary)
+        with _writing(args.summary):
+            campaign.write_summary(args.summary)
     _print_campaign_table(campaign)
     failed = campaign.failure_count()
     total = len(campaign.records) * len(config.subset_sizes)
@@ -370,9 +382,6 @@ def build_parser():
     sim.add_argument("--mode", choices=("central", "noncentral"), default="central")
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads, at most one per core "
-                          "(default: all cores; results identical)")
     sim.add_argument("--csv", required=True, metavar="PATH",
                      help="per-(run,size) metrics CSV")
     sim.add_argument("--summary", metavar="PATH", help="JSON campaign summary")

@@ -8,8 +8,6 @@ of the dataset so that larger sample sizes refine the same experiment.
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,34 +221,20 @@ def _execute_run(config, run_id, blocks):
     )
 
 
-def run_campaign(config, threads=None):
+def run_campaign(config):
     """Execute the whole campaign; deterministic given config.master_seed.
 
-    Each run draws from a private (master_seed, run id) stream, so the
-    result is byte-identical for any thread count.  `threads` (default: one
-    per core) must be at least 1 and is capped at the number of cores.
-    Inference failures are recorded per run with a failure flag instead of
-    aborting the campaign.
+    Runs execute in order on the calling thread.  Each run draws from a
+    private (master_seed, run id) stream, so a run's record depends on
+    nothing but the config and its id.  Inference failures are recorded per
+    run with a failure flag instead of aborting the campaign.
     """
-    cores = os.cpu_count() or 1
-    if threads is None:
-        threads = cores
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1 (got {threads})")
-    threads = min(threads, cores)
-    jobs = []
+    records = []
     run_id = 0
     for blocks in config.block_counts:
         for _ in range(config.runs_per_k):
-            jobs.append((run_id, blocks))
+            records.append(_execute_run(config, run_id, blocks))
             run_id += 1
-    if threads == 1:
-        records = [_execute_run(config, rid, blocks) for rid, blocks in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda job: _execute_run(config, *job), jobs)
-            )
     return Campaign(config, tuple(records))
 
 

@@ -191,10 +191,8 @@ def test_simulate_smoke_and_determinism(tmp_path, capsys):
     ]
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
     sum_a, sum_b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(args + ["--csv", str(csv_a), "--summary", str(sum_a),
-                        "--threads", "1"]) == 0
-    assert main(args + ["--csv", str(csv_b), "--summary", str(sum_b),
-                        "--threads", "4"]) == 0
+    assert main(args + ["--csv", str(csv_a), "--summary", str(sum_a)]) == 0
+    assert main(args + ["--csv", str(csv_b), "--summary", str(sum_b)]) == 0
     capsys.readouterr()
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert sum_a.read_bytes() == sum_b.read_bytes()
@@ -208,7 +206,7 @@ def test_simulate_smoke_and_determinism(tmp_path, capsys):
 def test_simulate_seed_env_override(tmp_path, capsys, monkeypatch):
     args = [
         "simulate", "--n", "4", "--blocks", "2", "--runs", "2",
-        "--samples", "50", "--sizes", "50", "--threads", "1",
+        "--samples", "50", "--sizes", "50",
     ]
     explicit = tmp_path / "explicit.csv"
     assert main(args + ["--seed", "31337", "--csv", str(explicit)]) == 0
@@ -224,7 +222,7 @@ def test_simulate_total_failure_exits_nonzero(tmp_path, capsys):
     # correlation, so every analysis fails and the campaign reports it
     code = main([
         "simulate", "--n", "6", "--blocks", "2", "--runs", "2",
-        "--samples", "50", "--sizes", "4", "--seed", "3", "--threads", "1",
+        "--samples", "50", "--sizes", "4", "--seed", "3",
         "--csv", str(tmp_path / "fail.csv"),
     ])
     assert code == 1
@@ -242,14 +240,25 @@ def test_simulate_bad_config(tmp_path, capsys):
         "--csv", str(tmp_path / "x.csv"),
     ]) == 2
     capsys.readouterr()
-    for threads in ("0", "-3"):
-        assert main([
-            "simulate", "--n", "4", "--blocks", "2", "--runs", "1",
-            "--samples", "50", "--sizes", "50", "--threads", threads,
-            "--csv", str(tmp_path / "t.csv"),
-        ]) == 2
-        assert "threads must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "x.csv").exists()
+
+
+_SMALL_CAMPAIGN = ["simulate", "--n", "4", "--blocks", "2", "--runs", "1",
+                   "--samples", "50", "--sizes", "50"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["meet", "12|3", "--output", "{missing}"],
+    _SMALL_CAMPAIGN + ["--csv", "{missing}"],
+    _SMALL_CAMPAIGN + ["--csv", "{ok}", "--summary", "{missing}"],
+], ids=["meet-output", "simulate-csv", "simulate-summary"])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir" / "out"
+    argv = [a.format(missing=missing, ok=tmp_path / "ok.csv") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in err
 
 
 def test_infer_accepts_crlf(tmp_path, capsys):

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from mutindep import simulation
 from mutindep.inference import MAX_VARIABLES, ConfusionCounts, infer_from_model
 from mutindep.linalg import DataMatrix, sample_correlation
 from mutindep.partitions import (
@@ -171,7 +170,7 @@ def test_config_validation():
 
 def test_campaign_shape_and_determinism(tmp_path):
     config = small_config()
-    campaign = run_campaign(config, threads=1)
+    campaign = run_campaign(config)
     assert len(campaign.records) == 12
     rows = list(campaign.iter_rows())
     assert len(rows) == 24
@@ -184,13 +183,13 @@ def test_campaign_shape_and_determinism(tmp_path):
 
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     campaign.write_csv(path_a)
-    run_campaign(config, threads=3).write_csv(path_b)
+    run_campaign(config).write_csv(path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
 def test_run_records_carry_block_correlations():
     config = small_config(block_counts=(3,), runs_per_k=2)
-    campaign = run_campaign(config, threads=1)
+    campaign = run_campaign(config)
     for rec in campaign.records:
         blocks = rec.truth.blocks()
         assert len(rec.block_correlations) == len(blocks)
@@ -205,7 +204,7 @@ def test_campaign_nested_subsets_reuse_prefix():
     # the analysis at size s must equal inference on the first s rows of the
     # run's own dataset, reconstructed from the run's private stream
     config = small_config(block_counts=(3,), runs_per_k=1)
-    campaign = run_campaign(config, threads=1)
+    campaign = run_campaign(config)
     record = campaign.records[0]
     rng = RngStream(config.master_seed, record.run_id)
     truth, sigma = generate_model(config.n, 3, rng)
@@ -219,7 +218,7 @@ def test_campaign_nested_subsets_reuse_prefix():
 
 def test_campaign_records_failures_without_aborting():
     config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(4, 50))
-    campaign = run_campaign(config, threads=1)
+    campaign = run_campaign(config)
     # 4 samples of 6 variables cannot give a positive-definite correlation
     for rec in campaign.records:
         assert rec.analyses[0].failed
@@ -232,7 +231,7 @@ def test_campaign_records_failures_without_aborting():
 
 def test_summary_structure(tmp_path):
     config = small_config()
-    campaign = run_campaign(config, threads=2)
+    campaign = run_campaign(config)
     summary = campaign.summary()
     assert summary["total_runs"] == 12
     cell = summary["by_block_count"]["3"]["120"]
@@ -244,31 +243,3 @@ def test_summary_structure(tmp_path):
     campaign.write_summary(out)
     parsed = json.loads(out.read_text())
     assert parsed == json.loads(json.dumps(summary))
-
-
-def test_campaign_pool_is_capped_at_the_core_count(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
-    config = small_config(block_counts=(2,), runs_per_k=2)
-    serial = run_campaign(config, threads=1)
-    for threads in (None, 3, 10**6):
-        campaign = run_campaign(config, threads=threads)
-        assert list(campaign.iter_rows()) == list(serial.iter_rows())
-    assert sizes == [3, 3, 3]
-    with pytest.raises(ValueError, match="at least 1"):
-        run_campaign(config, threads=0)
