@@ -66,7 +66,7 @@ def bench_batch():
     print("mdi_statistic_batch over all dichotomies (per batch)")
     rng = RngStream(2)
     rows = []
-    for n in (4, 6, 10, 14):
+    for n in (4, 6, 10, 14, 16):
         r = sample_wishart_correlation(n, rng)
         masks = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
         t = _time(lambda: _kernels.mdi_statistic_batch(r, masks, 300))
@@ -80,7 +80,7 @@ def bench_infer():
     print("infer_from_model, central, fdr (per call)")
     rng = RngStream(3)
     rows = []
-    for n in (6, 10, 12):
+    for n in (6, 10, 12, 14):
         model = CorrelationModel(sample_wishart_correlation(n, rng), 300)
         t = _time(lambda: infer_from_model(model, alpha=0.1))
         print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")

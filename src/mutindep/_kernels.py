@@ -8,9 +8,10 @@
   logdet(R)], where c is the complement of a.  Statistics are returned raw
   (no clamping); callers own the nonnegativity policy.
 
-The batch factors its submatrices in stacks through LAPACK, so its
-statistics agree with a one-matrix-at-a-time Cholesky to about 1e-13
-relative, not bit for bit: the summation order differs.
+The batch reads every log-determinant off one table over all subsets of
+the variables, built by rank-1 Schur-complement updates, so its statistics
+agree with a one-matrix-at-a-time Cholesky to about 1e-13 relative, not bit
+for bit: the summation order differs.
 """
 
 import math
@@ -21,9 +22,9 @@ from .errors import not_pd_submatrix
 
 PIVOT_TOL = 1e-12
 
-# Submatrices factored per LAPACK call: bounds the gathered stack, at most
-# _STACK * n^2 doubles, while keeping the per-call overhead amortised.
-_STACK = 256
+# The subset table has 2^n entries per running quantity, about 45 MiB at
+# n = 20; a larger matrix is refused rather than left to exhaust memory.
+MAX_VARIABLES = 20
 
 
 def _chol_logdet(a):
@@ -56,49 +57,45 @@ def logdet_spd(matrix):
     return ld
 
 
-def _stack_logdets(r, subsets, size):
-    """Log-determinants of the principal submatrices R_SS, one per bitmask
-    in `subsets`, all of popcount `size`; NaN where a pivot fails.
+def _subset_logdets(r):
+    """log det(R_SS) for every subset S of the variables, indexed by bitmask.
 
-    The submatrices are factored as one (B, size, size) stack.  A subset
-    fails the pivot rule of _chol_logdet when some diag(L)^2 is at or below
-    1e-12 * size * max(diag(R_SS)).  LAPACK refuses a whole stack when any
-    member is not numerically positive definite; such a stack is redone one
-    subset at a time with _chol_logdet.
+    Entry 0 (the empty subset) is 0; an entry is NaN where S fails the pivot
+    rule of _chol_logdet.  One pass over the variables j = 0..n-1 keeps, for
+    each subset S of {0..j-1}, the Schur complement of R_SS on the indices
+    j..n-1 (Griffin & Tsatsomeros, "Principal minors, Part I", 2006).
+    Extending S by j takes the leading entry as its pivot, which is exactly
+    diag(L)^2 of the in-order Cholesky of R_SS, and updates the rest by a
+    rank-1 term; the subsets without j drop the leading row and column.
     """
-    # nonzero walks the bit matrix row by row, so each row of cols holds one
-    # subset's variable indices in increasing order
-    shifts = np.arange(r.shape[0], dtype=np.uint64)
-    cols = np.nonzero((subsets[:, None] >> shifts) & np.uint64(1))[1].reshape(-1, size)
-    stack = np.take(r, cols[:, :, None] * r.shape[0] + cols[:, None, :])
-    try:
-        diag = np.linalg.cholesky(stack).diagonal(axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        lds = [_chol_logdet(a) for a in stack]
-        return np.array([np.nan if ld is None else ld for ld in lds])
-    tol = PIVOT_TOL * size * stack.diagonal(axis1=1, axis2=2).max(axis=1)
-    lds = 2.0 * np.log(diag).sum(axis=1)
-    lds[(diag * diag <= tol[:, None]).any(axis=1)] = np.nan
+    schur = r[None].copy()
+    lds = np.zeros(1)
+    lowest = np.full(1, np.inf)  # smallest pivot of each subset
+    size = np.zeros(1)
+    top = np.zeros(1)  # largest diagonal entry of each subset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(r.shape[0]):
+            piv = schur[:, 0, 0]
+            col = schur[:, 1:, 0]
+            rest = schur[:, 1:, 1:]
+            updated = rest - (col / piv[:, None])[:, :, None] * col[:, None, :]
+            # the subsets holding j follow those without it, so bit j of an
+            # index says whether j is in its subset
+            schur = np.concatenate([rest, updated])
+            lds = np.concatenate([lds, lds + np.log(piv)])
+            # fmin ignores the NaN pivots below a failed one
+            lowest = np.concatenate([lowest, np.fmin(lowest, piv)])
+            size = np.concatenate([size, size + 1])
+            top = np.concatenate([top, np.maximum(top, r[j, j])])
+    lds[lowest <= PIVOT_TOL * size * top] = np.nan
     return lds
-
-
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-
-def _popcount(words, n):
-    """Set bits of each uint64 word below bit n."""
-    count = np.zeros(words.shape, dtype=np.int64)
-    for shift in range(0, n, 8):
-        count += _BYTE_POPCOUNT[(words >> np.uint64(shift)) & np.uint64(255)]
-    return count
 
 
 def mdi_statistic_batch(r, masks, k):
     """Raw dichotomy statistics for every members bitmask in `masks`.
 
-    The members and complement subsets of all masks are grouped by size and
-    each group is factored in stacks of at most _STACK submatrices, so no
-    Python loop runs per test.  The full matrix is factored first; after
+    Every statistic is read off one table of subset log-determinants, so no
+    Python loop runs per test.  The full matrix is checked first; after
     it, the first mask in input order whose members or (then) complement
     submatrix fails the pivot rule is reported.
     """
@@ -106,27 +103,26 @@ def mdi_statistic_batch(r, masks, k):
     n = r.shape[0]
     if r.ndim != 2 or r.shape[1] != n:
         raise ValueError("correlation matrix must be square")
+    if n > MAX_VARIABLES:
+        raise ValueError(
+            f"n={n} variables needs a table of 2^{n} subset log-determinants; "
+            f"the limit is n <= {MAX_VARIABLES}"
+        )
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    ld_full = _chol_logdet(r.copy())
-    if ld_full is None:
+    lds = _subset_logdets(r)
+    ld_full = lds[-1]
+    if np.isnan(ld_full):
         raise not_pd_submatrix("full")
-    m = masks.shape[0]
     everything = np.uint64((1 << n) - 1)
-    subsets = np.concatenate([masks & everything, ~masks & everything])
-    sizes = _popcount(subsets, n)
-    lds = np.zeros(2 * m)  # the empty subset has log-determinant 0
-    for size in range(1, n + 1):
-        group = np.flatnonzero(sizes == size)
-        for lo in range(0, group.size, _STACK):
-            chunk = group[lo : lo + _STACK]
-            lds[chunk] = _stack_logdets(r, subsets[chunk], size)
-    failed = np.isnan(lds)
+    ld_members = lds[masks & everything]
+    ld_complement = lds[~masks & everything]
+    failed = np.isnan(ld_members) | np.isnan(ld_complement)
     if failed.any():
-        j = int(np.flatnonzero(failed[:m] | failed[m:])[0])
+        j = int(np.flatnonzero(failed)[0])
         mask = int(masks[j])
         members = [i + 1 for i in range(n) if (mask >> i) & 1]
-        if failed[j]:
+        if np.isnan(ld_members[j]):
             raise not_pd_submatrix("members", members)
         complement = [i for i in range(1, n + 1) if i not in members]
         raise not_pd_submatrix("complement", complement)
-    return float(k - 1) * (lds[:m] + lds[m:] - ld_full)
+    return float(k - 1) * (ld_members + ld_complement - ld_full)

@@ -277,6 +277,12 @@ def cmd_simulate(args):
         )
     except ValueError as exc:
         raise UserInputError(str(exc))
+    # report an unwritable output before the campaign, not after it; "a"
+    # creates a missing file but leaves an existing one as it is
+    for path in (args.csv, args.summary):
+        if path:
+            with _writing(path), open(path, "a", encoding="utf-8"):
+                pass
     campaign = run_campaign(config)
     with _writing(args.csv):
         campaign.write_csv(args.csv)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import MAX_VARIABLES
 from .fdr import bh_fdr, bonferroni
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
 from .mdi import MODES, test_bipartitions
@@ -28,9 +29,9 @@ CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 # tracemalloc at n = 13, infer_from_model peaks at about 590 bytes per test
 # (360 of them the TestResults and Bipartitions the outcome keeps) and the
 # command line's JSON rendering at about 1.8 KiB; BYTES_PER_TEST rounds the
-# largest up.  MAX_VARIABLES keeps an analysis within about 1 GiB.
+# largest up.  The kernel's MAX_VARIABLES keeps an analysis within about
+# 1 GiB.
 BYTES_PER_TEST = 2048
-MAX_VARIABLES = 20
 
 
 @dataclass(frozen=True)

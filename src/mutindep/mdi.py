@@ -22,7 +22,8 @@ MODES = ("central", "noncentral")
 # A raw statistic is (k-1) * (ld_a + ld_c - ld_full), so an entailed split
 # of an exactly block-diagonal model gives 0 up to rounding.  Cholesky
 # rounding moves a log-determinant by at most about n(n+1) eps / lambda_min
-# (a backward error of (n+1) eps per entry of a unit-diagonal matrix, and the
+# (a backward error of (n+1) eps per entry of a unit-diagonal matrix, for any
+# order of summation, so also for the kernel's rank-1 Schur updates; and the
 # eigenvalues of a principal submatrix interlace those of R), and summing
 # the logs of pivots <= 1 adds n eps |ld|; for a correlation matrix
 # |ld_a| + |ld_c| <= |ld_full| (Hadamard's and Fischer's inequalities).
@@ -111,8 +112,8 @@ def mdi_statistics(model, bipartitions):
     the failing block.
     """
     bipartitions = list(bipartitions)
-    for b in bipartitions:
-        _check_model(model, b.n)
+    for n in dict.fromkeys(b.n for b in bipartitions):
+        _check_model(model, n)
     masks = np.array([b.members for b in bipartitions], dtype=np.uint64)
     raw = _kernels.mdi_statistic_batch(model.r, masks, model.k)
     return _clamped(raw, model)

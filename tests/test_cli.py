@@ -252,13 +252,20 @@ _SMALL_CAMPAIGN = ["simulate", "--n", "4", "--blocks", "2", "--runs", "1",
     _SMALL_CAMPAIGN + ["--csv", "{missing}"],
     _SMALL_CAMPAIGN + ["--csv", "{ok}", "--summary", "{missing}"],
 ], ids=["meet-output", "simulate-csv", "simulate-summary"])
-def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # the outputs are checked before the campaign runs
+    def no_campaign(config):
+        pytest.fail("the campaign ran before its outputs were checked")
+
+    monkeypatch.setattr(mutindep.cli, "run_campaign", no_campaign)
     missing = tmp_path / "no" / "such" / "dir" / "out"
-    argv = [a.format(missing=missing, ok=tmp_path / "ok.csv") for a in argv]
+    ok = tmp_path / "ok.csv"
+    argv = [a.format(missing=missing, ok=ok) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {missing}: ")
     assert "Traceback" not in err
+    assert not ok.exists() or ok.stat().st_size == 0
 
 
 def test_infer_accepts_crlf(tmp_path, capsys):

@@ -38,6 +38,13 @@ def test_non_pd_parity():
     assert err.value.part == "full"
 
 
+def test_a_matrix_past_the_table_limit_is_refused():
+    n = kernels.MAX_VARIABLES + 1
+    masks = np.array([1], dtype=np.uint64)
+    with pytest.raises(ValueError, match=f"n={n} .* n <= {kernels.MAX_VARIABLES}"):
+        kernels.mdi_statistic_batch(np.eye(n), masks, 10)
+
+
 def test_scalar_and_batch_agree():
     rng = RngStream(20260838)
     r = sample_wishart_correlation(6, rng)
@@ -79,13 +86,9 @@ def _rounding_tolerance(r, k):
     return 2.0 * (k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
-@pytest.mark.parametrize("stack", [3, kernels._STACK])
-def test_batched_kernel_matches_slogdet(monkeypatch, stack):
-    # stack=3 splits every size group into many stacks; at the default cap
-    # n=11 still has a group (462 subsets of size 5) larger than one stack
-    monkeypatch.setattr(kernels, "_STACK", stack)
+def test_batched_kernel_matches_slogdet():
     rng = RngStream(20260839)
-    for n in range(2, 12):
+    for n in range(2, 15):
         r = sample_wishart_correlation(n, rng)
         k = int(rng.generator.integers(3, 1000))
         enumeration = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
@@ -118,45 +121,42 @@ def test_small_batches_match_cofactor_determinants():
             assert stat == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
-def _scalar_logdets(r, subsets):
-    n = r.shape[0]
-    out = []
-    for mask in subsets:
-        idx = [i for i in range(n) if (int(mask) >> i) & 1]
-        ld = kernels._chol_logdet(r[np.ix_(idx, idx)])
-        out.append(np.nan if ld is None else ld)
-    return np.array(out)
-
-
-def test_stack_fallback_and_pivot_rule_match_the_scalar_factorization():
-    # variables 1 and 2 are identical: LAPACK refuses every stack that holds
-    # a subset containing both, and the stack is redone one subset at a time
+def test_subset_table_and_pivot_rule_match_the_scalar_factorization():
+    # variables 1 and 2 are identical: every subset holding both fails
     singular = np.eye(4)
     singular[0, 1] = singular[1, 0] = 1.0
-    # 1 and 2 correlate at 1 - 1e-14: LAPACK factors the pair, but its
-    # second pivot (about 2e-14) fails the 1e-12 * dim * maxdiag rule
+    # 1 and 2 correlate at 1 - 1e-14: the pair's second pivot (about 2e-14)
+    # is positive but fails the 1e-12 * dim * maxdiag rule
     near = np.eye(4)
     near[0, 1] = near[1, 0] = 1.0 - 1e-14
-    for r in (singular, near):
-        for size, subsets in ((2, [0b0011, 0b0101, 0b1100]),
-                              (3, [0b0111, 0b1110, 0b1011, 0b1101])):
-            subsets = np.array(subsets, dtype=np.uint64)
-            got = kernels._stack_logdets(r, subsets, size)
-            want = _scalar_logdets(r, subsets)
-            assert np.isnan(got[0]) and np.isnan(want[0])
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(singular[np.ix_([0, 1], [0, 1])][None])
+    rng = RngStream(20260842)
+    wishart = [sample_wishart_correlation(n, rng) for n in (1, 2, 3, 5, 7)]
+    for r in [singular, near] + wishart:
+        n = r.shape[0]
+        want = []
+        for subset in range(2**n):
+            idx = [i for i in range(n) if (subset >> i) & 1]
+            ld = kernels._chol_logdet(r[np.ix_(idx, idx)])
+            want.append(np.nan if ld is None else ld)
+        got = kernels._subset_logdets(r)
+        assert got.shape == (2**n,) and got[0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    assert np.isnan(kernels._subset_logdets(singular)[0b0011])
+    assert np.isnan(kernels._subset_logdets(near)[0b1011])
 
 
 def test_first_failing_mask_in_input_order_is_named(monkeypatch):
     # a full matrix that passes the pivot rule has only passing principal
-    # submatrices in exact arithmetic, so let the full factorization pass
-    # to reach the per-mask reporting
-    scalar = kernels._chol_logdet
-    monkeypatch.setattr(
-        kernels, "_chol_logdet", lambda a: 0.0 if a.shape[0] == 4 else scalar(a)
-    )
+    # submatrices in exact arithmetic, so let the full matrix's entry of the
+    # table pass to reach the per-mask reporting
+    table = kernels._subset_logdets
+
+    def full_passes(r):
+        lds = table(r)
+        lds[-1] = 0.0
+        return lds
+
+    monkeypatch.setattr(kernels, "_subset_logdets", full_passes)
     # variables 1, 2 and variables 3, 4 are identical pairs
     r = np.eye(4)
     r[0, 1] = r[1, 0] = r[2, 3] = r[3, 2] = 1.0

@@ -137,6 +137,9 @@ def test_dimension_and_sample_guards():
         mdi_statistic(small, bip(4, [1, 2]))
     with pytest.raises(ValueError):
         run_test(model, bip(3, [1]), mode="bogus")
+    # the first bipartition whose size differs from the model's is named
+    with pytest.raises(ValueError, match="model has n=3, test has n=4"):
+        mdi_statistics(model, [bip(3, [1]), bip(4, [1]), bip(5, [1])])
 
 
 def test_non_pd_submatrix_is_named():
