@@ -86,7 +86,11 @@ def _rounding_tolerance(r, k):
     return 2.0 * (k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
-def test_batched_kernel_matches_slogdet():
+@pytest.mark.parametrize("chunk", [3, 256])
+def test_batched_kernel_matches_slogdet(chunk):
+    # the masks are fed in batches of `chunk`: a statistic must not depend on
+    # which batch its mask arrives in (3 splits every enumeration into many
+    # batches; 256 leaves n <= 9 whole and splits the larger ones)
     rng = RngStream(20260839)
     for n in range(2, 15):
         r = sample_wishart_correlation(n, rng)
@@ -97,7 +101,10 @@ def test_batched_kernel_matches_slogdet():
         extra = rng.generator.integers(0, 2**n, size=2 * n).astype(np.uint64)
         trivial = np.array([0, 2**n - 1], dtype=np.uint64)
         masks = np.concatenate([shuffled, shuffled[: n], extra, trivial])
-        got = kernels.mdi_statistic_batch(r, masks, k)
+        got = np.concatenate([
+            kernels.mdi_statistic_batch(r, masks[i : i + chunk], k)
+            for i in range(0, len(masks), chunk)
+        ])
         np.testing.assert_allclose(
             got, _slogdet_statistics(r, masks, k), rtol=0,
             atol=_rounding_tolerance(r, k),
