@@ -59,9 +59,7 @@ from .randomness import (
 )
 from .simulation import (
     Campaign,
-    RunRecord,
     SimulationConfig,
-    SubsetAnalysis,
     auc,
     correct_ratio,
     generate_model,
@@ -92,9 +90,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "Partition",
     "RngStream",
-    "RunRecord",
     "SimulationConfig",
-    "SubsetAnalysis",
     "TestResult",
     "auc",
     "bell_number",

@@ -21,10 +21,11 @@ from contextlib import contextmanager
 
 from .datasets import HIV_SAMPLE_COUNT, hiv_model
 from .errors import DegenerateDataError, InternalNumericError, NotPositiveDefiniteError
-from .inference import infer_from_data, infer_from_model
+from .inference import CORRECTIONS, infer_from_data, infer_from_model
 from .linalg import CorrelationModel, DataMatrix
+from .mdi import MODES
 from .partitions import entailed_dichotomies, format_partition, meet_all, parse_partition
-from .simulation import SimulationConfig, run_campaign
+from .simulation import SimulationConfig, run_campaign, write_json
 
 SEED_ENV_VAR = "MUTINDEP_SEED"
 
@@ -194,11 +195,7 @@ def cmd_infer(args):
             raise UserInputError("--correlation requires --samples")
         if args.samples < 3:
             raise UserInputError("--samples must be at least 3")
-        matrix = _read_matrix(args.correlation)
-        try:
-            model = CorrelationModel(matrix, args.samples)
-        except ValueError as exc:
-            raise UserInputError(str(exc))
+        model = CorrelationModel(_read_matrix(args.correlation), args.samples)
         outcome = infer_from_model(
             model, alpha=args.alpha, correction=args.correction, mode=args.mode
         )
@@ -207,36 +204,23 @@ def cmd_infer(args):
         if args.data is None:
             raise UserInputError("need a data CSV path or --correlation")
         rows, header = _read_data_csv(args.data)
-        try:
-            data = DataMatrix(rows)
-            outcome = infer_from_data(
-                data, alpha=args.alpha, correction=args.correction, mode=args.mode
-            )
-        except DegenerateDataError:
-            raise
-        except ValueError as exc:
-            raise UserInputError(str(exc))
+        data = DataMatrix(rows)
+        outcome = infer_from_data(
+            data, alpha=args.alpha, correction=args.correction, mode=args.mode
+        )
         n, k, columns = data.n, data.k, header
     _emit(_render_outcome(outcome, n, k, args.format, columns), args.output)
     return _EXIT_OK
 
 
 def cmd_dichotomies(args):
-    try:
-        mu = parse_partition(args.partition)
-    except ValueError as exc:
-        raise UserInputError(str(exc))
-    lines = [str(b) for b in entailed_dichotomies(mu)]
+    lines = [str(b) for b in entailed_dichotomies(parse_partition(args.partition))]
     _emit("".join(line + "\n" for line in lines), args.output)
     return _EXIT_OK
 
 
 def cmd_meet(args):
-    try:
-        parts = [parse_partition(text) for text in args.partitions]
-        result = meet_all(parts)
-    except ValueError as exc:
-        raise UserInputError(str(exc))
+    result = meet_all(parse_partition(text) for text in args.partitions)
     _emit(format_partition(result) + "\n", args.output)
     return _EXIT_OK
 
@@ -263,20 +247,17 @@ def _parse_sizes_arg(text):
 
 
 def cmd_simulate(args):
-    try:
-        config = SimulationConfig(
-            n=args.n,
-            block_counts=_parse_blocks_arg(args.blocks),
-            runs_per_k=args.runs,
-            max_samples=args.samples,
-            subset_sizes=_parse_sizes_arg(args.sizes),
-            alpha=args.alpha,
-            correction=args.correction,
-            mode=args.mode,
-            master_seed=args.seed if args.seed is not None else _default_seed(),
-        )
-    except ValueError as exc:
-        raise UserInputError(str(exc))
+    config = SimulationConfig(
+        n=args.n,
+        block_counts=_parse_blocks_arg(args.blocks),
+        runs_per_k=args.runs,
+        max_samples=args.samples,
+        subset_sizes=_parse_sizes_arg(args.sizes),
+        alpha=args.alpha,
+        correction=args.correction,
+        mode=args.mode,
+        master_seed=args.seed if args.seed is not None else _default_seed(),
+    )
     # report an unwritable output before the campaign, not after it; "a"
     # creates a missing file but leaves an existing one as it is
     for path in (args.csv, args.summary):
@@ -284,14 +265,15 @@ def cmd_simulate(args):
             with _writing(path), open(path, "a", encoding="utf-8"):
                 pass
     campaign = run_campaign(config)
+    summary = campaign.summary()
     with _writing(args.csv):
         campaign.write_csv(args.csv)
     if args.summary:
         with _writing(args.summary):
-            campaign.write_summary(args.summary)
-    _print_campaign_table(campaign)
+            write_json(summary, args.summary)
+    _print_campaign_table(campaign.config, summary)
     failed = campaign.failure_count()
-    total = len(campaign.records) * len(config.subset_sizes)
+    total = len(campaign.rows)
     if failed:
         print(f"analyses failed: {failed} of {total} (flagged in the CSV)")
     if failed == total:
@@ -300,15 +282,14 @@ def cmd_simulate(args):
     return _EXIT_OK
 
 
-def _print_campaign_table(campaign):
-    summary = campaign.summary()
-    sizes = campaign.config.subset_sizes
+def _print_campaign_table(config, summary):
+    sizes = config.subset_sizes
     largest = str(max(sizes))
-    print(f"campaign: {len(campaign.records)} runs, sizes {list(sizes)}, "
-          f"alpha={campaign.config.alpha}, seed={campaign.config.master_seed}")
+    print(f"campaign: {summary['total_runs']} runs, sizes {list(sizes)}, "
+          f"alpha={config.alpha}, seed={config.master_seed}")
     header = f"{'blocks':>6} {'median AUC':>11} {'median sens':>12} {'median spec':>12} {'correct':>8}"
     print(header)
-    for blocks in campaign.config.block_counts:
+    for blocks in config.block_counts:
         cell = summary["by_block_count"][str(blocks)][largest]
 
         def fmt(metric):
@@ -358,8 +339,8 @@ def build_parser():
     infer.add_argument("--samples", type=int,
                        help="sample count behind --correlation")
     infer.add_argument("--alpha", type=float, default=0.1)
-    infer.add_argument("--correction", choices=("fdr", "bonferroni"), default="fdr")
-    infer.add_argument("--mode", choices=("central", "noncentral"), default="central")
+    infer.add_argument("--correction", choices=CORRECTIONS, default="fdr")
+    infer.add_argument("--mode", choices=MODES, default="central")
     infer.add_argument("--format", choices=("json", "csv", "text"), default="json")
     infer.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     infer.set_defaults(func=cmd_infer)
@@ -384,8 +365,8 @@ def build_parser():
     sim.add_argument("--sizes", default="50:300:50",
                      help='subset sizes, "50:300:50" or "50,100"')
     sim.add_argument("--alpha", type=float, default=0.1)
-    sim.add_argument("--correction", choices=("fdr", "bonferroni"), default="fdr")
-    sim.add_argument("--mode", choices=("central", "noncentral"), default="central")
+    sim.add_argument("--correction", choices=CORRECTIONS, default="fdr")
+    sim.add_argument("--mode", choices=MODES, default="central")
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--csv", required=True, metavar="PATH",
@@ -409,9 +390,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else _EXIT_USAGE
     try:
         return args.func(args)
-    except UserInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
     except (DegenerateDataError, NotPositiveDefiniteError) as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 
+from ._kernels import MAX_VARIABLES
+
 # Largest n accepted by the public counting functions.  Bell/Stirling values
 # up to this point stay within the range of 64-bit consumers; Python ints are
 # exact regardless, the bound just keeps the contract portable.
@@ -237,20 +239,34 @@ def is_refinement(p, q):
 
 
 def meet_all(partitions):
-    """Meet of a nonempty collection (order-independent)."""
+    """Meet of a nonempty collection (order-independent), in one pass: i and
+    j share a block iff they do in every partition."""
     partitions = list(partitions)
     if not partitions:
         raise ValueError("meet of an empty collection is undefined here")
-    return functools.reduce(meet, partitions)
+    for p in partitions[1:]:
+        _check_same_n(partitions[0], p)
+    return Partition(zip(*(p.assignment for p in partitions)))
+
+
+def _check_enumeration_size(count, what):
+    # 2^(count-1) - 1 dichotomies; refuse before allocating them
+    if count > MAX_VARIABLES:
+        raise ValueError(
+            f"{count} {what} have {2 ** (count - 1) - 1} dichotomies; enumerating "
+            f"them is limited to {MAX_VARIABLES} {what}"
+        )
 
 
 def bipartition_masks(n):
     """Members bitmasks of all 2^(n-1) - 1 bipartitions of {1..n}, ascending.
 
     The bitmasks with bit 0 (element 1) set, except the full set: the odd
-    numbers below 2^n - 1, as a uint64 array.
+    numbers below 2^n - 1, as a uint64 array.  At most MAX_VARIABLES
+    variables.
     """
     _check_bipartition_n(n)
+    _check_enumeration_size(n, "variables")
     return np.arange(1, 2**n - 1, 2, dtype=np.uint64)
 
 
@@ -289,9 +305,10 @@ def entailed_dichotomies(mu):
 
     These are exactly the dichotomies entailed by the independence pattern
     mu; there are 2^(k-1) - 1 of them for k blocks (none when k == 1).
-    Returned ascending by members bitmask.
+    Returned ascending by members bitmask.  At most MAX_VARIABLES blocks.
     """
     blocks = block_masks(mu)
+    _check_enumeration_size(len(blocks), "blocks")
     out = []
     for s in range(2 ** (len(blocks) - 1) - 1):
         selector = 1 | (s << 1)

@@ -8,12 +8,18 @@ of the dataset so that larger sample sizes refine the same experiment.
 
 import csv
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, NotPositiveDefiniteError
-from .inference import check_variable_count, classify_against_truth, infer_from_model
+from .inference import (
+    CORRECTIONS,
+    check_variable_count,
+    classify_against_truth,
+    infer_from_model,
+)
 from .linalg import DataMatrix, sample_correlation
 from .mdi import MODES
 from .partitions import bipartition_masks, entailed_masks, format_partition
@@ -36,6 +42,10 @@ CSV_COLUMNS = (
     "mean_abs_within_block_corr",
     "failed",
 )
+
+# One campaign record: a CSV row, one per (run, subset size).  A failed
+# analysis has None for sensitivity, specificity, auc and correct.
+Row = namedtuple("Row", CSV_COLUMNS)
 
 _DECILE_EDGES = [i / 10.0 for i in range(11)]
 
@@ -76,34 +86,10 @@ class SimulationConfig:
                 )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.correction not in ("fdr", "bonferroni"):
+        if self.correction not in CORRECTIONS:
             raise ValueError(f"unknown correction {self.correction!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class SubsetAnalysis:
-    """Inference metrics for one nested prefix of a run's dataset."""
-
-    size: int
-    failed: bool
-    p_values: tuple | None
-    confusion: object | None
-    auc: float | None
-    correct: bool | None
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One simulated model plus its per-subset-size analyses."""
-
-    run_id: int
-    block_count: int
-    truth: object
-    block_correlations: tuple
-    mean_abs_within_block_corr: float | None
-    analyses: tuple
 
 
 def generate_model(n, blocks, rng):
@@ -182,60 +168,51 @@ def within_block_correlation(truth, matrix):
 
 
 def _execute_run(config, run_id, blocks):
+    """The rows of one run, one per subset size, in config order."""
     rng = RngStream(config.master_seed, run_id)
     truth, sigma = generate_model(config.n, blocks, rng)
-    data = sample_mvn(sigma, config.max_samples, rng)
-    rows = data.values
-    analyses = []
+    data = sample_mvn(sigma, config.max_samples, rng).values
+    truth_text = format_partition(truth)
+    rho = within_block_correlation(truth, sigma)
+    rows = []
     for size in config.subset_sizes:
         try:
-            model = sample_correlation(DataMatrix(rows[:size]))
+            model = sample_correlation(DataMatrix(data[:size]))
             outcome = infer_from_model(
                 model, alpha=config.alpha, correction=config.correction, mode=config.mode
             )
         except (DegenerateDataError, NotPositiveDefiniteError):
-            analyses.append(SubsetAnalysis(size, True, None, None, None, None))
+            rows.append(Row(run_id, blocks, truth_text, size, None, None, None, None,
+                            rho, True))
             continue
         confusion = classify_against_truth(outcome, truth)
-        p_values = tuple(t.p_value for t in outcome.tests)
-        analyses.append(
-            SubsetAnalysis(
-                size=size,
-                failed=False,
-                p_values=p_values,
-                confusion=confusion,
-                auc=auc(p_values, truth),
-                correct=outcome.mu_hat == truth,
-            )
-        )
-    block_corrs = tuple(
-        sigma[np.ix_(np.array(b) - 1, np.array(b) - 1)] for b in truth.blocks()
-    )
-    return RunRecord(
-        run_id=run_id,
-        block_count=blocks,
-        truth=truth,
-        block_correlations=block_corrs,
-        mean_abs_within_block_corr=within_block_correlation(truth, sigma),
-        analyses=tuple(analyses),
-    )
+        rows.append(Row(
+            run_id, blocks, truth_text, size,
+            sensitivity(confusion),
+            specificity(confusion),
+            auc([t.p_value for t in outcome.tests], truth),
+            outcome.mu_hat == truth,
+            rho,
+            False,
+        ))
+    return rows
 
 
 def run_campaign(config):
     """Execute the whole campaign; deterministic given config.master_seed.
 
     Runs execute in order on the calling thread.  Each run draws from a
-    private (master_seed, run id) stream, so a run's record depends on
-    nothing but the config and its id.  Inference failures are recorded per
-    run with a failure flag instead of aborting the campaign.
+    private (master_seed, run id) stream, so a run's rows depend on nothing
+    but the config and its id.  An inference failure is recorded as a row
+    with a failure flag instead of aborting the campaign.
     """
-    records = []
+    rows = []
     run_id = 0
     for blocks in config.block_counts:
         for _ in range(config.runs_per_k):
-            records.append(_execute_run(config, run_id, blocks))
+            rows.extend(_execute_run(config, run_id, blocks))
             run_id += 1
-    return Campaign(config, tuple(records))
+    return Campaign(config, tuple(rows))
 
 
 def _fmt_cell(value):
@@ -248,44 +225,31 @@ def _fmt_cell(value):
     return str(value)
 
 
-class Campaign:
-    """Campaign results: per-run records, CSV rows, and aggregate summary."""
+def write_json(payload, path):
+    """Write `payload` as key-sorted, indented JSON, the summary file format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
-    def __init__(self, config, records):
+
+class Campaign:
+    """Campaign results: the rows, in run order, and their aggregates."""
+
+    def __init__(self, config, rows):
         self.config = config
-        self.records = records
+        self.rows = rows
 
     def failure_count(self):
-        return sum(
-            1 for rec in self.records for a in rec.analyses if a.failed
-        )
+        return sum(1 for row in self.rows if row.failed)
 
-    def iter_rows(self):
-        """One row per (run, subset size), in run order."""
-        for rec in self.records:
-            for a in rec.analyses:
-                sens = spec = None
-                if a.confusion is not None:
-                    sens = sensitivity(a.confusion)
-                    spec = specificity(a.confusion)
-                yield (
-                    rec.run_id,
-                    rec.block_count,
-                    format_partition(rec.truth),
-                    a.size,
-                    sens,
-                    spec,
-                    a.auc,
-                    a.correct,
-                    rec.mean_abs_within_block_corr,
-                    a.failed,
-                )
+    def run_count(self):
+        return len({row.run_id for row in self.rows})
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in self.iter_rows():
+            for row in self.rows:
                 writer.writerow([_fmt_cell(v) for v in row])
 
     def summary(self):
@@ -293,26 +257,21 @@ class Campaign:
         exact-recovery ratio, failure counts, and AUC binned by within-block
         correlation deciles."""
         by_cell = {}
-        for rec in self.records:
-            for a in rec.analyses:
-                cell = by_cell.setdefault(
-                    (rec.block_count, a.size),
-                    {"auc": [], "sensitivity": [], "specificity": [], "correct": [],
-                     "failed": 0, "runs": 0},
-                )
-                cell["runs"] += 1
-                if a.failed:
-                    cell["failed"] += 1
-                    continue
-                if a.auc is not None:
-                    cell["auc"].append(a.auc)
-                s = sensitivity(a.confusion)
-                if s is not None:
-                    cell["sensitivity"].append(s)
-                s = specificity(a.confusion)
-                if s is not None:
-                    cell["specificity"].append(s)
-                cell["correct"].append(a.correct)
+        for row in self.rows:
+            cell = by_cell.setdefault(
+                (row.blocks, row.size),
+                {"auc": [], "sensitivity": [], "specificity": [], "correct": [],
+                 "failed": 0, "runs": 0},
+            )
+            cell["runs"] += 1
+            if row.failed:
+                cell["failed"] += 1
+                continue
+            for metric in ("auc", "sensitivity", "specificity"):
+                value = getattr(row, metric)
+                if value is not None:
+                    cell[metric].append(value)
+            cell["correct"].append(row.correct)
 
         def quartiles(values):
             if not values:
@@ -345,7 +304,7 @@ class Campaign:
                 "mode": self.config.mode,
                 "master_seed": self.config.master_seed,
             },
-            "total_runs": len(self.records),
+            "total_runs": self.run_count(),
             "failed_analyses": self.failure_count(),
             "by_block_count": by_block,
             "auc_by_within_block_correlation": self._correlation_auc_bins(),
@@ -355,16 +314,13 @@ class Campaign:
         # Deciles of mean |rho| within blocks vs AUC, pooled over subset
         # sizes, one table per block count that admits an AUC.
         out = {}
-        for rec in self.records:
-            rho = rec.mean_abs_within_block_corr
-            if rho is None:
+        for row in self.rows:
+            rho = row.mean_abs_within_block_corr
+            if rho is None or row.failed or row.auc is None:
                 continue
-            for a in rec.analyses:
-                if a.failed or a.auc is None:
-                    continue
-                bin_idx = min(int(rho * 10), 9)
-                key = out.setdefault(str(rec.block_count), [[] for _ in range(10)])
-                key[bin_idx].append(a.auc)
+            bin_idx = min(int(rho * 10), 9)
+            key = out.setdefault(str(row.blocks), [[] for _ in range(10)])
+            key[bin_idx].append(row.auc)
         tables = {}
         for blocks, bins in sorted(out.items()):
             tables[blocks] = [
@@ -379,6 +335,4 @@ class Campaign:
         return tables
 
     def write_summary(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.summary(), path)

@@ -277,11 +277,11 @@ def test_criterion_10_campaign_determinism(tmp_path):
     jobs = list(enumerate(
         blocks for blocks in config.block_counts for _ in range(config.runs_per_k)
     ))
-    records = [simulation._execute_run(config, rid, blocks)
-               for rid, blocks in reversed(jobs)]
-    records.sort(key=lambda rec: rec.run_id)
+    rows = [row for rid, blocks in reversed(jobs)
+            for row in simulation._execute_run(config, rid, blocks)]
+    rows.sort(key=lambda row: row.run_id)  # stable: sizes stay in order
     path = tmp_path / "reversed.csv"
-    simulation.Campaign(config, tuple(records)).write_csv(path)
+    simulation.Campaign(config, tuple(rows)).write_csv(path)
     paths.append(path.read_bytes())
     ok = paths[0] == paths[1] == paths[2]
     report(10, ok, "byte-identical CSV across repeated campaigns and run order")

@@ -142,6 +142,18 @@ def test_dichotomies_command(capsys):
     capsys.readouterr()
 
 
+def test_dichotomies_over_the_size_limit_is_a_usage_error(capsys):
+    from mutindep.inference import MAX_VARIABLES
+
+    singletons = "|".join(str(i) for i in range(1, MAX_VARIABLES + 2))
+    assert main(["dichotomies", singletons]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {MAX_VARIABLES + 1} blocks have {2 ** MAX_VARIABLES - 1} "
+                       f"dichotomies; enumerating them is limited to {MAX_VARIABLES} "
+                       "blocks\n")
+
+
 def test_meet_command(capsys):
     assert main(["meet", "123|4", "124|3", "12|34"]) == 0
     assert capsys.readouterr().out.strip() == "12|3|4"
@@ -266,6 +278,27 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch)
     assert err.startswith(f"error: cannot write {missing}: ")
     assert "Traceback" not in err
     assert not ok.exists() or ok.stat().st_size == 0
+
+
+def test_simulate_summarizes_the_campaign_once(tmp_path, capsys, monkeypatch):
+    # one summary serves the --summary file and the printed table
+    campaign_class = mutindep.simulation.Campaign
+    summarize = campaign_class.summary
+    campaigns = []
+
+    def counted(self):
+        campaigns.append(self)
+        return summarize(self)
+
+    monkeypatch.setattr(campaign_class, "summary", counted)
+    path = tmp_path / "summary.json"
+    argv = _SMALL_CAMPAIGN + ["--csv", str(tmp_path / "runs.csv"), "--summary", str(path)]
+    assert main(argv) == 0
+    assert len(campaigns) == 1
+    assert "campaign: 1 runs" in capsys.readouterr().out
+    expected = tmp_path / "expected.json"
+    campaigns[0].write_summary(expected)
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_infer_accepts_crlf(tmp_path, capsys):

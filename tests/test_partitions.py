@@ -190,6 +190,27 @@ def test_meet_all():
     assert meet_all(all_bips) == Partition.singletons(4)
     with pytest.raises(ValueError):
         meet_all([])
+    with pytest.raises(ValueError, match="ground sets differ: 4 vs 3"):
+        meet_all([p, P("12|34"), P("12|3")])
+
+
+def test_enumerations_refuse_more_than_max_variables():
+    from mutindep._kernels import MAX_VARIABLES
+
+    limit = MAX_VARIABLES
+    assert len(bipartition_masks(limit)) == 2 ** (limit - 1) - 1
+    for enumerate_all in (bipartition_masks, enumerate_bipartitions):
+        with pytest.raises(ValueError, match=f"limited to {limit} variables"):
+            enumerate_all(limit + 1)
+    with pytest.raises(ValueError, match=f"limited to {limit} blocks"):
+        entailed_dichotomies(Partition.singletons(limit + 1))
+    # the limit is on blocks, not on variables
+    wide = Partition([0] * 10 + [1] * 10 + [2] * 10)
+    assert [str(b) for b in entailed_dichotomies(wide)] == [
+        format_partition(Partition([0] * 10 + [1] * 20)),
+        format_partition(Partition([0] * 20 + [1] * 10)),
+        format_partition(Partition([0] * 10 + [1] * 10 + [0] * 10)),
+    ]
 
 
 # --- bipartitions -----------------------------------------------------------

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from mutindep.inference import MAX_VARIABLES, ConfusionCounts, infer_from_model
+from mutindep.inference import (
+    MAX_VARIABLES,
+    ConfusionCounts,
+    classify_against_truth,
+    infer_from_model,
+)
 from mutindep.linalg import DataMatrix, sample_correlation
 from mutindep.partitions import (
     Partition,
@@ -52,6 +57,7 @@ def test_generate_model_block_diagonal_structure():
             for j in range(6):
                 if labels[i] != labels[j]:
                     assert sigma[i, j] == 0.0
+        assert np.allclose(np.diag(sigma), 1.0)
         np.linalg.cholesky(sigma)  # positive definite
 
 
@@ -171,15 +177,19 @@ def test_config_validation():
 def test_campaign_shape_and_determinism(tmp_path):
     config = small_config()
     campaign = run_campaign(config)
-    assert len(campaign.records) == 12
-    rows = list(campaign.iter_rows())
-    assert len(rows) == 24
-    for rec in campaign.records:
-        for a in rec.analyses:
-            if not a.failed:
-                assert a.confusion.total == 31
-                if a.auc is not None:
-                    assert 0.0 <= a.auc <= 1.0
+    assert campaign.run_count() == 12
+    assert len(campaign.rows) == 24
+    # one row per (run, size), runs in order, sizes in config order
+    assert [(row.run_id, row.size) for row in campaign.rows] == [
+        (run_id, size) for run_id in range(12) for size in config.subset_sizes
+    ]
+    assert [row.blocks for row in campaign.rows[::2]] == [1] * 4 + [3] * 4 + [6] * 4
+    for row in campaign.rows:
+        assert parse_partition(row.truth).block_count == row.blocks
+        if not row.failed:
+            for value in (row.sensitivity, row.specificity, row.auc):
+                assert value is None or 0.0 <= value <= 1.0
+            assert isinstance(row.correct, bool)
 
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     campaign.write_csv(path_a)
@@ -187,46 +197,40 @@ def test_campaign_shape_and_determinism(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_run_records_carry_block_correlations():
-    config = small_config(block_counts=(3,), runs_per_k=2)
-    campaign = run_campaign(config)
-    for rec in campaign.records:
-        blocks = rec.truth.blocks()
-        assert len(rec.block_correlations) == len(blocks)
-        for block, corr in zip(blocks, rec.block_correlations):
-            assert corr.shape == (len(block), len(block))
-            assert np.allclose(np.diag(corr), 1.0)
-            if len(block) >= 2:
-                np.linalg.cholesky(corr)
-
-
 def test_campaign_nested_subsets_reuse_prefix():
     # the analysis at size s must equal inference on the first s rows of the
     # run's own dataset, reconstructed from the run's private stream
     config = small_config(block_counts=(3,), runs_per_k=1)
     campaign = run_campaign(config)
-    record = campaign.records[0]
-    rng = RngStream(config.master_seed, record.run_id)
+    rng = RngStream(config.master_seed, 0)
     truth, sigma = generate_model(config.n, 3, rng)
-    assert truth == record.truth
+    assert campaign.rows[0].truth == str(truth)
     data = sample_mvn(sigma, config.max_samples, rng)
-    for analysis in record.analyses:
-        model = sample_correlation(DataMatrix(data.values[: analysis.size]))
+    for row in campaign.rows:
+        assert not row.failed
+        model = sample_correlation(DataMatrix(data.values[: row.size]))
         outcome = infer_from_model(model, alpha=config.alpha)
-        assert tuple(t.p_value for t in outcome.tests) == analysis.p_values
+        confusion = classify_against_truth(outcome, truth)
+        assert row.sensitivity == sensitivity(confusion)
+        assert row.specificity == specificity(confusion)
+        assert row.auc == auc([t.p_value for t in outcome.tests], truth)
+        assert row.correct == (outcome.mu_hat == truth)
 
 
-def test_campaign_records_failures_without_aborting():
+def test_campaign_records_failures_without_aborting(tmp_path):
     config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(4, 50))
     campaign = run_campaign(config)
     # 4 samples of 6 variables cannot give a positive-definite correlation
-    for rec in campaign.records:
-        assert rec.analyses[0].failed
-        assert not rec.analyses[1].failed
+    assert [row.failed for row in campaign.rows] == [True, False] * 3
     assert campaign.failure_count() == 3
-    for rec in campaign.records:
-        assert rec.analyses[0].p_values is None
-        assert rec.analyses[0].auc is None
+    for row in campaign.rows[::2]:
+        assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
+    path = tmp_path / "runs.csv"
+    campaign.write_csv(path)
+    lines = path.read_text().splitlines()[1:]
+    for line in lines[::2]:
+        # sensitivity, specificity, auc and correct are empty cells
+        assert line.split(",")[4:8] == [""] * 4 and line.endswith(",1")
 
 
 def test_summary_structure(tmp_path):
