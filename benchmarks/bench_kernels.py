@@ -2,12 +2,11 @@
 
 Usage: python benchmarks/bench_kernels.py [--out FILE]
 
-Times the two hot operations (symmetric log-determinant and the
-all-dichotomies statistic batch) on correlation matrices of growing size,
-then `infer_from_model` end to end and the 300-run desk simulation on one
-thread.  The package measured is the one `import mutindep` finds, so
-running with PYTHONPATH pointing at another checkout's `src` measures that
-checkout.
+Times the all-dichotomies statistic batch on correlation matrices of
+growing size, then `infer_from_model` end to end and the 300-run desk
+simulation on one thread.  The package measured is the one `import
+mutindep` finds, so running with PYTHONPATH pointing at another checkout's
+`src` measures that checkout.
 
 With --out, the printed rows are also written to FILE as JSON, together
 with the kernel name, the number of cores and the python, numpy and scipy
@@ -49,20 +48,7 @@ def _row(bench, size, seconds):
             "seconds": {mutindep.kernel_backend: seconds}}
 
 
-def bench_logdet():
-    print("logdet_spd (per call)")
-    rng = RngStream(1)
-    rows = []
-    for dim in (4, 6, 10, 16, 24):
-        r = sample_wishart_correlation(dim, rng)
-        t = _time(lambda: _kernels.logdet_spd(r))
-        print(f"{dim:>5} {t * 1e6:>10.1f}us")
-        rows.append(_row("logdet_spd", dim, t))
-    return rows
-
-
 def bench_batch():
-    print()
     print("mdi_statistic_batch over all dichotomies (per batch)")
     rng = RngStream(2)
     rows = []
@@ -107,7 +93,7 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = bench_logdet() + bench_batch() + bench_infer() + bench_campaign()
+    rows = bench_batch() + bench_infer() + bench_campaign()
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

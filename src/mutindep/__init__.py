@@ -8,7 +8,7 @@ lattice, which recovers the finest pattern of mutual independence exactly.
 """
 
 from .datasets import HIV_SAMPLE_COUNT, HIV_VARIABLE_NAMES, hiv_correlation, hiv_model
-from .distributions import chi2_cdf, chi2_sf, noncentral_chi2_sf
+from .distributions import chi2_sf, noncentral_chi2_sf
 from .errors import (
     DegenerateDataError,
     InternalNumericError,
@@ -23,14 +23,12 @@ from .inference import (
     infer_from_model,
     resolve_pattern,
 )
-from .linalg import CorrelationModel, DataMatrix, logdet_correlation, sample_correlation
+from .linalg import CorrelationModel, DataMatrix, sample_correlation
 from .mdi import (
     TestResult,
     degrees_of_freedom,
-    mdi_statistic,
     mdi_statistics,
     noncentrality,
-    test_bipartition,
     test_bipartitions,
 )
 from .partitions import (
@@ -52,9 +50,7 @@ from .partitions import (
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
-    sample_gamma,
     sample_mvn,
-    sample_standard_normal,
     sample_wishart_correlation,
 )
 from .simulation import (
@@ -96,7 +92,6 @@ __all__ = [
     "bell_number",
     "bh_fdr",
     "bonferroni",
-    "chi2_cdf",
     "chi2_sf",
     "classify_against_truth",
     "correct_ratio",
@@ -114,8 +109,6 @@ __all__ = [
     "is_refinement",
     "join",
     "kernel_backend",
-    "logdet_correlation",
-    "mdi_statistic",
     "mdi_statistics",
     "meet",
     "meet_all",
@@ -126,14 +119,11 @@ __all__ = [
     "resolve_pattern",
     "run_campaign",
     "sample_correlation",
-    "sample_gamma",
     "sample_mvn",
-    "sample_standard_normal",
     "sample_wishart_correlation",
     "sensitivity",
     "specificity",
     "stirling2",
-    "test_bipartition",
     "test_bipartitions",
     "within_block_correlation",
 ]

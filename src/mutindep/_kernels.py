@@ -1,16 +1,16 @@
-"""Factorization kernels: log-determinants and dichotomy statistics.
+"""The dichotomy-statistic kernel.
 
-* Cholesky factorization of symmetric positive-definite input, failing with
-  NotPositiveDefiniteError when a pivot drops to or below the tolerance
-  1e-12 * dim * max(diagonal).
-* The dichotomy-test statistic for a correlation matrix R, sample count k
-  and a members bitmask a is (k-1) * [logdet(R_aa) + logdet(R_cc) -
-  logdet(R)], where c is the complement of a.  Statistics are returned raw
-  (no clamping); callers own the nonnegativity policy.
+The dichotomy-test statistic for a correlation matrix R, sample count k and
+a members bitmask a is (k-1) * [logdet(R_aa) + logdet(R_cc) - logdet(R)],
+where c is the complement of a.  Statistics are returned raw (no clamping);
+callers own the nonnegativity policy.
 
 The batch reads every log-determinant off one table over all subsets of
-the variables, built by rank-1 Schur-complement updates, so its statistics
-agree with a one-matrix-at-a-time Cholesky to about 1e-13 relative, not bit
+the variables, built by rank-1 Schur-complement updates.  A subset fails,
+with NotPositiveDefiniteError naming it, when a pivot drops to or below
+1e-12 * dim * max(diagonal): the rule of the in-order Cholesky
+factorization _chol_logdet, the reference the table is tested against.
+The table agrees with that factorization to about 1e-13 relative, not bit
 for bit: the summation order differs.
 """
 
@@ -28,7 +28,11 @@ MAX_VARIABLES = 20
 
 
 def _chol_logdet(a):
-    """In-place lower Cholesky; returns log det, or None on a failed pivot."""
+    """In-place lower Cholesky; returns log det, or None on a failed pivot.
+
+    The package reads log-determinants off _subset_logdets; this one-matrix
+    factorization is the reference its pivot rule is tested against.
+    """
     n = a.shape[0]
     tol = PIVOT_TOL * n * float(a.diagonal().max(initial=0.0))
     acc = 0.0
@@ -42,19 +46,6 @@ def _chol_logdet(a):
         if j + 1 < n:
             a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / piv
     return 2.0 * acc
-
-
-def logdet_spd(matrix):
-    """Log-determinant of a symmetric positive-definite matrix."""
-    a = np.array(matrix, dtype=np.float64, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.shape[0] < 1:
-        raise ValueError("expected dimension >= 1")
-    ld = _chol_logdet(a)
-    if ld is None:
-        raise not_pd_submatrix("full")
-    return ld
 
 
 def _subset_logdets(r):

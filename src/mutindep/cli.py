@@ -305,10 +305,10 @@ def _print_campaign_table(config, summary):
 
 def cmd_hiv(args):
     model = hiv_model()
-    outcome = infer_from_model(model, alpha=args.alpha)
+    outcome = infer_from_model(model)
     ranked = sorted(outcome.tests, key=lambda t: -t.p_value)
     print(f"HIV example: n=6 variables, k={HIV_SAMPLE_COUNT} samples, "
-          f"{outcome.m} dichotomies, alpha={args.alpha}")
+          f"{outcome.m} dichotomies, alpha={outcome.alpha}")
     print(f"{'pattern':>14} {'p-value':>12}")
     for t in ranked:
         print(f"{str(t.bipartition):>14} {t.p_value:>12.4g}")
@@ -375,7 +375,6 @@ def build_parser():
     sim.set_defaults(func=cmd_simulate)
 
     hiv = sub.add_parser("hiv", help="reproduce the bundled HIV example")
-    hiv.add_argument("--alpha", type=float, default=0.1)
     hiv.set_defaults(func=cmd_hiv)
 
     return parser

@@ -3,7 +3,7 @@
 import functools
 import math
 
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc
 
 # Truncation point for the noncentral mixture: stop once the remaining
 # Poisson mass is below this.
@@ -22,12 +22,6 @@ def chi2_sf(x, df):
     """Upper tail P(chi2_df > x), via the regularized incomplete gamma."""
     _check_args(x, df)
     return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def chi2_cdf(x, df):
-    """Lower tail P(chi2_df <= x)."""
-    _check_args(x, df)
-    return float(gammainc(df / 2.0, x / 2.0))
 
 
 def noncentral_chi2_sf(x, df, lam):

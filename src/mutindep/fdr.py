@@ -7,12 +7,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CorrectionOutcome:
-    """Per-test rejection flags (index-aligned with the input p-values),
-    the rejection count, and the largest rejected p-value (None if none)."""
+    """Per-test rejection flags (index-aligned with the input p-values) and
+    the rejection count."""
 
     rejected: tuple
     m_thres: int
-    threshold_pvalue: float | None
 
 
 def _validated(pvalues, alpha):
@@ -26,10 +25,8 @@ def _validated(pvalues, alpha):
     return p
 
 
-def _outcome(p, rejected):
-    m_thres = int(np.count_nonzero(rejected))
-    threshold = float(p[rejected].max()) if m_thres else None
-    return CorrectionOutcome(tuple(rejected.tolist()), m_thres, threshold)
+def _outcome(rejected):
+    return CorrectionOutcome(tuple(rejected.tolist()), int(np.count_nonzero(rejected)))
 
 
 def bh_fdr(pvalues, alpha):
@@ -47,7 +44,7 @@ def bh_fdr(pvalues, alpha):
     m_thres = int(passing[-1] + 1) if passing.size else 0
     rejected = np.zeros(m, dtype=bool)
     rejected[order[:m_thres]] = True
-    return _outcome(p, rejected)
+    return _outcome(rejected)
 
 
 def bonferroni(pvalues, alpha):
@@ -57,4 +54,4 @@ def bonferroni(pvalues, alpha):
     alpha, so this is the more conservative of the two corrections.
     """
     p = _validated(pvalues, alpha)
-    return _outcome(p, p <= alpha / p.size)
+    return _outcome(p <= alpha / p.size)

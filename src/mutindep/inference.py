@@ -57,10 +57,6 @@ class ConfusionCounts:
     tn: int
     fp: int
 
-    @property
-    def total(self):
-        return self.tp + self.fn + self.tn + self.fp
-
 
 def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
     """Correct the p-values, keep the survivors, and meet them.

@@ -1,8 +1,7 @@
-"""Data matrices, correlation models, and symmetric determinants."""
+"""Data matrices, correlation models, and the sample correlation."""
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateDataError
 
 _MODEL_TOL = 1e-12
@@ -101,13 +100,3 @@ def sample_correlation(data):
     r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return CorrelationModel(r, data.k)
-
-
-def logdet_correlation(matrix):
-    """Log-determinant of a symmetric positive-definite (sub)matrix.
-
-    Computed by Cholesky factorization, so failure doubles as a
-    positive-definiteness check: singular or indefinite input raises
-    NotPositiveDefiniteError instead of returning NaN.
-    """
-    return _kernels.logdet_spd(matrix)

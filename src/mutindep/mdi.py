@@ -29,7 +29,8 @@ MODES = ("central", "noncentral")
 # |ld_a| + |ld_c| <= |ld_full| (Hadamard's and Fischer's inequalities).
 # Negatives within (k-1) n eps (2 |ld_full| + 3 (n+1) / lambda_min), and
 # never less than _ABSOLUTE_SLACK, are clamped to 0; anything more negative
-# means a broken determinant.
+# means a broken determinant.  ld_full (the sum of the logs of R's
+# eigenvalues) and lambda_min both come from one eigenvalue solve.
 _ABSOLUTE_SLACK = 1e-9
 
 
@@ -81,8 +82,8 @@ def _clamped(raw, model):
     """Clamp rounding-sized negatives of the raw statistics of `model` to 0,
     or raise.
 
-    The rounding bound costs a factorization and an eigenvalue solve, so it
-    is computed only for a statistic below -_ABSOLUTE_SLACK.
+    The rounding bound costs an eigenvalue solve, so it is computed only for
+    a statistic below -_ABSOLUTE_SLACK.
     """
     low = raw.min(initial=0.0)
     if low < -_ABSOLUTE_SLACK:
@@ -97,10 +98,11 @@ def _clamped(raw, model):
 
 def _rounding_bound(model):
     n, eps = model.n, np.finfo(np.float64).eps
-    ld_full = _kernels.logdet_spd(model.r)
     # a matrix whose Cholesky pivots all passed can still be singular to
     # working precision, where eigvalsh may return a value <= 0
-    lambda_min = max(float(np.linalg.eigvalsh(model.r)[0]), eps)
+    eigenvalues = np.maximum(np.linalg.eigvalsh(model.r), eps)
+    ld_full = float(np.log(eigenvalues).sum())
+    lambda_min = float(eigenvalues[0])
     return (model.k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
@@ -117,11 +119,6 @@ def mdi_statistics(model, bipartitions):
     masks = np.array([b.members for b in bipartitions], dtype=np.uint64)
     raw = _kernels.mdi_statistic_batch(model.r, masks, model.k)
     return _clamped(raw, model)
-
-
-def mdi_statistic(model, bipartition):
-    """The dichotomy statistic (k-1) * ln[det(R_aa) det(R_cc) / det(R)]."""
-    return float(mdi_statistics(model, [bipartition])[0])
 
 
 def test_bipartitions(model, bipartitions, mode="central"):
@@ -141,8 +138,3 @@ def test_bipartitions(model, bipartitions, mode="central"):
             p = noncentral_chi2_sf(stat, df, lam)
         results.append(TestResult(b, stat, df, lam, p, mode))
     return results
-
-
-def test_bipartition(model, bipartition, mode="central"):
-    """Test one dichotomy; central mode is the default for all analyses."""
-    return test_bipartitions(model, [bipartition], mode)[0]

@@ -40,20 +40,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-def sample_standard_normal(rng, size=None):
-    """Standard normal draw(s) from the stream."""
-    out = rng.generator.standard_normal(size)
-    return float(out) if size is None else out
-
-
-def sample_gamma(shape, rng, size=None):
-    """Gamma(shape, scale=1) draw(s) from the stream."""
-    if shape <= 0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    out = rng.generator.gamma(shape, size=size)
-    return float(out) if size is None else out
-
-
 def sample_wishart_correlation(dim, rng):
     """Random correlation matrix from a rescaled Wishart draw.
 

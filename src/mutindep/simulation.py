@@ -90,6 +90,7 @@ class SimulationConfig:
             raise ValueError(f"unknown correction {self.correction!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        RngStream(self.master_seed)  # the stream's own range check on the seed
 
 
 def generate_model(n, blocks, rng):

@@ -8,16 +8,13 @@ def test_bh_worked_example():
     out = bh_fdr([0.01, 0.02, 0.2], 0.1)
     assert out.rejected == (True, True, False)
     assert out.m_thres == 2
-    assert out.threshold_pvalue == 0.02
 
 
 def test_bh_extremes():
     out = bh_fdr([1.0, 1.0, 1.0], 0.1)
     assert out.m_thres == 0 and not any(out.rejected)
-    assert out.threshold_pvalue is None
     out = bh_fdr([0.0, 0.0, 0.0, 0.0], 0.1)
     assert out.m_thres == 4 and all(out.rejected)
-    assert out.threshold_pvalue == 0.0
 
 
 def test_bh_nonstrict_comparison():

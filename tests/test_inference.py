@@ -188,7 +188,7 @@ def test_classify_against_truth_worked_example():
     # identity data keeps all 7, truth entails 3: so 4 positives are missed
     conf = classify_against_truth(out, truth)
     assert (conf.tp, conf.fn, conf.tn, conf.fp) == (0, 4, 3, 0)
-    assert conf.total == out.m
+    assert conf.tp + conf.fn + conf.tn + conf.fp == out.m
 
 
 def test_classify_against_truth_edge_patterns():

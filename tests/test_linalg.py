@@ -3,36 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from mutindep import _kernels
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
-from mutindep.linalg import (
-    CorrelationModel,
-    DataMatrix,
-    logdet_correlation,
-    sample_correlation,
-)
+from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
 
 
+def logdet(matrix):
+    """log det R as every statistic reads it: the full-matrix entry of the
+    kernel's table of subset log-determinants."""
+    return _kernels._subset_logdets(np.array(matrix, dtype=np.float64))[-1]
+
+
 def test_logdet_identity():
     for dim in (1, 2, 5, 12):
-        assert logdet_correlation(np.eye(dim)) == pytest.approx(0.0, abs=1e-14)
+        assert logdet(np.eye(dim)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_logdet_2x2_closed_form():
     for rho in (-0.9, -0.3, 0.0, 0.5, 0.99):
         m = [[1.0, rho], [rho, 1.0]]
-        assert logdet_correlation(m) == pytest.approx(
-            math.log(1 - rho**2), abs=1e-12
-        )
+        assert logdet(m) == pytest.approx(math.log(1 - rho**2), abs=1e-12)
 
 
 def test_logdet_singular_raises():
-    with pytest.raises(NotPositiveDefiniteError):
-        logdet_correlation([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError):
-        logdet_correlation([[1.0, 0.0], [0.0, -1.0]])
+    one_split = np.array([1], dtype=np.uint64)
+    for m in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            _kernels.mdi_statistic_batch(np.array(m), one_split, 10)
+        assert err.value.part == "full"
 
 
 def test_logdet_matches_cofactor_oracle():
@@ -41,8 +42,7 @@ def test_logdet_matches_cofactor_oracle():
         dim = int(rng.generator.integers(1, 6))
         r = sample_wishart_correlation(dim, rng)
         expected = math.log(oracles.det_cofactor(r))
-        got = logdet_correlation(r)
-        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert logdet(r) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_data_matrix_validation():

@@ -9,11 +9,9 @@ from mutindep.errors import InternalNumericError, NotPositiveDefiniteError
 from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 # aliased: the package names start with "test_", which pytest would collect
-from mutindep.mdi import test_bipartition as run_test
 from mutindep.mdi import test_bipartitions as run_tests
 from mutindep.mdi import (
     degrees_of_freedom,
-    mdi_statistic,
     mdi_statistics,
     noncentrality,
 )
@@ -40,13 +38,13 @@ def test_statistic_identity_model_is_zero():
     for n in (2, 4, 6):
         model = CorrelationModel(np.eye(n), 50)
         for b in enumerate_bipartitions(n):
-            assert mdi_statistic(model, b) == 0.0
+            assert mdi_statistics(model, [b])[0] == 0.0
 
 
 def test_statistic_2x2_hand_value():
     model = CorrelationModel([[1.0, 0.5], [0.5, 1.0]], 101)
     b = enumerate_bipartitions(2)[0]
-    assert mdi_statistic(model, b) == pytest.approx(
+    assert mdi_statistics(model, [b])[0] == pytest.approx(
         100.0 * -math.log(0.75), rel=1e-12
     )
 
@@ -63,8 +61,8 @@ def test_statistic_permutation_invariance():
     b_perm = bip(5, mapped) if 1 in mapped else bip(5, [
         e for e in range(1, 6) if e not in mapped
     ])
-    assert mdi_statistic(model, b) == pytest.approx(
-        mdi_statistic(permuted, b_perm), rel=1e-9
+    assert mdi_statistics(model, [b])[0] == pytest.approx(
+        mdi_statistics(permuted, [b_perm])[0], rel=1e-9
     )
 
 
@@ -103,7 +101,7 @@ def test_noncentrality_nonnegative_everywhere():
 def test_test_bipartition_identity():
     model = CorrelationModel(np.eye(4), 100)
     for b in enumerate_bipartitions(4):
-        res = run_test(model, b)
+        res = run_tests(model, [b])[0]
         assert res.p_value == 1.0
         assert res.mode == "central"
         assert res.df == degrees_of_freedom(b)
@@ -111,12 +109,12 @@ def test_test_bipartition_identity():
 
 def test_hiv_flagged_dichotomy():
     model = hiv_model()
-    res = run_test(model, bip(6, [1, 2, 3, 5, 6]))
+    res = run_tests(model, [bip(6, [1, 2, 3, 5, 6])])[0]
     assert res.p_value == pytest.approx(0.332, abs=0.005)
     for b in enumerate_bipartitions(6):
         if b.member_elements() == (1, 2, 3, 5, 6):
             continue
-        assert run_test(model, b).p_value < 1e-4
+        assert run_tests(model, [b])[0].p_value < 1e-4
 
 
 def test_batch_matches_singles():
@@ -125,18 +123,18 @@ def test_batch_matches_singles():
     bips = enumerate_bipartitions(5)
     batch = mdi_statistics(model, bips)
     for b, stat in zip(bips, batch):
-        assert mdi_statistic(model, b) == stat
+        assert mdi_statistics(model, [b])[0] == stat
 
 
 def test_dimension_and_sample_guards():
     model = CorrelationModel(np.eye(3), 100)
     with pytest.raises(ValueError):
-        mdi_statistic(model, bip(4, [1, 2]))
+        mdi_statistics(model, [bip(4, [1, 2])])
     small = CorrelationModel(np.eye(4), 2)
     with pytest.raises(ValueError):
-        mdi_statistic(small, bip(4, [1, 2]))
+        mdi_statistics(small, [bip(4, [1, 2])])
     with pytest.raises(ValueError):
-        run_test(model, bip(3, [1]), mode="bogus")
+        run_tests(model, [bip(3, [1])], mode="bogus")
     # the first bipartition whose size differs from the model's is named
     with pytest.raises(ValueError, match="model has n=3, test has n=4"):
         mdi_statistics(model, [bip(3, [1]), bip(4, [1]), bip(5, [1])])
@@ -147,7 +145,7 @@ def test_non_pd_submatrix_is_named():
     r[0, 1] = r[1, 0] = 1.0  # variables 1 and 2 perfectly correlated
     model = CorrelationModel(r, 100)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        mdi_statistic(model, bip(4, [1, 2]))
+        mdi_statistics(model, [bip(4, [1, 2])])
     assert err.value.part in ("full", "members", "complement")
 
 
@@ -164,7 +162,7 @@ def test_null_rejection_rate_grows_with_k():
         for rep in range(reps):
             rng = RngStream(20260821, i * reps + rep)
             model = sample_correlation(sample_mvn(cov, k, rng))
-            if run_test(model, b).p_value <= 0.05:
+            if run_tests(model, [b])[0].p_value <= 0.05:
                 rejected += 1
         rates.append(rejected / reps)
     mc = 2.0 * math.sqrt(0.25 / reps)
@@ -185,7 +183,7 @@ def test_null_pvalues_uniform_under_block_truth():
         model = sample_correlation(sample_mvn(sigma, 300, rng))
         for b in enumerate_bipartitions(4):
             if str(b) in collected:
-                collected[str(b)].append(run_test(model, b).p_value)
+                collected[str(b)].append(run_tests(model, [b])[0].p_value)
     critical = oracles.ks_critical(2000, alpha=0.01)
     for pattern, pvals in collected.items():
         assert oracles.ks_statistic_uniform(pvals) < critical, pattern
@@ -272,8 +270,8 @@ def test_central_noncentral_agree_for_large_k():
     rng = RngStream(20260822)
     model = CorrelationModel(sample_wishart_correlation(4, rng), 100_000)
     for b in enumerate_bipartitions(4):
-        central = run_test(model, b, mode="central").p_value
-        noncentral = run_test(model, b, mode="noncentral").p_value
+        central = run_tests(model, [b], mode="central")[0].p_value
+        noncentral = run_tests(model, [b], mode="noncentral")[0].p_value
         assert abs(central - noncentral) < 1e-3
 
 
@@ -281,7 +279,7 @@ def test_results_carry_noncentrality_in_both_modes():
     model = CorrelationModel(np.eye(3), 40)
     b = bip(3, [1, 3])
     for mode in ("central", "noncentral"):
-        res = run_test(model, b, mode=mode)
+        res = run_tests(model, [b], mode=mode)[0]
         assert res.noncentrality == pytest.approx(noncentrality(b, 40))
         assert res.mode == mode
 

@@ -1,18 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from mutindep.distributions import chi2_sf
 from mutindep.errors import NotPositiveDefiniteError
-from mutindep.linalg import logdet_correlation
 from mutindep.partitions import Partition, stirling2
 from mutindep.randomness import (
     RngStream,
     random_partition_with_k_blocks,
-    sample_gamma,
     sample_mvn,
-    sample_standard_normal,
     sample_wishart_correlation,
 )
 
@@ -22,14 +17,14 @@ import oracles
 def test_stream_determinism():
     a = RngStream(123, 7)
     b = RngStream(123, 7)
-    draws_a = [sample_standard_normal(a) for _ in range(100)]
-    draws_b = [sample_standard_normal(b) for _ in range(100)]
+    draws_a = [a.generator.standard_normal() for _ in range(100)]
+    draws_b = [b.generator.standard_normal() for _ in range(100)]
     assert draws_a == draws_b
     assert draws_a[0] == pytest.approx(-0.313067543267, abs=1e-12)
 
 
 def test_distinct_streams_differ():
-    base = [sample_standard_normal(RngStream(123, s)) for s in range(20)]
+    base = [RngStream(123, s).generator.standard_normal() for s in range(20)]
     assert len(set(base)) == 20
 
 
@@ -38,20 +33,6 @@ def test_stream_key_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 1 << 64)
-
-
-def test_normal_moments():
-    draws = sample_standard_normal(RngStream(20260810), size=1_000_000)
-    assert abs(draws.mean()) < 0.004  # 4 sigma of the sample mean
-    assert draws.std() == pytest.approx(1.0, abs=0.005)
-
-
-def test_gamma_moments():
-    for shape in (0.5, 1.0, 2.5, 7.0):
-        draws = sample_gamma(shape, RngStream(20260811, int(shape * 10)), size=1_000_000)
-        assert abs(draws.mean() - shape) < 4.0 * math.sqrt(shape / 1e6)
-    with pytest.raises(ValueError):
-        sample_gamma(0.0, RngStream(1))
 
 
 def test_wishart_correlation_scalar():
@@ -66,7 +47,7 @@ def test_wishart_correlation_invariants():
         assert np.allclose(r, r.T)
         assert np.allclose(np.diag(r), 1.0)
         assert np.abs(r).max() <= 1.0 + 1e-12
-        logdet_correlation(r)  # must be positive definite
+        np.linalg.cholesky(r)  # must be positive definite
 
 
 def test_wishart_offdiagonal_uniform_marginal():
