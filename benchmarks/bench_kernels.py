@@ -3,10 +3,11 @@
 Usage: python benchmarks/bench_kernels.py [--out FILE]
 
 Times the all-dichotomies statistic batch on correlation matrices of
-growing size, then `infer_from_model` end to end and the 300-run desk
-simulation on one thread.  The package measured is the one `import
-mutindep` finds, so running with PYTHONPATH pointing at another checkout's
-`src` measures that checkout.
+growing size, then `infer_from_model` end to end in central and in
+noncentral mode (on the same models), and the 300-run desk simulation on
+one thread.  The package measured is the one `import mutindep` finds, so
+running with PYTHONPATH pointing at another checkout's `src` measures that
+checkout.
 
 With --out, the printed rows are also written to FILE as JSON, together
 with the kernel name, the number of cores and the python, numpy and scipy
@@ -62,15 +63,18 @@ def bench_batch():
 
 
 def bench_infer():
-    print()
-    print("infer_from_model, central, fdr (per call)")
-    rng = RngStream(3)
     rows = []
-    for n in (6, 10, 12, 14):
-        model = CorrelationModel(sample_wishart_correlation(n, rng), 300)
-        t = _time(lambda: infer_from_model(model, alpha=0.1))
-        print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
-        rows.append(_row("infer_from_model", n, t))
+    # the central rows keep the bench name of the earlier BENCH_*.json files
+    for mode, bench in (("central", "infer_from_model"),
+                        ("noncentral", "infer_from_model_noncentral")):
+        print()
+        print(f"infer_from_model, {mode}, fdr (per call)")
+        rng = RngStream(3)
+        for n in (6, 10, 12, 14):
+            model = CorrelationModel(sample_wishart_correlation(n, rng), 300)
+            t = _time(lambda: infer_from_model(model, alpha=0.1, mode=mode))
+            print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
+            rows.append(_row(bench, n, t))
     return rows
 
 

@@ -14,7 +14,7 @@ from .errors import (
     InternalNumericError,
     NotPositiveDefiniteError,
 )
-from .fdr import CorrectionOutcome, bh_fdr, bonferroni
+from .fdr import bh_fdr, bonferroni
 from .inference import (
     ConfusionCounts,
     InferenceOutcome,
@@ -75,7 +75,6 @@ __all__ = [
     "Bipartition",
     "Campaign",
     "ConfusionCounts",
-    "CorrectionOutcome",
     "CorrelationModel",
     "DataMatrix",
     "DegenerateDataError",

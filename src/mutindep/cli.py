@@ -164,11 +164,9 @@ def _render_outcome(outcome, n, k, fmt, columns=None):
                           indent=2) + "\n"
     if fmt == "csv":
         lines = ["bipartition,statistic,df,p_value,rejected"]
-        kept = set(outcome.delta_hat)
-        for t in outcome.tests:
-            rejected = 0 if t.bipartition in kept else 1
+        for t, rejected in zip(outcome.tests, outcome.rejected):
             lines.append(
-                f"{t.bipartition},{t.statistic!r},{t.df},{t.p_value!r},{rejected}"
+                f"{t.bipartition},{t.statistic!r},{t.df},{t.p_value!r},{rejected:d}"
             )
         return "\n".join(lines) + "\n"
     lines = [
@@ -178,10 +176,7 @@ def _render_outcome(outcome, n, k, fmt, columns=None):
         "",
         "surviving dichotomies:",
     ]
-    if outcome.delta_hat:
-        lines.extend(f"  {b}" for b in outcome.delta_hat)
-    else:
-        lines.append("  (none)")
+    lines.extend([f"  {b}" for b in outcome.delta_hat] or ["  (none)"])
     lines.append("")
     lines.append(f"finest pattern: {outcome.mu_hat}")
     return "\n".join(lines) + "\n"

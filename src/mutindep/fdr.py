@@ -1,17 +1,9 @@
-"""Multiple-comparison corrections over simultaneous dichotomy tests."""
+"""Multiple-comparison corrections over simultaneous dichotomy tests.
 
-from dataclasses import dataclass
+Each returns a boolean array of rejection flags aligned with the p-values.
+"""
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CorrectionOutcome:
-    """Per-test rejection flags (index-aligned with the input p-values) and
-    the rejection count."""
-
-    rejected: tuple
-    m_thres: int
 
 
 def _validated(pvalues, alpha):
@@ -23,10 +15,6 @@ def _validated(pvalues, alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return p
-
-
-def _outcome(rejected):
-    return CorrectionOutcome(tuple(rejected.tolist()), int(np.count_nonzero(rejected)))
 
 
 def bh_fdr(pvalues, alpha):
@@ -44,7 +32,7 @@ def bh_fdr(pvalues, alpha):
     m_thres = int(passing[-1] + 1) if passing.size else 0
     rejected = np.zeros(m, dtype=bool)
     rejected[order[:m_thres]] = True
-    return _outcome(rejected)
+    return rejected
 
 
 def bonferroni(pvalues, alpha):
@@ -54,4 +42,4 @@ def bonferroni(pvalues, alpha):
     alpha, so this is the more conservative of the two corrections.
     """
     p = _validated(pvalues, alpha)
-    return _outcome(p <= alpha / p.size)
+    return p <= alpha / p.size

@@ -16,36 +16,47 @@ from ._kernels import MAX_VARIABLES
 from .fdr import bh_fdr, bonferroni
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
 from .mdi import MODES, test_bipartitions
-from .partitions import (
-    Partition,
-    entailed_masks,
-    enumerate_bipartitions,
-    meet_all,
-)
+from .partitions import Partition, enumerate_bipartitions, meet_all
 
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
 # Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
-# tracemalloc at n = 13, infer_from_model peaks at about 590 bytes per test
-# (360 of them the TestResults and Bipartitions the outcome keeps) and the
-# command line's JSON rendering at about 1.8 KiB; BYTES_PER_TEST rounds the
-# largest up.  The kernel's MAX_VARIABLES keeps an analysis within about
-# 1 GiB.
+# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 300
+# bytes per test (240 of them the TestResults and Bipartitions the outcome
+# keeps) and the command line's JSON rendering at about 1.8 KiB;
+# BYTES_PER_TEST rounds the largest up.  The kernel's MAX_VARIABLES keeps
+# an analysis within about 1 GiB.
 BYTES_PER_TEST = 2048
 
 
 @dataclass(frozen=True)
 class InferenceOutcome:
-    """All test results plus the surviving dichotomies and their meet."""
+    """All test results, the correction's verdict on each, and the meet.
+
+    `rejected` holds one Python bool per entry of `tests`, in the same
+    order; it is the one record of the correction.  `delta_hat` (the
+    bipartitions of the tests that were not rejected), `m` (the number of
+    tests) and `m_thres` (the number rejected) are read off it.
+    """
 
     tests: tuple
-    delta_hat: tuple
+    rejected: tuple
     mu_hat: Partition
     alpha: float
     correction: str
     mode: str
-    m: int
-    m_thres: int
+
+    @property
+    def delta_hat(self):
+        return tuple(t.bipartition for t, r in zip(self.tests, self.rejected) if not r)
+
+    @property
+    def m(self):
+        return len(self.tests)
+
+    @property
+    def m_thres(self):
+        return sum(self.rejected)
 
 
 @dataclass(frozen=True)
@@ -59,24 +70,22 @@ class ConfusionCounts:
 
 
 def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
-    """Correct the p-values, keep the survivors, and meet them.
+    """Correct the p-values and meet the bipartitions that survive.
 
-    Returns (delta_hat, mu_hat, m_thres).  This is the combination step of
-    the pipeline, usable directly when p-values come from elsewhere.
+    Returns (rejected, mu_hat): a tuple of Python bools aligned with
+    `bipartitions`, and the meet of the ones not rejected.  This is the
+    combination step of the pipeline, usable directly when p-values come
+    from elsewhere.
     """
     if correction not in CORRECTIONS:
         raise ValueError(
             f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
         )
-    outcome = CORRECTIONS[correction](pvalues, alpha)
-    delta_hat = tuple(
-        b for b, rej in zip(bipartitions, outcome.rejected, strict=True) if not rej
-    )
-    if delta_hat:
-        mu_hat = meet_all(b.to_partition() for b in delta_hat)
-    else:
-        mu_hat = Partition.one_block(n)
-    return delta_hat, mu_hat, outcome.m_thres
+    rejected = tuple(CORRECTIONS[correction](pvalues, alpha).tolist())
+    survivors = [b.to_partition() for b, rej in zip(bipartitions, rejected, strict=True)
+                 if not rej]
+    mu_hat = meet_all(survivors) if survivors else Partition.one_block(n)
+    return rejected, mu_hat
 
 
 def check_variable_count(n):
@@ -106,18 +115,16 @@ def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     bipartitions = enumerate_bipartitions(model.n)
     tests = test_bipartitions(model, bipartitions, mode)
-    delta_hat, mu_hat, m_thres = resolve_pattern(
+    rejected, mu_hat = resolve_pattern(
         model.n, bipartitions, [t.p_value for t in tests], alpha, correction
     )
     return InferenceOutcome(
         tests=tuple(tests),
-        delta_hat=delta_hat,
+        rejected=rejected,
         mu_hat=mu_hat,
         alpha=alpha,
         correction=correction,
         mode=mode,
-        m=len(bipartitions),
-        m_thres=m_thres,
     )
 
 
@@ -133,21 +140,19 @@ def infer_from_data(data, alpha=0.1, correction="fdr", mode="central"):
     return infer_from_model(model, alpha=alpha, correction=correction, mode=mode)
 
 
-def classify_against_truth(outcome, truth):
+def classify_against_truth(outcome, negative):
     """Confusion counts of an inference against a ground-truth pattern.
 
-    Ground-truth negatives are the dichotomies entailed by the truth (the
-    null hypothesis holds); all other bipartitions are positives.  A test is
-    "detected positive" when it was rejected.
+    `negative` flags, per test of `outcome`, the dichotomies entailed by the
+    truth (the null hypothesis holds): `entailed_masks(bipartition_masks(n),
+    truth)`.  All other bipartitions are positives.  A test is "detected
+    positive" when it was rejected.
     """
-    if truth.n != outcome.mu_hat.n:
-        raise ValueError(
-            f"dimension mismatch: truth has n={truth.n}, outcome has n={outcome.mu_hat.n}"
-        )
-    members = [t.bipartition.members for t in outcome.tests]
-    kept = {b.members for b in outcome.delta_hat}
-    negative = entailed_masks(members, truth)
-    rejected = np.array([m not in kept for m in members], dtype=bool)
+    negative = np.asarray(negative, dtype=bool)
+    if negative.shape != (outcome.m,):
+        raise ValueError(f"need one negative flag per test: {outcome.m} tests, "
+                         f"{negative.size} flags")
+    rejected = np.array(outcome.rejected, dtype=bool)
 
     def count(flags):
         return int(np.count_nonzero(flags))

@@ -41,9 +41,7 @@ class TestResult:
     bipartition: Bipartition
     statistic: float
     df: int
-    noncentrality: float
     p_value: float
-    mode: str
 
 
 def degrees_of_freedom(bipartition):
@@ -131,10 +129,9 @@ def test_bipartitions(model, bipartitions, mode="central"):
     for b, stat in zip(bipartitions, stats):
         stat = float(stat)
         df = degrees_of_freedom(b)
-        lam = noncentrality(b, model.k)
         if mode == "central":
             p = chi2_sf(stat, df)
         else:
-            p = noncentral_chi2_sf(stat, df, lam)
-        results.append(TestResult(b, stat, df, lam, p, mode))
+            p = noncentral_chi2_sf(stat, df, noncentrality(b, model.k))
+        results.append(TestResult(b, stat, df, p))
     return results

@@ -80,9 +80,11 @@ class SimulationConfig:
         if not self.subset_sizes:
             raise ValueError("need at least one subset size")
         for size in self.subset_sizes:
-            if not 3 <= size <= self.max_samples:
+            if not self.n < size <= self.max_samples:
                 raise ValueError(
-                    f"subset size {size} outside 3..max_samples={self.max_samples}"
+                    f"subset size {size} outside {self.n + 1}..max_samples="
+                    f"{self.max_samples}: the correlation of at most n={self.n} "
+                    "rows is singular"
                 )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
@@ -107,16 +109,17 @@ def generate_model(n, blocks, rng):
     return truth, sigma
 
 
-def auc(pvalues, truth):
+def auc(pvalues, negative):
     """Probability a random positive bipartition has a smaller p-value than
     a random negative one, ties counted one half.
 
-    Positives are the bipartitions whose dichotomic independence fails under
-    `truth`; negatives are the entailed ones.  None when either side is
-    empty (e.g. a 1-block or all-singleton truth).
+    `negative` flags, per p-value, the dichotomies entailed by the truth:
+    `entailed_masks(bipartition_masks(n), truth)`.  The others are the
+    positives, whose dichotomic independence fails.  None when either side
+    is empty (e.g. a 1-block or all-singleton truth).
     """
     p = np.asarray(pvalues, dtype=np.float64)
-    negative = entailed_masks(bipartition_masks(truth.n), truth)
+    negative = np.asarray(negative, dtype=bool)
     if p.shape != negative.shape:
         raise ValueError("need one p-value per bipartition")
     pos = p[~negative]
@@ -175,6 +178,7 @@ def _execute_run(config, run_id, blocks):
     data = sample_mvn(sigma, config.max_samples, rng).values
     truth_text = format_partition(truth)
     rho = within_block_correlation(truth, sigma)
+    negative = entailed_masks(bipartition_masks(config.n), truth)
     rows = []
     for size in config.subset_sizes:
         try:
@@ -186,12 +190,12 @@ def _execute_run(config, run_id, blocks):
             rows.append(Row(run_id, blocks, truth_text, size, None, None, None, None,
                             rho, True))
             continue
-        confusion = classify_against_truth(outcome, truth)
+        confusion = classify_against_truth(outcome, negative)
         rows.append(Row(
             run_id, blocks, truth_text, size,
             sensitivity(confusion),
             specificity(confusion),
-            auc([t.p_value for t in outcome.tests], truth),
+            auc([t.p_value for t in outcome.tests], negative),
             outcome.mu_hat == truth,
             rho,
             False,

@@ -119,8 +119,9 @@ def test_criterion_3_worked_example_replay():
     bips = enumerate_bipartitions(4)
     rejected = {"13|24", "14|23", "134|2", "1|234"}
     pvalues = [1e-12 if str(b) in rejected else 0.8 for b in bips]
-    delta, mu, _ = resolve_pattern(4, bips, pvalues, 0.1)
-    ok = {str(b) for b in delta} == {"123|4", "124|3", "12|34"}
+    rejected, mu = resolve_pattern(4, bips, pvalues, 0.1)
+    survivors = {str(b) for b, rej in zip(bips, rejected) if not rej}
+    ok = survivors == {"123|4", "124|3", "12|34"}
     ok = ok and str(mu) == "12|3|4"
     report(3, ok, f"survivors {{123|4, 124|3, 12|34}} meet to {mu}")
 

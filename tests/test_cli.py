@@ -10,6 +10,7 @@ import pytest
 import mutindep
 from mutindep.cli import main
 from mutindep.datasets import hiv_correlation
+from mutindep.errors import NotPositiveDefiniteError
 from mutindep.randomness import RngStream, sample_mvn
 
 
@@ -228,12 +229,16 @@ def test_simulate_seed_env_override(tmp_path, capsys, monkeypatch):
     assert explicit.read_bytes() == from_env.read_bytes()
 
 
-def test_simulate_total_failure_exits_nonzero(tmp_path, capsys):
-    # subset size 4 of 6 variables can never give a positive-definite
-    # correlation, so every analysis fails and the campaign reports it
+def test_simulate_total_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
+    # every analysis fails, and the campaign reports it
+    def not_positive_definite(data):
+        raise NotPositiveDefiniteError("not positive definite", part="full")
+
+    monkeypatch.setattr(mutindep.simulation, "sample_correlation",
+                        not_positive_definite)
     code = main([
         "simulate", "--n", "6", "--blocks", "2", "--runs", "2",
-        "--samples", "50", "--sizes", "4", "--seed", "3",
+        "--samples", "50", "--sizes", "50", "--seed", "3",
         "--csv", str(tmp_path / "fail.csv"),
     ])
     assert code == 1
@@ -251,8 +256,9 @@ _SMALL_CAMPAIGN = ["simulate", "--n", "4", "--blocks", "2", "--runs", "1",
 
 def test_simulate_bad_config(tmp_path, capsys):
     # a config error is reported before the output file is created
+    # sizes of at most n rows give a singular correlation
     for bad in (["--blocks", "9"], ["--seed", "-1"],
-                ["--seed", str(1 << 64)]):
+                ["--seed", str(1 << 64)], ["--n", "6", "--sizes", "4"]):
         argv = _SMALL_CAMPAIGN + bad + ["--csv", str(tmp_path / "x.csv")]
         assert main(argv) == 2, bad
         capsys.readouterr()

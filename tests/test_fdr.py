@@ -5,47 +5,40 @@ from mutindep.fdr import bh_fdr, bonferroni
 
 
 def test_bh_worked_example():
-    out = bh_fdr([0.01, 0.02, 0.2], 0.1)
-    assert out.rejected == (True, True, False)
-    assert out.m_thres == 2
+    rejected = bh_fdr([0.01, 0.02, 0.2], 0.1)
+    assert rejected.tolist() == [True, True, False]
 
 
 def test_bh_extremes():
-    out = bh_fdr([1.0, 1.0, 1.0], 0.1)
-    assert out.m_thres == 0 and not any(out.rejected)
-    out = bh_fdr([0.0, 0.0, 0.0, 0.0], 0.1)
-    assert out.m_thres == 4 and all(out.rejected)
+    assert not bh_fdr([1.0, 1.0, 1.0], 0.1).any()
+    assert bh_fdr([0.0, 0.0, 0.0, 0.0], 0.1).all()
 
 
 def test_bh_nonstrict_comparison():
     # the i-th smallest exactly at alpha*i/m is rejected
-    out = bh_fdr([0.05], 0.05)
-    assert out.rejected == (True,)
+    assert bh_fdr([0.05], 0.05).tolist() == [True]
 
 
 def test_bh_ties_share_the_verdict():
-    out = bh_fdr([0.04, 0.04, 0.9], 0.06)
+    rejected = bh_fdr([0.04, 0.04, 0.9], 0.06)
     # cuts are 0.02, 0.04, 0.06: position 2 passes, so both ties go together
-    assert out.rejected == (True, True, False)
-    assert out.m_thres == 2
+    assert rejected.tolist() == [True, True, False]
     for pvals in ([0.03, 0.03], [0.05, 0.05, 0.05, 0.8]):
-        out = bh_fdr(pvals, 0.1)
-        verdicts = {r for p, r in zip(pvals, out.rejected) if p == min(pvals)}
+        rejected = bh_fdr(pvals, 0.1)
+        verdicts = {r for p, r in zip(pvals, rejected.tolist()) if p == min(pvals)}
         assert len(verdicts) == 1
 
 
 def test_bonferroni_worked_example():
-    out = bonferroni([0.01, 0.02, 0.2], 0.1)
+    rejected = bonferroni([0.01, 0.02, 0.2], 0.1)
     # alpha/m = 0.0333...: both of the small p-values pass
-    assert out.rejected == (True, True, False)
-    assert out.m_thres == 2
+    assert rejected.tolist() == [True, True, False]
 
 
 def test_single_pvalue_reduces_to_plain_threshold():
     for p in (0.02, 0.05, 0.5):
         for rule in (bh_fdr, bonferroni):
-            out = rule([p], 0.05)
-            assert out.rejected == (p <= 0.05,)
+            assert rule([p], 0.05).tolist() == [p <= 0.05]
 
 
 def test_validation():
@@ -68,19 +61,18 @@ def test_bonferroni_subset_of_bh():
         alpha = float(rng.uniform(0.01, 0.3))
         bh = bh_fdr(p, alpha)
         bp = bonferroni(p, alpha)
-        for rej_bp, rej_bh in zip(bp.rejected, bh.rejected):
+        for rej_bp, rej_bh in zip(bp, bh):
             assert not rej_bp or rej_bh
-        assert bp.m_thres <= bh.m_thres
+        assert bp.sum() <= bh.sum()
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(20260825)
     p = rng.random(15)
-    base = bh_fdr(p, 0.1).rejected
+    base = bh_fdr(p, 0.1)
     for _ in range(20):
         perm = rng.permutation(15)
-        permuted = bh_fdr(p[perm], 0.1).rejected
-        assert permuted == tuple(base[i] for i in perm)
+        assert (bh_fdr(p[perm], 0.1) == base[perm]).all()
 
 
 def test_bh_monotone_in_single_pvalue():
@@ -88,11 +80,11 @@ def test_bh_monotone_in_single_pvalue():
     for _ in range(300):
         m = int(rng.integers(2, 25))
         p = rng.random(m)
-        before = set(np.flatnonzero(bh_fdr(p, 0.1).rejected))
+        before = set(np.flatnonzero(bh_fdr(p, 0.1)))
         i = int(rng.integers(m))
         lowered = p.copy()
         lowered[i] = p[i] * rng.random()
-        after = set(np.flatnonzero(bh_fdr(lowered, 0.1).rejected))
+        after = set(np.flatnonzero(bh_fdr(lowered, 0.1)))
         assert before - {i} <= after
 
 
@@ -102,7 +94,7 @@ def test_bh_monotone_in_alpha():
         p = rng.random(int(rng.integers(1, 30)))
         previous = set()
         for alpha in (0.01, 0.05, 0.1, 0.2, 0.4):
-            current = set(np.flatnonzero(bh_fdr(p, alpha).rejected))
+            current = set(np.flatnonzero(bh_fdr(p, alpha)))
             assert previous <= current
             previous = current
 
@@ -112,15 +104,13 @@ def test_false_discovery_proportion_under_full_null():
     rng = np.random.default_rng(20260828)
     fdp = []
     for _ in range(2000):
-        out = bh_fdr(rng.random(31), 0.1)
-        fdp.append(1.0 if out.m_thres else 0.0)
+        fdp.append(1.0 if bh_fdr(rng.random(31), 0.1).any() else 0.0)
     assert np.mean(fdp) <= 0.1 + 0.02
 
 
-def test_rejected_is_a_tuple_of_python_bools():
+def test_corrections_return_a_boolean_array():
     p = np.random.default_rng(20260843).random(2047) ** 4
     for rule in (bh_fdr, bonferroni):
-        out = rule(p, 0.1)
-        assert type(out.rejected) is tuple and len(out.rejected) == p.size
-        assert all(type(flag) is bool for flag in out.rejected)
-        assert sum(out.rejected) == out.m_thres > 0
+        rejected = rule(p, 0.1)
+        assert rejected.dtype == bool and rejected.shape == p.shape
+        assert rejected.any()

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mutindep.mdi
 from mutindep.datasets import hiv_model
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
 from mutindep.inference import (
@@ -13,7 +16,9 @@ from mutindep.inference import (
 from mutindep.linalg import CorrelationModel, DataMatrix
 from mutindep.partitions import (
     Partition,
+    bipartition_masks,
     entailed_dichotomies,
+    entailed_masks,
     enumerate_bipartitions,
     enumerate_partitions,
     is_refinement,
@@ -29,15 +34,23 @@ def oracle_pvalues(n, truth):
     return [1.0 if b in entailed else 0.0 for b in enumerate_bipartitions(n)]
 
 
+def survivors(bipartitions, rejected):
+    return [b for b, rej in zip(bipartitions, rejected, strict=True) if not rej]
+
+
+def negatives(truth):
+    return entailed_masks(bipartition_masks(truth.n), truth)
+
+
 def test_worked_example_survivors():
     # survivors {123|4, 124|3, 12|34} meet to 12|3|4
     bips = enumerate_bipartitions(4)
     rejected = {"13|24", "14|23", "134|2", "1|234"}
     pvalues = [1e-10 if str(b) in rejected else 0.9 for b in bips]
-    delta, mu, m_thres = resolve_pattern(4, bips, pvalues, 0.1)
-    assert {str(b) for b in delta} == {"123|4", "124|3", "12|34"}
+    rejected, mu = resolve_pattern(4, bips, pvalues, 0.1)
+    assert {str(b) for b in survivors(bips, rejected)} == {"123|4", "124|3", "12|34"}
     assert str(mu) == "12|3|4"
-    assert m_thres == 4
+    assert sum(rejected) == 4
 
 
 def test_oracle_pvalues_recover_every_truth():
@@ -45,17 +58,17 @@ def test_oracle_pvalues_recover_every_truth():
     for n in range(2, 8):
         bips = enumerate_bipartitions(n)
         for truth in enumerate_partitions(n):
-            delta, mu, _ = resolve_pattern(n, bips, oracle_pvalues(n, truth), 0.1)
+            rejected, mu = resolve_pattern(n, bips, oracle_pvalues(n, truth), 0.1)
             assert mu == truth
-            assert set(delta) == set(entailed_dichotomies(truth))
+            assert set(survivors(bips, rejected)) == set(entailed_dichotomies(truth))
 
 
 def test_empty_survivor_set_gives_one_block():
     bips = enumerate_bipartitions(4)
-    delta, mu, m_thres = resolve_pattern(4, bips, [0.0] * len(bips), 0.1)
-    assert delta == ()
+    rejected, mu = resolve_pattern(4, bips, [0.0] * len(bips), 0.1)
+    assert survivors(bips, rejected) == []
     assert mu == Partition.one_block(4)
-    assert m_thres == len(bips)
+    assert rejected == (True,) * len(bips)
 
 
 def test_resolve_pattern_validation():
@@ -182,20 +195,55 @@ def test_alpha_monotonicity():
 
 def test_classify_against_truth_worked_example():
     truth = parse_partition("12|3|4")
-    bips = enumerate_bipartitions(4)
-    pvalues = oracle_pvalues(4, truth)
     out = infer_from_model(CorrelationModel(np.eye(4), 100), alpha=0.1)
     # identity data keeps all 7, truth entails 3: so 4 positives are missed
-    conf = classify_against_truth(out, truth)
+    conf = classify_against_truth(out, negatives(truth))
     assert (conf.tp, conf.fn, conf.tn, conf.fp) == (0, 4, 3, 0)
     assert conf.tp + conf.fn + conf.tn + conf.fp == out.m
 
 
 def test_classify_against_truth_edge_patterns():
     out = infer_from_model(CorrelationModel(np.eye(4), 100), alpha=0.1)
-    conf = classify_against_truth(out, Partition.one_block(4))
+    conf = classify_against_truth(out, negatives(Partition.one_block(4)))
     assert conf.tn + conf.fp == 0 and conf.tp + conf.fn == 7
-    conf = classify_against_truth(out, Partition.singletons(4))
+    conf = classify_against_truth(out, negatives(Partition.singletons(4)))
     assert conf.tp + conf.fn == 0 and conf.tn + conf.fp == 7
     with pytest.raises(ValueError):
-        classify_against_truth(out, Partition.one_block(5))
+        classify_against_truth(out, negatives(Partition.one_block(5)))
+
+
+def test_classify_against_truth_reads_the_rejection_flags():
+    # 12|3|4 entails the 2nd, 4th and 6th of the seven splits of 1234; the
+    # counts follow hand-set flags, whatever the tests' p-values say
+    out = infer_from_model(CorrelationModel(np.eye(4), 100), alpha=0.1)
+    flags = (True, True, False, False, True, False, False)
+    conf = classify_against_truth(replace(out, rejected=flags),
+                                  negatives(parse_partition("12|3|4")))
+    assert (conf.tp, conf.fn, conf.tn, conf.fp) == (2, 2, 2, 1)
+
+
+def test_rejected_is_a_tuple_of_python_bools():
+    model = CorrelationModel(sample_wishart_correlation(12, RngStream(20260843)), 300)
+    for correction in ("fdr", "bonferroni"):
+        out = infer_from_model(model, alpha=0.1, correction=correction)
+        assert type(out.rejected) is tuple and len(out.rejected) == len(out.tests)
+        assert all(type(flag) is bool for flag in out.rejected)
+        assert sum(out.rejected) == out.m_thres > 0
+        assert out.delta_hat == tuple(survivors(
+            [t.bipartition for t in out.tests], out.rejected))
+        assert out.m == len(out.tests) == 2047
+
+
+def test_noncentrality_is_computed_only_in_noncentral_mode(monkeypatch):
+    calls = []
+    original = mutindep.mdi.noncentrality
+
+    def counted(b, k):
+        calls.append(b)
+        return original(b, k)
+
+    monkeypatch.setattr(mutindep.mdi, "noncentrality", counted)
+    infer_from_model(hiv_model(), mode="central")
+    assert calls == []
+    out = infer_from_model(hiv_model(), mode="noncentral")
+    assert calls == [t.bipartition for t in out.tests]

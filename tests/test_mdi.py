@@ -5,6 +5,7 @@ import pytest
 
 import mutindep._kernels
 from mutindep.datasets import hiv_model
+from mutindep.distributions import chi2_sf, noncentral_chi2_sf
 from mutindep.errors import InternalNumericError, NotPositiveDefiniteError
 from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
@@ -103,7 +104,6 @@ def test_test_bipartition_identity():
     for b in enumerate_bipartitions(4):
         res = run_tests(model, [b])[0]
         assert res.p_value == 1.0
-        assert res.mode == "central"
         assert res.df == degrees_of_freedom(b)
 
 
@@ -275,13 +275,16 @@ def test_central_noncentral_agree_for_large_k():
         assert abs(central - noncentral) < 1e-3
 
 
-def test_results_carry_noncentrality_in_both_modes():
-    model = CorrelationModel(np.eye(3), 40)
+def test_p_value_takes_the_noncentrality_only_in_noncentral_mode():
     b = bip(3, [1, 3])
-    for mode in ("central", "noncentral"):
-        res = run_tests(model, [b], mode=mode)[0]
-        assert res.noncentrality == pytest.approx(noncentrality(b, 40))
-        assert res.mode == mode
+    wishart = sample_wishart_correlation(3, RngStream(20260844))
+    for r in (np.eye(3), wishart):
+        model = CorrelationModel(r, 40)
+        res = run_tests(model, [b], mode="central")[0]
+        assert res.p_value == chi2_sf(res.statistic, res.df)
+        res = run_tests(model, [b], mode="noncentral")[0]
+        assert res.p_value == noncentral_chi2_sf(res.statistic, res.df,
+                                                 noncentrality(b, 40))
 
 
 def test_data_pipeline_commutes_with_permutation():

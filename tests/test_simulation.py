@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import mutindep.simulation
+from mutindep.errors import NotPositiveDefiniteError
 from mutindep.inference import (
     MAX_VARIABLES,
     ConfusionCounts,
@@ -12,7 +14,9 @@ from mutindep.inference import (
 from mutindep.linalg import DataMatrix, sample_correlation
 from mutindep.partitions import (
     Partition,
+    bipartition_masks,
     entailed_dichotomies,
+    entailed_masks,
     enumerate_bipartitions,
     parse_partition,
 )
@@ -29,6 +33,10 @@ from mutindep.simulation import (
 )
 
 import oracles
+
+
+def negatives(truth):
+    return entailed_masks(bipartition_masks(truth.n), truth)
 
 
 # --- model generation -------------------------------------------------------
@@ -66,13 +74,14 @@ def test_generate_model_block_diagonal_structure():
 
 def test_auc_edge_values():
     truth = parse_partition("12|3|4")  # 3 negatives, 4 positives
-    negatives = {str(b) for b in entailed_dichotomies(truth)}
+    entailed = {str(b) for b in entailed_dichotomies(truth)}
     order = [str(b) for b in enumerate_bipartitions(4)]
-    perfect = [1.0 if s in negatives else 0.0 for s in order]
-    assert auc(perfect, truth) == 1.0
-    assert auc([0.5] * 7, truth) == 0.5
-    anti = [0.0 if s in negatives else 1.0 for s in order]
-    assert auc(anti, truth) == 0.0
+    perfect = [1.0 if s in entailed else 0.0 for s in order]
+    negative = negatives(truth)
+    assert auc(perfect, negative) == 1.0
+    assert auc([0.5] * 7, negative) == 0.5
+    anti = [0.0 if s in entailed else 1.0 for s in order]
+    assert auc(anti, negative) == 0.0
 
 
 def test_auc_hand_example_via_oracle():
@@ -81,21 +90,22 @@ def test_auc_hand_example_via_oracle():
 
 
 def test_auc_undefined_cases():
-    assert auc([0.5] * 31, Partition.one_block(6)) is None
-    assert auc([0.5] * 31, Partition.singletons(6)) is None
+    assert auc([0.5] * 31, negatives(Partition.one_block(6))) is None
+    assert auc([0.5] * 31, negatives(Partition.singletons(6))) is None
 
 
 def test_auc_matches_threshold_sweep_oracle():
     rng = np.random.default_rng(20260835)
     truth = parse_partition("12|34|5|6")
     bips = enumerate_bipartitions(6)
-    negatives = {str(b) for b in entailed_dichotomies(truth)}
+    entailed = {str(b) for b in entailed_dichotomies(truth)}
+    negative = negatives(truth)
     for _ in range(100):
         # discretized p-values force plenty of ties
         pvals = rng.integers(0, 6, size=31) / 5.0
-        got = auc(pvals, truth)
-        pos = [p for b, p in zip(bips, pvals) if str(b) not in negatives]
-        neg = [p for b, p in zip(bips, pvals) if str(b) in negatives]
+        got = auc(pvals, negative)
+        pos = [p for b, p in zip(bips, pvals) if str(b) not in entailed]
+        neg = [p for b, p in zip(bips, pvals) if str(b) in entailed]
         assert got == pytest.approx(oracles.roc_auc_sweep(pos, neg), abs=1e-12)
 
 
@@ -110,7 +120,8 @@ def test_auc_equals_the_pairwise_count_bit_for_bit():
         pos, neg = pvals[~negative], pvals[negative]
         wins = np.count_nonzero(pos[:, None] < neg[None, :])
         ties = np.count_nonzero(pos[:, None] == neg[None, :])
-        assert auc(pvals, truth) == float((wins + 0.5 * ties) / (pos.size * neg.size))
+        expected = float((wins + 0.5 * ties) / (pos.size * neg.size))
+        assert auc(pvals, negative) == expected
 
 
 def test_sensitivity_specificity_undefined_flags():
@@ -164,6 +175,10 @@ def test_config_validation():
         SimulationConfig(n=6, block_counts=(7,))
     with pytest.raises(ValueError):
         SimulationConfig(subset_sizes=(50, 400))
+    # the correlation of at most n rows is singular
+    with pytest.raises(ValueError, match="subset size 6 outside 7"):
+        SimulationConfig(n=6, subset_sizes=(6, 50))
+    SimulationConfig(n=6, subset_sizes=(7, 50))
     with pytest.raises(ValueError):
         SimulationConfig(runs_per_k=0)
     with pytest.raises(ValueError):
@@ -206,21 +221,29 @@ def test_campaign_nested_subsets_reuse_prefix():
     truth, sigma = generate_model(config.n, 3, rng)
     assert campaign.rows[0].truth == str(truth)
     data = sample_mvn(sigma, config.max_samples, rng)
+    negative = negatives(truth)
     for row in campaign.rows:
         assert not row.failed
         model = sample_correlation(DataMatrix(data.values[: row.size]))
         outcome = infer_from_model(model, alpha=config.alpha)
-        confusion = classify_against_truth(outcome, truth)
+        confusion = classify_against_truth(outcome, negative)
         assert row.sensitivity == sensitivity(confusion)
         assert row.specificity == specificity(confusion)
-        assert row.auc == auc([t.p_value for t in outcome.tests], truth)
+        assert row.auc == auc([t.p_value for t in outcome.tests], negative)
         assert row.correct == (outcome.mu_hat == truth)
 
 
-def test_campaign_records_failures_without_aborting(tmp_path):
-    config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(4, 50))
+def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
+    correlate = mutindep.simulation.sample_correlation
+
+    def fails_at_size_30(data):
+        if data.k == 30:
+            raise NotPositiveDefiniteError("not positive definite", part="full")
+        return correlate(data)
+
+    monkeypatch.setattr(mutindep.simulation, "sample_correlation", fails_at_size_30)
+    config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(30, 50))
     campaign = run_campaign(config)
-    # 4 samples of 6 variables cannot give a positive-definite correlation
     assert [row.failed for row in campaign.rows] == [True, False] * 3
     assert campaign.failure_count() == 3
     for row in campaign.rows[::2]:
@@ -231,6 +254,20 @@ def test_campaign_records_failures_without_aborting(tmp_path):
     for line in lines[::2]:
         # sensitivity, specificity, auc and correct are empty cells
         assert line.split(",")[4:8] == [""] * 4 and line.endswith(",1")
+
+
+def test_campaign_finds_each_runs_negatives_once(monkeypatch):
+    calls = []
+    original = mutindep.simulation.entailed_masks
+
+    def counted(masks, truth):
+        calls.append(truth)
+        return original(masks, truth)
+
+    monkeypatch.setattr(mutindep.simulation, "entailed_masks", counted)
+    campaign = run_campaign(small_config())
+    assert campaign.run_count() == 12 and len(campaign.rows) == 24
+    assert [str(truth) for truth in calls] == [row.truth for row in campaign.rows[::2]]
 
 
 def test_summary_structure(tmp_path):
