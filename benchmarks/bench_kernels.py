@@ -10,7 +10,7 @@ running with PYTHONPATH pointing at another checkout's `src` measures that
 checkout.
 
 With --out, the printed rows are also written to FILE as JSON, together
-with the kernel name, the number of cores and the python, numpy and scipy
+with the kernel name, the number of cores and the python and numpy
 versions.  Each row keeps its time under the kernel name ("python"), as in
 the earlier BENCH_*.json files, so they compare row by row.
 """
@@ -22,7 +22,6 @@ import platform
 import time
 
 import numpy as np
-import scipy
 
 import mutindep
 from mutindep import _kernels
@@ -104,7 +103,6 @@ def main(argv=None):
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "rows": rows,
         }
         with open(args.out, "w") as fh:

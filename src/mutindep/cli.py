@@ -34,10 +34,6 @@ _EXIT_INTERNAL = 1
 _EXIT_USAGE = 2
 
 
-class UserInputError(ValueError):
-    """Bad file, flag, or data supplied by the caller (exit code 2)."""
-
-
 def _default_seed():
     raw = os.environ.get(SEED_ENV_VAR, "").strip()
     if not raw:
@@ -45,7 +41,7 @@ def _default_seed():
     try:
         return int(raw)
     except ValueError:
-        raise UserInputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _read_data_csv(path):
@@ -54,30 +50,30 @@ def _read_data_csv(path):
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except OSError as exc:
-        raise UserInputError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
     if not rows:
-        raise UserInputError(f"{path} is empty")
+        raise ValueError(f"{path} is empty")
     header = None
     first = rows[0]
     if not all(_is_number(cell) for cell in first):
         header = [cell.strip() for cell in first]
         rows = rows[1:]
         if not rows:
-            raise UserInputError(f"{path} has a header but no data rows")
+            raise ValueError(f"{path} has a header but no data rows")
     width = len(rows[0])
     if width < 2:
-        raise UserInputError("need at least 2 variable columns")
+        raise ValueError("need at least 2 variable columns")
     data = []
     for i, row in enumerate(rows, start=2 if header else 1):
         if len(row) != width:
-            raise UserInputError(
+            raise ValueError(
                 f"ragged CSV: line {i} has {len(row)} cells, expected {width}"
             )
         try:
             data.append([float(cell) for cell in row])
         except ValueError:
             bad = next(cell for cell in row if not _is_number(cell))
-            raise UserInputError(f"non-numeric cell {bad!r} on line {i}")
+            raise ValueError(f"non-numeric cell {bad!r} on line {i}")
     return data, header
 
 
@@ -95,21 +91,21 @@ def _read_matrix(path):
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise UserInputError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
     if not lines:
-        raise UserInputError(f"{path} is empty")
+        raise ValueError(f"{path} is empty")
     matrix = []
     for i, line in enumerate(lines, start=1):
         cells = [c for c in line.replace(",", " ").split() if c]
         try:
             matrix.append([float(c) for c in cells])
         except ValueError:
-            raise UserInputError(f"non-numeric cell on line {i} of {path}")
+            raise ValueError(f"non-numeric cell on line {i} of {path}")
     width = len(matrix[0])
     if any(len(row) != width for row in matrix):
-        raise UserInputError(f"ragged matrix in {path}")
+        raise ValueError(f"ragged matrix in {path}")
     if len(matrix) != width:
-        raise UserInputError(
+        raise ValueError(
             f"matrix in {path} is {len(matrix)}x{width}, expected square"
         )
     return matrix
@@ -147,7 +143,7 @@ def _writing(path):
     try:
         yield
     except OSError as exc:
-        raise UserInputError(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit(text, output_path):
@@ -185,11 +181,11 @@ def _render_outcome(outcome, n, k, fmt, columns=None):
 def cmd_infer(args):
     if args.correlation is not None:
         if args.data is not None:
-            raise UserInputError("give either a data CSV or --correlation, not both")
+            raise ValueError("give either a data CSV or --correlation, not both")
         if args.samples is None:
-            raise UserInputError("--correlation requires --samples")
+            raise ValueError("--correlation requires --samples")
         if args.samples < 3:
-            raise UserInputError("--samples must be at least 3")
+            raise ValueError("--samples must be at least 3")
         model = CorrelationModel(_read_matrix(args.correlation), args.samples)
         outcome = infer_from_model(
             model, alpha=args.alpha, correction=args.correction, mode=args.mode
@@ -197,7 +193,7 @@ def cmd_infer(args):
         n, k, columns = model.n, model.k, None
     else:
         if args.data is None:
-            raise UserInputError("need a data CSV path or --correlation")
+            raise ValueError("need a data CSV path or --correlation")
         rows, header = _read_data_csv(args.data)
         data = DataMatrix(rows)
         outcome = infer_from_data(
@@ -233,10 +229,10 @@ def _parse_sizes_arg(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UserInputError("--sizes range must look like start:stop:step")
+            raise ValueError("--sizes range must look like start:stop:step")
         start, stop, step = (int(p) for p in parts)
         if step <= 0:
-            raise UserInputError("--sizes step must be positive")
+            raise ValueError("--sizes step must be positive")
         return tuple(range(start, stop + 1, step))
     return tuple(int(tok) for tok in text.split(",") if tok)
 

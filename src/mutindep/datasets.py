@@ -21,9 +21,6 @@ HIV_VARIABLE_NAMES = (
 
 HIV_SAMPLE_COUNT = 107
 
-# Sample variances from the same summary table (diagonal entries).
-HIV_SAMPLE_VARIANCES = (8.84, 0.192, 8.92e6, 2.03e4, 1.95e6, 1.39)
-
 # Lower triangle of the correlation matrix, rows 2..6.
 _HIV_LOWER = (
     (0.483,),

@@ -156,13 +156,6 @@ class Bipartition:
     def members(self):
         return self._members
 
-    def member_elements(self):
-        """1-based elements of the block containing element 1."""
-        return tuple(i + 1 for i in range(self._n) if (self._members >> i) & 1)
-
-    def complement_elements(self):
-        return tuple(i + 1 for i in range(self._n) if not (self._members >> i) & 1)
-
     def sizes(self):
         """(|a|, |complement|) block cardinalities."""
         na = self._members.bit_count()
@@ -227,15 +220,7 @@ def join(p, q):
 
 def is_refinement(p, q):
     """True iff every block of p lies inside a block of q (p <= q)."""
-    _check_same_n(p, q)
-    image = {}
-    for pb, qb in zip(p.assignment, q.assignment):
-        if pb in image:
-            if image[pb] != qb:
-                return False
-        else:
-            image[pb] = qb
-    return True
+    return meet(p, q) == p
 
 
 def meet_all(partitions):
@@ -433,29 +418,12 @@ def parse_partition(text):
     # Whole numbers first; the digit-run reading only exists for n <= 9, and
     # at most one of the two interpretations can form a valid partition.
     numbers = [[int(t) for t in toks] for toks in token_blocks]
-    parsed, error = _try_blocks(numbers)
-    if parsed is not None:
-        return parsed
-    if any(len(t) > 1 for toks in token_blocks for t in toks) and all(
-        "0" not in t for toks in token_blocks for t in toks
-    ):
-        digits = [[int(ch) for t in toks for ch in t] for toks in token_blocks]
-        parsed, digit_error = _try_blocks(digits)
-        if parsed is not None:
-            return parsed
-        error = digit_error
-    raise ValueError(error)
-
-
-def _try_blocks(blocks):
-    elements = sorted(e for b in blocks for e in b)
-    if elements and 0 in elements:
-        return None, "element indices are 1-based; got 0"
-    n = elements[-1] if elements else 0
-    for i, e in enumerate(elements):
-        if i > 0 and e == elements[i - 1]:
-            return None, f"duplicate element {e}"
-    if len(elements) != n:
-        missing = next(e for e in range(1, n + 1) if e not in set(elements))
-        return None, f"missing element {missing}"
-    return Partition.from_blocks(blocks, n), None
+    try:
+        return Partition.from_blocks(numbers)
+    except ValueError:
+        tokens = [t for toks in token_blocks for t in toks]
+        if all(len(t) == 1 for t in tokens) or any("0" in t for t in tokens):
+            raise
+    return Partition.from_blocks(
+        [[int(ch) for t in toks for ch in t] for toks in token_blocks]
+    )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mutindep import distributions
 from mutindep.distributions import chi2_sf, noncentral_chi2_sf
 
 import oracles
@@ -24,11 +25,24 @@ def test_standard_quantile():
 
 
 def test_sf_matches_series_cf_oracle():
-    for df in (1, 2, 3, 5, 10, 50, 120, 200):
-        for x in np.linspace(0.0, 500.0, 26):
-            assert chi2_sf(x, df) == pytest.approx(
-                oracles.chi2_sf_oracle(x, df), abs=1e-10
-            )
+    # every df an analysis of n <= 20 variables can produce, x up to 2000
+    xs = np.concatenate([np.geomspace(1e-3, 20.0, 15), np.linspace(0.0, 2000.0, 101)])
+    for df in list(range(1, 101)) + [120, 200]:
+        for x in xs:
+            expected = oracles.chi2_sf_oracle(x, df)
+            got = chi2_sf(x, df)
+            assert got == pytest.approx(expected, abs=1e-10)
+            if expected > 1e-300:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_sf_stays_finite_at_huge_statistics():
+    # the sum is rescaled and e^-x/2 applied in logs, so neither overflows;
+    # every tail here is below the smallest subnormal float
+    for df in range(1, 101):
+        for x in np.geomspace(1e5, 1e308, 30):
+            assert chi2_sf(x, df) == 0.0
+        assert noncentral_chi2_sf(1e300, df, 2.0) == 0.0
 
 
 def test_invalid_arguments():
@@ -38,6 +52,9 @@ def test_invalid_arguments():
         chi2_sf(-0.5, 3)
     with pytest.raises(ValueError):
         chi2_sf(1.0, 2.5)
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            chi2_sf(x, 4)
     with pytest.raises(ValueError):
         noncentral_chi2_sf(1.0, 3, -0.1)
 
@@ -87,10 +104,33 @@ def _mixture_loop(x, df, lam):
 
 
 def test_cached_weights_give_the_loop_bit_for_bit():
+    # the recurrence from one central tail sums in another order than the
+    # loop over independently evaluated tails, so the two agree to 1e-12
+    # relative; a weight-cache hit must not move a single bit
     rng = np.random.default_rng(20260844)
     lams = [1e-6, 0.03, 0.2, 1.0, 4.0, 30.0]
-    for _ in range(3):  # the second and third pass hit the weight cache
-        for lam in lams:
-            for df in (1, 4, 9, 36):
-                for x in np.concatenate([[0.0], rng.exponential(df, size=5)]):
-                    assert noncentral_chi2_sf(x, df, lam) == _mixture_loop(x, df, lam)
+    cases = [
+        (x, df, lam)
+        for lam in lams
+        for df in (1, 4, 9, 36)
+        for x in np.concatenate([[0.0], rng.exponential(df, size=5)])
+    ]
+    first = [noncentral_chi2_sf(*case) for case in cases]
+    for case, value in zip(cases, first):
+        assert value == pytest.approx(_mixture_loop(*case), rel=1e-12, abs=0.0)
+    for _ in range(2):  # the second and third pass hit the weight cache
+        assert [noncentral_chi2_sf(*case) for case in cases] == first
+
+
+def test_noncentral_computes_one_central_tail(monkeypatch):
+    calls = []
+
+    def counted(x, df):
+        calls.append(df)
+        return chi2_sf(x, df)
+
+    monkeypatch.setattr(distributions, "chi2_sf", counted)
+    for lam in (0.0, 0.5, 30.0):
+        calls.clear()
+        noncentral_chi2_sf(7.5, 9, lam)
+        assert calls == [9]

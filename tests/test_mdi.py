@@ -58,7 +58,7 @@ def test_statistic_permutation_invariance():
     permuted = CorrelationModel(r[np.ix_(perm, perm)], 80)
     b = bip(5, [1, 3, 4])
     # apply the same permutation to the member set
-    mapped = [perm.index(e - 1) + 1 for e in b.member_elements()]
+    mapped = [perm.index(e - 1) + 1 for e in b.to_partition().blocks()[0]]
     b_perm = bip(5, mapped) if 1 in mapped else bip(5, [
         e for e in range(1, 6) if e not in mapped
     ])
@@ -112,7 +112,7 @@ def test_hiv_flagged_dichotomy():
     res = run_tests(model, [bip(6, [1, 2, 3, 5, 6])])[0]
     assert res.p_value == pytest.approx(0.332, abs=0.005)
     for b in enumerate_bipartitions(6):
-        if b.member_elements() == (1, 2, 3, 5, 6):
+        if b.to_partition().blocks()[0] == (1, 2, 3, 5, 6):
             continue
         assert run_tests(model, [b])[0].p_value < 1e-4
 
@@ -296,10 +296,11 @@ def test_data_pipeline_commutes_with_permutation():
     permuted = run_tests(sample_correlation(DataMatrix(data[:, perm])),
                                  enumerate_bipartitions(4))
     by_members = {
-        frozenset(t.bipartition.member_elements()): t.statistic for t in direct
+        frozenset(t.bipartition.to_partition().blocks()[0]): t.statistic for t in direct
     }
     for t in permuted:
-        orig = frozenset(perm[e - 1] + 1 for e in t.bipartition.member_elements())
+        members = t.bipartition.to_partition().blocks()[0]
+        orig = frozenset(perm[e - 1] + 1 for e in members)
         if 1 not in orig:
             orig = frozenset(range(1, 5)) - orig
         assert t.statistic == pytest.approx(by_members[orig], rel=1e-9, abs=1e-12)

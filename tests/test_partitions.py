@@ -229,8 +229,9 @@ def test_enumerate_bipartitions_order_and_membership():
     assert masks == sorted(masks)
     assert len(set(masks)) == len(masks)
     for b in bips:
-        assert 1 in b.member_elements()
-        assert b.complement_elements()
+        members, complement = b.to_partition().blocks()
+        assert 1 in members
+        assert complement
 
 
 def test_bipartition_validation():
