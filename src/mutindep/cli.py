@@ -25,7 +25,7 @@ from .inference import CORRECTIONS, infer_from_data, infer_from_model
 from .linalg import CorrelationModel, DataMatrix
 from .mdi import MODES
 from .partitions import entailed_dichotomies, format_partition, meet_all, parse_partition
-from .simulation import SimulationConfig, run_campaign, write_json
+from .simulation import SimulationConfig, open_output, run_campaign, write_json
 
 SEED_ENV_VAR = "MUTINDEP_SEED"
 
@@ -148,7 +148,7 @@ def _writing(path):
 
 def _emit(text, output_path):
     if output_path:
-        with _writing(output_path), open(output_path, "w", encoding="utf-8") as fh:
+        with _writing(output_path), open_output(output_path, encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

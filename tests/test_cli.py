@@ -78,6 +78,14 @@ def test_infer_output_file_and_formats(two_column_csv, tmp_path, capsys):
     assert csv_text.splitlines()[1].startswith("1|2,")
 
 
+def test_infer_output_replaces_a_longer_file(two_column_csv, tmp_path):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_text("x" * 100_000)
+    for out in (fresh, reused):
+        assert main(["infer", str(two_column_csv), "--output", str(out)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_infer_bad_inputs(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -263,6 +271,19 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert main(argv) == 2, bad
         capsys.readouterr()
         assert not (tmp_path / "x.csv").exists(), bad
+
+
+def test_simulate_rerun_onto_the_same_paths(tmp_path, capsys):
+    def simulate(name):
+        paths = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        argv = _SMALL_CAMPAIGN + ["--csv", str(paths[0]), "--summary", str(paths[1])]
+        assert main(argv) == 0
+        return [path.read_bytes() for path in paths]
+
+    fresh = simulate("fresh")
+    simulate("reused")
+    assert simulate("reused") == fresh
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

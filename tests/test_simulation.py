@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from mutindep.simulation import (
     auc,
     correct_ratio,
     generate_model,
+    open_output,
     run_campaign,
     sensitivity,
     specificity,
     within_block_correlation,
+    write_json,
 )
 
 import oracles
@@ -284,3 +287,57 @@ def test_summary_structure(tmp_path):
     campaign.write_summary(out)
     parsed = json.loads(out.read_text())
     assert parsed == json.loads(json.dumps(summary))
+
+
+_OLD_BYTES = b"old contents, longer than anything written below\n" * 4
+
+
+def _write(path, text):
+    with open_output(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def test_open_output_replaces_a_regular_file(tmp_path):
+    # a rewrite makes a new file: a hard link keeps the old bytes and the
+    # path gets exactly the new ones, with no stale tail
+    path, link = tmp_path / "out.json", tmp_path / "link.json"
+    path.write_bytes(_OLD_BYTES)
+    os.link(path, link)
+    write_json({"a": 1}, path)
+    assert link.read_bytes() == _OLD_BYTES
+    assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+    assert not os.path.samefile(path, link)
+
+
+def test_open_output_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(_OLD_BYTES)
+    link.symlink_to(target)
+    _write(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+
+
+def test_open_output_truncates_when_unlink_fails(tmp_path, monkeypatch):
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    path = tmp_path / "out.txt"
+    path.write_bytes(_OLD_BYTES)
+    _write(path, "new\n")
+    assert path.read_bytes() == b"new\n"
+
+
+def test_open_output_unlinks_only_regular_files(tmp_path, monkeypatch):
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)  # deletes nothing
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(_OLD_BYTES)
+    link.symlink_to(target)
+    _write(os.devnull, "new\n")
+    _write(link, "new\n")
+    _write(tmp_path / "missing.txt", "new\n")
+    assert unlinked == []
+    _write(target, "new\n")
+    assert unlinked == [target]
