@@ -5,10 +5,12 @@ Usage: python benchmarks/bench_kernels.py [--out FILE]
 Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models), the 300-run desk simulation on
-one thread, and the rewrite of that campaign's CSV and summary onto the
-same two paths, as a campaign re-run into the same files does.  The
-package measured is the one `import mutindep` finds, so running with
-PYTHONPATH pointing at another checkout's `src` measures that checkout.
+one thread, the rewrite of that campaign's CSV and summary onto the
+same two paths, as a campaign re-run into the same files does, and a
+`mutindep simulate` process re-run onto its own --csv and --summary.
+The package measured is the one `import mutindep` finds, so running with
+PYTHONPATH pointing at another checkout's `src` measures that checkout
+(the re-run processes are given that package's directory as PYTHONPATH).
 
 With --out, the printed rows are also written to FILE as JSON, together
 with the kernel name, the number of cores and the python and numpy
@@ -20,6 +22,9 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -108,12 +113,38 @@ def bench_campaign():
     return rows
 
 
+def bench_cli_rerun(repeats=7):
+    print()
+    print("mutindep simulate of a 30-run desk campaign, second run onto the same"
+          " --csv and --summary (median per process)")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(mutindep.__file__)))
+    command = [sys.executable, "-c", "from mutindep.cli import entrypoint; entrypoint()",
+               "simulate", "--n", "6", "--runs", "5", "--samples", "300", "--seed", "0"]
+    times = []
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as workdir:
+            argv = command + ["--csv", os.path.join(workdir, "campaign.csv"),
+                              "--summary", os.path.join(workdir, "summary.json")]
+
+            def simulate():
+                subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+
+            simulate()  # writes the outputs the timed run replaces
+            start = time.perf_counter()
+            simulate()
+            times.append(time.perf_counter() - start)
+    t = statistics.median(times)
+    print(f"  {t * 1e3:.1f}ms")
+    return [_row("cli_simulate_rerun", 30, t)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = bench_batch() + bench_infer() + bench_campaign()
+    rows = bench_batch() + bench_infer() + bench_campaign() + bench_cli_rerun()
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

@@ -236,17 +236,21 @@ def open_output(path, **kwargs):
     """Open `path` for writing, as `open(path, "w", **kwargs)` does, but
     replace an existing regular file with a new one instead of truncating it.
 
-    On ext4 with its default `auto_da_alloc`, truncating a file that was
-    just rewritten waits for the writeback of its old pages (40-90 ms a
-    call on a 2-core virtual machine), and so does renaming a new file over
-    it; unlinking it and creating a new file does not wait.  So hard links
-    to the old file keep its contents, and the new file takes the default
-    permissions.  Anything that is not a regular file (a missing path, a
-    symlink, a device, a FIFO) is opened as it is, and so is a file that
-    cannot be unlinked.
+    On ext4 with its default `auto_da_alloc`, closing a file that was
+    truncated and rewritten allocates its blocks at once, so the next
+    truncate of it must free them: 25-50 ms a call on a 2-core virtual
+    machine, every time `mutindep simulate` or a campaign loop rewrites the
+    same output.  Renaming a new file over it frees them too.  A new file
+    keeps its blocks unallocated until the kernel writes it back (about
+    30 s later), so unlinking it before then frees nothing on disk.  Hard
+    links to the old file keep its contents, and the new file takes the
+    default permissions.  Anything that is not a regular file (a missing
+    path, a symlink, a device, a FIFO) is opened as it is, and so is a file
+    the caller may not write or cannot unlink, so a write-protected file
+    is still refused.
     """
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
             os.unlink(path)
     except OSError:
         pass

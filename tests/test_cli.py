@@ -86,6 +86,17 @@ def test_infer_output_replaces_a_longer_file(two_column_csv, tmp_path):
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+def test_infer_output_refuses_a_read_only_file(two_column_csv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_bytes(b"old\n")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("this process may write a read-only file (root)")
+    assert main(["infer", str(two_column_csv), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert out.read_bytes() == b"old\n"
+
+
 def test_infer_bad_inputs(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

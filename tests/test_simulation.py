@@ -341,3 +341,16 @@ def test_open_output_unlinks_only_regular_files(tmp_path, monkeypatch):
     assert unlinked == []
     _write(target, "new\n")
     assert unlinked == [target]
+
+
+def test_open_output_does_not_unlink_a_file_it_may_not_write(tmp_path, monkeypatch):
+    # a write-protected file is opened "w" as before, so it is refused
+    # unless the caller could have truncated it anyway
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)  # deletes nothing
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    path = tmp_path / "out.txt"
+    path.write_bytes(_OLD_BYTES)
+    _write(path, "new\n")
+    assert unlinked == []
+    assert path.read_bytes() == b"new\n"
