@@ -68,16 +68,30 @@ def noncentral_chi2_sf(x, df, lam):
     sf = chi2_sf(x, df)
     if lam == 0.0:
         return sf
-    h, a = x / 2.0, df / 2.0
+    weights = _poisson_weights(lam)
+    log_gamma, log_a = _log_ladder(df, len(weights))
+    h = x / 2.0
     log_h = math.log(h) if h > 0.0 else -math.inf
-    log_step = a * log_h - h - math.lgamma(a + 1.0)
+    log_step = df / 2.0 * log_h - h - log_gamma
     acc = 0.0
-    for weight in _poisson_weights(lam):
+    for weight, log_next in zip(weights, log_a):
         acc += weight * sf
         sf += math.exp(log_step)
-        a += 1.0
-        log_step += log_h - math.log(a)
+        log_step += log_h - log_next
     return min(acc, 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _log_ladder(df, terms):
+    """lgamma(df/2 + 1) and log(df/2 + j) for j = 1..terms.
+
+    They depend on df and the mixture length alone, which take a few values
+    per model (df on the block sizes, the length on lam), so they are
+    computed once per pair.  df/2 + j is exact in binary, so each log is the
+    one the mixture loop would take of its running df/2 + j.
+    """
+    a = df / 2.0
+    return math.lgamma(a + 1.0), tuple(math.log(a + j) for j in range(1, terms + 1))
 
 
 @functools.lru_cache(maxsize=64)

@@ -21,11 +21,12 @@ from .partitions import Partition, enumerate_bipartitions, meet_all
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
 # Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
-# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 300
-# bytes per test (240 of them the TestResults and Bipartitions the outcome
-# keeps) and the command line's JSON rendering at about 1.8 KiB;
-# BYTES_PER_TEST rounds the largest up.  The kernel's MAX_VARIABLES keeps
-# an analysis within about 1 GiB.
+# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 310
+# bytes per test on the first call for an n (250 of them the TestResults
+# the outcome keeps and the Bipartitions enumerate_bipartitions keeps for
+# that n; about 225 on later calls) and the command line's JSON rendering,
+# outcome included, at about 1.6 KiB; BYTES_PER_TEST rounds the largest
+# up.  The kernel's MAX_VARIABLES keeps an analysis within about 1 GiB.
 BYTES_PER_TEST = 2048
 
 

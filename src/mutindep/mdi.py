@@ -120,18 +120,27 @@ def mdi_statistics(model, bipartitions):
 
 
 def test_bipartitions(model, bipartitions, mode="central"):
-    """TestResults for a batch of bipartitions over one shared model."""
+    """TestResults for a batch of bipartitions over one shared model.
+
+    A test's df and noncentrality depend only on the size of its members
+    block (the model fixes n and k), so each is computed once per size.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     bipartitions = list(bipartitions)
-    stats = mdi_statistics(model, bipartitions)
+    stats = mdi_statistics(model, bipartitions).tolist()
+    n = model.n
+    dfs = [na * (n - na) for na in range(n + 1)]
+    lams = {}
     results = []
     for b, stat in zip(bipartitions, stats):
-        stat = float(stat)
-        df = degrees_of_freedom(b)
+        na = b.members.bit_count()
+        df = dfs[na]
         if mode == "central":
             p = chi2_sf(stat, df)
         else:
-            p = noncentral_chi2_sf(stat, df, noncentrality(b, model.k))
+            if na not in lams:
+                lams[na] = noncentrality(b, model.k)
+            p = noncentral_chi2_sf(stat, df, lams[na])
         results.append(TestResult(b, stat, df, p))
     return results

@@ -256,8 +256,19 @@ def bipartition_masks(n):
 
 
 def enumerate_bipartitions(n):
-    """All 2^(n-1) - 1 bipartitions of {1..n}, ascending by members bitmask."""
-    return [Bipartition(n, members) for members in bipartition_masks(n).tolist()]
+    """All 2^(n-1) - 1 bipartitions of {1..n}, ascending by members bitmask.
+
+    Each call returns a new list, but the Bipartitions in it (immutable) are
+    built once and shared by the calls for the same n as the last one.
+    """
+    return list(_bipartitions(n))
+
+
+# one entry: a campaign or a batch of analyses keeps to one n, and at
+# n = MAX_VARIABLES (20) the entry holds about 42 MiB
+@functools.lru_cache(maxsize=1, typed=True)
+def _bipartitions(n):
+    return tuple(Bipartition(n, members) for members in bipartition_masks(n).tolist())
 
 
 def block_masks(mu):

@@ -122,6 +122,39 @@ def test_cached_weights_give_the_loop_bit_for_bit():
         assert [noncentral_chi2_sf(*case) for case in cases] == first
 
 
+def _uncached_recurrence(x, df, lam):
+    """noncentral_chi2_sf's recurrence with every weight, lgamma and log
+    taken afresh in the loop."""
+    q = lam / 2.0
+    log_q = math.log(q)
+    weights = []
+    total = 0.0
+    while total < 1.0 - 1e-12:
+        weights.append(math.exp(-q + len(weights) * log_q - math.lgamma(len(weights) + 1)))
+        total += weights[-1]
+    sf = chi2_sf(x, df)
+    h, a = x / 2.0, df / 2.0
+    log_h = math.log(h) if h > 0.0 else -math.inf
+    log_step = a * log_h - h - math.lgamma(a + 1.0)
+    acc = 0.0
+    for weight in weights:
+        acc += weight * sf
+        sf += math.exp(log_step)
+        a += 1.0
+        log_step += log_h - math.log(a)
+    return min(acc, 1.0)
+
+
+def test_log_ladder_cache_gives_the_uncached_recurrence():
+    # a short mixture first, then a long one at the same df: a ladder cached
+    # for the first must not cut the second short
+    distributions._log_ladder.cache_clear()
+    for df in (1, 6, 35):
+        for lam in (0.01, 40.0, 0.01, 3.0):
+            for x in (0.0, 0.7 * df, 3.0 * df):
+                assert noncentral_chi2_sf(x, df, lam) == _uncached_recurrence(x, df, lam)
+
+
 def test_noncentral_computes_one_central_tail(monkeypatch):
     calls = []
 

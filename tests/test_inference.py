@@ -5,6 +5,7 @@ import pytest
 
 import mutindep.mdi
 from mutindep.datasets import hiv_model
+from mutindep.distributions import noncentral_chi2_sf
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
 from mutindep.inference import (
     MAX_VARIABLES,
@@ -243,7 +244,14 @@ def test_noncentrality_is_computed_only_in_noncentral_mode(monkeypatch):
         return original(b, k)
 
     monkeypatch.setattr(mutindep.mdi, "noncentrality", counted)
-    infer_from_model(hiv_model(), mode="central")
+    model = hiv_model()
+    infer_from_model(model, mode="central")
     assert calls == []
-    out = infer_from_model(hiv_model(), mode="noncentral")
-    assert calls == [t.bipartition for t in out.tests]
+    out = infer_from_model(model, mode="noncentral")
+    # at most one call per members size, and every test's tail uses the
+    # noncentrality of its own bipartition
+    sizes = [b.sizes()[0] for b in calls]
+    assert calls and len(sizes) == len(set(sizes)) <= model.n - 1
+    for t in out.tests:
+        lam = original(t.bipartition, model.k)
+        assert t.p_value == noncentral_chi2_sf(t.statistic, t.df, lam)

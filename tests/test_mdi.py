@@ -126,6 +126,25 @@ def test_batch_matches_singles():
         assert mdi_statistics(model, [b])[0] == stat
 
 
+def test_batch_constants_match_per_test_calls():
+    # df and the noncentrality are computed once per members size; each
+    # test must still get exactly what the public per-test calls give
+    rng = RngStream(20260848)
+    for n in range(2, 9):
+        model = CorrelationModel(sample_wishart_correlation(n, rng), 40 + 10 * n)
+        bips = enumerate_bipartitions(n)
+        stats = mdi_statistics(model, bips).tolist()
+        central = run_tests(model, bips, "central")
+        noncentral = run_tests(model, bips, "noncentral")
+        for b, stat, c, nc in zip(bips, stats, central, noncentral, strict=True):
+            df = degrees_of_freedom(b)
+            assert c.bipartition == nc.bipartition == b
+            assert c.statistic == nc.statistic == stat
+            assert c.df == nc.df == df
+            assert c.p_value == chi2_sf(stat, df)
+            assert nc.p_value == noncentral_chi2_sf(stat, df, noncentrality(b, model.k))
+
+
 def test_dimension_and_sample_guards():
     model = CorrelationModel(np.eye(3), 100)
     with pytest.raises(ValueError):

@@ -223,6 +223,20 @@ def test_enumerate_bipartitions_counts():
     assert len(two) == 1 and str(two[0]) == "1|2"
 
 
+def test_enumerate_bipartitions_shares_only_the_objects():
+    def fresh(n):
+        return [Bipartition(n, members) for members in range(1, 2**n - 1, 2)]
+
+    lists = [enumerate_bipartitions(n) for n in (4, 5, 4)]
+    for bips, n in zip(lists, (4, 5, 4)):
+        assert bips == fresh(n)
+        assert all(type(b.n) is int and b.n == n for b in bips)
+    assert lists[0] is not lists[2]
+    lists[2].clear()
+    lists[2].append(Bipartition(4, 1))
+    assert enumerate_bipartitions(4) == fresh(4)
+
+
 def test_enumerate_bipartitions_order_and_membership():
     bips = enumerate_bipartitions(5)
     masks = [b.members for b in bips]
