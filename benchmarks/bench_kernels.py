@@ -4,9 +4,11 @@ Usage: python benchmarks/bench_kernels.py [--out FILE]
 
 Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
-noncentral mode (on the same models), the 300-run desk simulation on
-one thread, the rewrite of that campaign's CSV and summary onto the
-same two paths, as a campaign re-run into the same files does, and a
+noncentral mode (on the same models) and on identity models, where
+every dichotomy survives and the meet is the cost, the 300-run desk
+simulation (five times, reported as the median with its quartiles),
+the rewrite of that campaign's CSV and summary onto the same two
+paths, as a campaign re-run into the same files does, and a
 `mutindep simulate` process re-run onto its own --csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
@@ -50,9 +52,9 @@ def _time(fn, min_seconds=0.2):
             return elapsed / calls
 
 
-def _row(bench, size, seconds):
+def _row(bench, size, seconds, **extra):
     return {"bench": bench, "size": size,
-            "seconds": {mutindep.kernel_backend: seconds}}
+            "seconds": {mutindep.kernel_backend: seconds}, **extra}
 
 
 def bench_batch():
@@ -81,21 +83,33 @@ def bench_infer():
             t = _time(lambda: infer_from_model(model, alpha=0.1, mode=mode))
             print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
             rows.append(_row(bench, n, t))
+    print()
+    print("infer_from_model, central, fdr, identity model: every dichotomy "
+          "survives (per call)")
+    for n in (12, 14):
+        model = CorrelationModel(np.eye(n), 300)
+        t = _time(lambda: infer_from_model(model, alpha=0.1))
+        print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
+        rows.append(_row("infer_from_model_identity", n, t))
     return rows
 
 
-def bench_campaign():
+def bench_campaign(repeats=5):
     print()
-    print("desk simulation (300 runs x 6 sizes, single thread)")
+    print(f"desk simulation (300 runs x 6 sizes), {repeats} runs: median [quartiles]")
     config = SimulationConfig(n=6, block_counts=(1, 2, 3, 4, 5, 6), runs_per_k=50,
                               max_samples=300,
                               subset_sizes=(50, 100, 150, 200, 250, 300),
                               master_seed=3)
-    start = time.perf_counter()
-    campaign = run_campaign(config)
-    t = time.perf_counter() - start
-    print(f"  {t:.2f}s")
-    rows = [_row("desk_campaign", 300, t)]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        campaign = run_campaign(config)
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    print(f"  {median:.3f}s [{q1:.3f}, {q3:.3f}]")
+    rows = [_row("desk_campaign", 300, median,
+                 quartiles={mutindep.kernel_backend: [q1, q3]})]
 
     print()
     print("desk campaign CSV + summary, rewritten onto the same paths (per rewrite)")

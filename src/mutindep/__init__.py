@@ -26,7 +26,6 @@ from .inference import (
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
 from .mdi import (
     TestResult,
-    degrees_of_freedom,
     mdi_statistics,
     noncentrality,
     test_bipartitions,
@@ -94,7 +93,6 @@ __all__ = [
     "chi2_sf",
     "classify_against_truth",
     "correct_ratio",
-    "degrees_of_freedom",
     "entailed_dichotomies",
     "enumerate_bipartitions",
     "enumerate_coarsenings",

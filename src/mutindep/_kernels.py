@@ -8,13 +8,12 @@ callers own the nonnegativity policy.
 The batch reads every log-determinant off one table over all subsets of
 the variables, built by rank-1 Schur-complement updates.  A subset fails,
 with NotPositiveDefiniteError naming it, when a pivot drops to or below
-1e-12 * dim * max(diagonal): the rule of the in-order Cholesky
-factorization _chol_logdet, the reference the table is tested against.
-The table agrees with that factorization to about 1e-13 relative, not bit
-for bit: the summation order differs.
+1e-12 * dim * max(diagonal): the rule of an in-order Cholesky
+factorization.  The reference for that rule, the one-matrix factorization
+the table is tested against, is chol_logdet in tests/oracles.py.  The table
+agrees with it to about 1e-13 relative, not bit for bit: the summation
+order differs.
 """
-
-import math
 
 import numpy as np
 
@@ -27,34 +26,13 @@ PIVOT_TOL = 1e-12
 MAX_VARIABLES = 20
 
 
-def _chol_logdet(a):
-    """In-place lower Cholesky; returns log det, or None on a failed pivot.
-
-    The package reads log-determinants off _subset_logdets; this one-matrix
-    factorization is the reference its pivot rule is tested against.
-    """
-    n = a.shape[0]
-    tol = PIVOT_TOL * n * float(a.diagonal().max(initial=0.0))
-    acc = 0.0
-    for j in range(n):
-        s = float(a[j, j] - a[j, :j] @ a[j, :j])
-        if s <= tol:
-            return None
-        piv = math.sqrt(s)
-        a[j, j] = piv
-        acc += math.log(piv)
-        if j + 1 < n:
-            a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / piv
-    return 2.0 * acc
-
-
 def _subset_logdets(r):
     """log det(R_SS) for every subset S of the variables, indexed by bitmask.
 
     Entry 0 (the empty subset) is 0; an entry is NaN where S fails the pivot
-    rule of _chol_logdet.  One pass over the variables j = 0..n-1 keeps, for
-    each subset S of {0..j-1}, the Schur complement of R_SS on the indices
-    j..n-1 (Griffin & Tsatsomeros, "Principal minors, Part I", 2006).
+    rule.  One pass over the variables j = 0..n-1 keeps, for each subset S
+    of {0..j-1}, the Schur complement of R_SS on the indices j..n-1
+    (Griffin & Tsatsomeros, "Principal minors, Part I", 2006).
     Extending S by j takes the leading entry as its pivot, which is exactly
     diag(L)^2 of the in-order Cholesky of R_SS, and updates the rest by a
     rank-1 term; the subsets without j drop the leading row and column.

@@ -21,10 +21,10 @@ from .partitions import Partition, enumerate_bipartitions, meet_all
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
 # Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
-# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 310
-# bytes per test on the first call for an n (250 of them the TestResults
+# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 270
+# bytes per test on the first call for an n (210 of them the TestResults
 # the outcome keeps and the Bipartitions enumerate_bipartitions keeps for
-# that n; about 225 on later calls) and the command line's JSON rendering,
+# that n; about 185 on later calls) and the command line's JSON rendering,
 # outcome included, at about 1.6 KiB; BYTES_PER_TEST rounds the largest
 # up.  The kernel's MAX_VARIABLES keeps an analysis within about 1 GiB.
 BYTES_PER_TEST = 2048
@@ -83,8 +83,7 @@ def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
             f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
         )
     rejected = tuple(CORRECTIONS[correction](pvalues, alpha).tolist())
-    survivors = [b.to_partition() for b, rej in zip(bipartitions, rejected, strict=True)
-                 if not rej]
+    survivors = [b for b, rej in zip(bipartitions, rejected, strict=True) if not rej]
     mu_hat = meet_all(survivors) if survivors else Partition.one_block(n)
     return rejected, mu_hat
 

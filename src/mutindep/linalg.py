@@ -79,22 +79,32 @@ def sample_correlation(data):
     """Pearson correlation model of a data matrix.
 
     Variances and covariances both use the (k-1) denominator, which cancels
-    in the correlation itself.  Columns with zero sample variance are
-    rejected with their 1-based indices named.
+    in the correlation itself.  Constant columns (zero sample variance) are
+    rejected with their 1-based indices named.  The result does not depend
+    on the scale of a column.
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(data)
     if data.k < 3:
         raise ValueError(f"sample correlation needs at least 3 rows, got {data.k}")
     x = data.values
-    centered = x - x.mean(axis=0)
-    ss = np.einsum("ij,ij->j", centered, centered)
-    dead = np.flatnonzero(ss == 0.0)
+    # a copy of the transpose, since numpy reduces a few long rows several
+    # times faster than a few columns
+    columns = x.T.copy()
+    top, bottom = columns.max(axis=1), columns.min(axis=1)
+    # the mean of equal values can round away from them, so a constant
+    # column is told by its range, not by its sum of squares
+    dead = np.flatnonzero(top == bottom)
     if dead.size:
         cols = ", ".join(str(i + 1) for i in dead)
         raise DegenerateDataError(
             f"column(s) {cols} are constant (zero sample variance)"
         )
+    # dividing a column by the power of two at its largest |value| is exact,
+    # and keeps the squares below from overflowing or underflowing
+    x = np.ldexp(x, -np.frexp(np.maximum(top, -bottom))[1])
+    centered = x - x.mean(axis=0)
+    ss = np.einsum("ij,ij->j", centered, centered)
     z = centered / np.sqrt(ss / (data.k - 1))
     r = (z.T @ z) / (data.k - 1)
     r = np.clip((r + r.T) / 2.0, -1.0, 1.0)

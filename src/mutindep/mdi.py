@@ -34,7 +34,7 @@ MODES = ("central", "noncentral")
 _ABSOLUTE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestResult:
     """Outcome of one dichotomy test."""
 
@@ -44,26 +44,20 @@ class TestResult:
     p_value: float
 
 
-def degrees_of_freedom(bipartition):
-    """|a| * |complement| degrees of freedom for the test of a | complement."""
-    na, nc = bipartition.sizes()
-    return na * nc
-
-
 def _odd_cubic(t):
     return 2 * t**3 + 3 * t**2 - t
 
 
-def noncentrality(bipartition, k):
-    """Noncentrality parameter of the noncentral chi-squared approximation.
+def noncentrality(na, nc, k):
+    """Noncentrality parameter of the noncentral chi-squared approximation
+    for the test of a dichotomy with block sizes na and nc.
 
     Equals [(2n^3 + 3n^2 - n) - (2na^3 + 3na^2 - na) - (2nc^3 + 3nc^2 - nc)]
-    / (12(k-1)) for block sizes na, nc; always nonnegative and O(1/k).
+    / (12(k-1)) with n = na + nc; always nonnegative and O(1/k).
     """
     if k < 2:
         raise ValueError(f"need a sample count of at least 2, got {k}")
-    na, nc = bipartition.sizes()
-    n = bipartition.n
+    n = na + nc
     return (_odd_cubic(n) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
 
 
@@ -140,7 +134,7 @@ def test_bipartitions(model, bipartitions, mode="central"):
             p = chi2_sf(stat, df)
         else:
             if na not in lams:
-                lams[na] = noncentrality(b, model.k)
+                lams[na] = noncentrality(na, n - na, model.k)
             p = noncentral_chi2_sf(stat, df, lams[na])
         results.append(TestResult(b, stat, df, p))
     return results

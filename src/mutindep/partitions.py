@@ -130,7 +130,9 @@ class Bipartition:
     Stored as the bitmask of the block containing element 1 (bit i-1 stands
     for element i), which removes the a-versus-complement ambiguity.  The
     bitmask representation caps n at 32; general Partition operations carry
-    no such cap.
+    no such cap.  It reads as a Partition (`n`, `assignment`, `blocks()`),
+    so meet_all, meet, join, is_refinement and format_partition take it
+    as it is.
     """
 
     __slots__ = ("_n", "_members")
@@ -156,13 +158,19 @@ class Bipartition:
     def members(self):
         return self._members
 
-    def sizes(self):
-        """(|a|, |complement|) block cardinalities."""
-        na = self._members.bit_count()
-        return na, self._n - na
+    @property
+    def assignment(self):
+        """Block ids per element as in Partition.assignment: 0 for the
+        members block (it holds element 1), 1 for the complement."""
+        members = self._members
+        return tuple((members >> i) & 1 ^ 1 for i in range(self._n))
 
-    def to_partition(self):
-        return Partition((self._members >> i) & 1 ^ 1 for i in range(self._n))
+    def blocks(self):
+        """(members, complement) as tuples of 1-based elements."""
+        members = self._members
+        inside = tuple(i + 1 for i in range(self._n) if (members >> i) & 1)
+        outside = tuple(i + 1 for i in range(self._n) if not (members >> i) & 1)
+        return inside, outside
 
     def __eq__(self, other):
         if not isinstance(other, Bipartition):
@@ -173,10 +181,10 @@ class Bipartition:
         return hash((self._n, self._members))
 
     def __repr__(self):
-        return f"Bipartition({format_partition(self.to_partition())!r})"
+        return f"Bipartition({format_partition(self)!r})"
 
     def __str__(self):
-        return format_partition(self.to_partition())
+        return format_partition(self)
 
 
 def _check_bipartition_n(n):
@@ -191,8 +199,7 @@ def _check_same_n(p, q):
 
 def meet(p, q):
     """Greatest lower bound: i and j share a block iff they do in both p and q."""
-    _check_same_n(p, q)
-    return Partition(zip(p.assignment, q.assignment))
+    return meet_all((p, q))
 
 
 def join(p, q):
@@ -220,12 +227,13 @@ def join(p, q):
 
 def is_refinement(p, q):
     """True iff every block of p lies inside a block of q (p <= q)."""
-    return meet(p, q) == p
+    return meet_all((p, q)).assignment == p.assignment
 
 
 def meet_all(partitions):
     """Meet of a nonempty collection (order-independent), in one pass: i and
-    j share a block iff they do in every partition."""
+    j share a block iff they do in every partition.  Bipartitions may be
+    mixed in with Partitions; the meet is a Partition."""
     partitions = list(partitions)
     if not partitions:
         raise ValueError("meet of an empty collection is undefined here")

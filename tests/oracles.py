@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package (set algebra instead of label arrays, cofactor
-expansion instead of Cholesky, series/continued fractions instead of
-scipy), so agreement is meaningful.
+expansion and a one-matrix Cholesky instead of the subset table of Schur
+complements, series/continued fractions instead of closed-form sums), so
+agreement is meaningful.
 """
 
 import math
@@ -76,6 +77,30 @@ def det_cofactor(matrix):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += ((-1.0) ** j) * m[0][j] * det_cofactor(minor)
     return total
+
+
+def chol_logdet(matrix):
+    """log det by an in-order Cholesky factorization, or None when a pivot
+    is at or below 1e-12 * dim * max(diagonal).
+
+    The reference for the kernel's pivot rule: a subset of its table of
+    log-determinants fails exactly when this factorization of the submatrix
+    does.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    tol = 1e-12 * n * float(a.diagonal().max(initial=0.0))
+    acc = 0.0
+    for j in range(n):
+        s = float(a[j, j] - a[j, :j] @ a[j, :j])
+        if s <= tol:
+            return None
+        piv = math.sqrt(s)
+        a[j, j] = piv
+        acc += math.log(piv)
+        if j + 1 < n:
+            a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / piv
+    return 2.0 * acc
 
 
 # --- set-algebra partition operations ------------------------------------

@@ -109,7 +109,7 @@ def test_outcome_invariants():
     assert out.m == 2 ** (6 - 1) - 1
     assert len(out.delta_hat) == out.m - out.m_thres
     for b in out.delta_hat:
-        assert is_refinement(out.mu_hat, b.to_partition())
+        assert is_refinement(out.mu_hat, b)
     # two variables share a block of mu_hat iff they do in every survivor
     for i in range(1, 7):
         for j in range(i + 1, 7):
@@ -138,16 +138,25 @@ def test_infer_from_data_golden_independent_pair():
 
 def test_mu_hat_is_invariant_when_columns_are_rescaled():
     # correlation ignores the scale of each variable, so the inferred
-    # pattern must not depend on units
+    # pattern must not depend on units, however large or small they are
     rng = RngStream(20260842)
     for blocks in (1, 2, 3, 6):
         truth, sigma = generate_model(6, blocks, rng)
         data = sample_mvn(sigma, 200, rng).values
-        scales = np.exp(rng.generator.uniform(-6.0, 6.0, size=6))
-        for mode in ("central", "noncentral"):
-            direct = infer_from_data(data, alpha=0.1, mode=mode)
-            rescaled = infer_from_data(data * scales, alpha=0.1, mode=mode)
-            assert rescaled.mu_hat == direct.mu_hat
+        powers_of_two = np.ldexp(1.0, rng.generator.integers(-990, 991, size=6))
+        for scales, exact in (
+            (np.exp(rng.generator.uniform(-6.0, 6.0, size=6)), False),
+            (10.0 ** rng.generator.uniform(-300.0, 300.0, size=6), False),
+            (np.array([1e-300, 1e300, 1e-170, 1e200, 1.0, 3.7]), False),
+            (powers_of_two, True),
+        ):
+            for mode in ("central", "noncentral"):
+                direct = infer_from_data(data, alpha=0.1, mode=mode)
+                rescaled = infer_from_data(data * scales, alpha=0.1, mode=mode)
+                assert rescaled.mu_hat == direct.mu_hat
+                assert rescaled.rejected == direct.rejected
+                if exact:
+                    assert rescaled.tests == direct.tests
 
 
 def test_infer_from_data_guards():
@@ -239,9 +248,9 @@ def test_noncentrality_is_computed_only_in_noncentral_mode(monkeypatch):
     calls = []
     original = mutindep.mdi.noncentrality
 
-    def counted(b, k):
-        calls.append(b)
-        return original(b, k)
+    def counted(na, nc, k):
+        calls.append((na, nc, k))
+        return original(na, nc, k)
 
     monkeypatch.setattr(mutindep.mdi, "noncentrality", counted)
     model = hiv_model()
@@ -249,9 +258,11 @@ def test_noncentrality_is_computed_only_in_noncentral_mode(monkeypatch):
     assert calls == []
     out = infer_from_model(model, mode="noncentral")
     # at most one call per members size, and every test's tail uses the
-    # noncentrality of its own bipartition
-    sizes = [b.sizes()[0] for b in calls]
+    # noncentrality of its own block sizes
+    sizes = [na for na, nc, k in calls]
     assert calls and len(sizes) == len(set(sizes)) <= model.n - 1
+    assert all(na + nc == model.n and k == model.k for na, nc, k in calls)
     for t in out.tests:
-        lam = original(t.bipartition, model.k)
+        na = t.bipartition.members.bit_count()
+        lam = original(na, model.n - na, model.k)
         assert t.p_value == noncentral_chi2_sf(t.statistic, t.df, lam)

@@ -90,6 +90,20 @@ def test_sample_correlation_constant_column_named():
     data = np.column_stack([np.arange(5.0), np.full(5, 3.0), np.arange(5.0) ** 2])
     with pytest.raises(DegenerateDataError, match="2"):
         sample_correlation(DataMatrix(data))
+    # a constant whose mean rounds away from it, and constants at any scale
+    for value in (0.1, 1.0 / 3.0, 1e-300, -1e300, 5e-324, 0.0):
+        data = np.column_stack([np.arange(300.0), np.full(300, value)])
+        with pytest.raises(DegenerateDataError, match=r"column\(s\) 2 are constant"):
+            sample_correlation(DataMatrix(data))
+    # tiny or huge columns that vary are not constant, and correlate as the
+    # unscaled data do
+    rng = RngStream(20260808)
+    x = rng.generator.standard_normal((300, 3))
+    x[:, 1] = x[:, 0] + 0.3 * rng.generator.standard_normal(300)
+    r = sample_correlation(DataMatrix(x)).r
+    for scale in (1e-300, 1e-170, 1e170, 1e300):
+        scaled = sample_correlation(DataMatrix(x * scale)).r
+        np.testing.assert_allclose(scaled, r, rtol=0, atol=1e-15)
 
 
 def test_sample_correlation_needs_three_rows():

@@ -11,11 +11,7 @@ from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 # aliased: the package names start with "test_", which pytest would collect
 from mutindep.mdi import test_bipartitions as run_tests
-from mutindep.mdi import (
-    degrees_of_freedom,
-    mdi_statistics,
-    noncentrality,
-)
+from mutindep.mdi import mdi_statistics, noncentrality
 from mutindep.partitions import (
     Bipartition,
     Partition,
@@ -58,7 +54,7 @@ def test_statistic_permutation_invariance():
     permuted = CorrelationModel(r[np.ix_(perm, perm)], 80)
     b = bip(5, [1, 3, 4])
     # apply the same permutation to the member set
-    mapped = [perm.index(e - 1) + 1 for e in b.to_partition().blocks()[0]]
+    mapped = [perm.index(e - 1) + 1 for e in b.blocks()[0]]
     b_perm = bip(5, mapped) if 1 in mapped else bip(5, [
         e for e in range(1, 6) if e not in mapped
     ])
@@ -67,36 +63,40 @@ def test_statistic_permutation_invariance():
     )
 
 
+def df_of(b):
+    """|a| * |complement| for the test of a | complement."""
+    na = b.members.bit_count()
+    return na * (b.n - na)
+
+
 def test_degrees_of_freedom():
-    assert degrees_of_freedom(bip(6, [1, 2, 3])) == 9
-    assert degrees_of_freedom(bip(10, [1])) == 9
-    b = bip(4, [1, 2])
-    na, nc = b.sizes()
-    assert degrees_of_freedom(b) == 4
-    assert (
-        b.n * (b.n + 1) // 2 - na * (na + 1) // 2 - nc * (nc + 1) // 2
-        == degrees_of_freedom(b)
-    )
+    for b, df in ((bip(6, [1, 2, 3]), 9), (bip(10, [1]), 9), (bip(4, [1, 2]), 4)):
+        assert run_tests(CorrelationModel(np.eye(b.n), 50), [b])[0].df == df
+    # the parameters of R minus those of R_aa and R_cc
+    for n in range(2, 8):
+        model = CorrelationModel(np.eye(n), 50)
+        for t in run_tests(model, enumerate_bipartitions(n)):
+            na, nc = (len(block) for block in t.bipartition.blocks())
+            assert t.df == n * (n + 1) // 2 - na * (na + 1) // 2 - nc * (nc + 1) // 2
 
 
 def test_noncentrality_hand_value():
-    b = enumerate_bipartitions(2)[0]
-    assert noncentrality(b, 101) == pytest.approx(18.0 / 1200.0, rel=1e-14)
-    assert noncentrality(b, 101) == 0.015
+    assert noncentrality(1, 1, 101) == pytest.approx(18.0 / 1200.0, rel=1e-14)
+    assert noncentrality(1, 1, 101) == 0.015
 
 
 def test_noncentrality_scaling():
-    b = bip(6, [1, 4])
-    assert noncentrality(b, 13) / noncentrality(b, 25) == pytest.approx(2.0, rel=1e-14)
-    assert noncentrality(b, 10_000_000) < 1e-4
+    assert noncentrality(2, 4, 13) / noncentrality(2, 4, 25) == pytest.approx(
+        2.0, rel=1e-14)
+    assert noncentrality(2, 4, 10_000_000) < 1e-4
     with pytest.raises(ValueError):
-        noncentrality(b, 1)
+        noncentrality(2, 4, 1)
 
 
 def test_noncentrality_nonnegative_everywhere():
     for n in range(2, 9):
-        for b in enumerate_bipartitions(n):
-            assert noncentrality(b, 50) >= 0.0
+        for na in range(1, n):
+            assert noncentrality(na, n - na, 50) >= 0.0
 
 
 def test_test_bipartition_identity():
@@ -104,7 +104,7 @@ def test_test_bipartition_identity():
     for b in enumerate_bipartitions(4):
         res = run_tests(model, [b])[0]
         assert res.p_value == 1.0
-        assert res.df == degrees_of_freedom(b)
+        assert res.df == df_of(b)
 
 
 def test_hiv_flagged_dichotomy():
@@ -112,7 +112,7 @@ def test_hiv_flagged_dichotomy():
     res = run_tests(model, [bip(6, [1, 2, 3, 5, 6])])[0]
     assert res.p_value == pytest.approx(0.332, abs=0.005)
     for b in enumerate_bipartitions(6):
-        if b.to_partition().blocks()[0] == (1, 2, 3, 5, 6):
+        if b.blocks()[0] == (1, 2, 3, 5, 6):
             continue
         assert run_tests(model, [b])[0].p_value < 1e-4
 
@@ -137,12 +137,14 @@ def test_batch_constants_match_per_test_calls():
         central = run_tests(model, bips, "central")
         noncentral = run_tests(model, bips, "noncentral")
         for b, stat, c, nc in zip(bips, stats, central, noncentral, strict=True):
-            df = degrees_of_freedom(b)
+            df = df_of(b)
+            na = b.members.bit_count()
             assert c.bipartition == nc.bipartition == b
             assert c.statistic == nc.statistic == stat
             assert c.df == nc.df == df
             assert c.p_value == chi2_sf(stat, df)
-            assert nc.p_value == noncentral_chi2_sf(stat, df, noncentrality(b, model.k))
+            assert nc.p_value == noncentral_chi2_sf(stat, df,
+                                                    noncentrality(na, n - na, model.k))
 
 
 def test_dimension_and_sample_guards():
@@ -303,7 +305,7 @@ def test_p_value_takes_the_noncentrality_only_in_noncentral_mode():
         assert res.p_value == chi2_sf(res.statistic, res.df)
         res = run_tests(model, [b], mode="noncentral")[0]
         assert res.p_value == noncentral_chi2_sf(res.statistic, res.df,
-                                                 noncentrality(b, 40))
+                                                 noncentrality(2, 1, 40))
 
 
 def test_data_pipeline_commutes_with_permutation():
@@ -315,10 +317,10 @@ def test_data_pipeline_commutes_with_permutation():
     permuted = run_tests(sample_correlation(DataMatrix(data[:, perm])),
                                  enumerate_bipartitions(4))
     by_members = {
-        frozenset(t.bipartition.to_partition().blocks()[0]): t.statistic for t in direct
+        frozenset(t.bipartition.blocks()[0]): t.statistic for t in direct
     }
     for t in permuted:
-        members = t.bipartition.to_partition().blocks()[0]
+        members = t.bipartition.blocks()[0]
         orig = frozenset(perm[e - 1] + 1 for e in members)
         if 1 not in orig:
             orig = frozenset(range(1, 5)) - orig

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mutindep.inference import resolve_pattern
 from mutindep.partitions import (
     Bipartition,
     Partition,
@@ -186,8 +187,7 @@ def test_meet_all():
     assert meet_all([P("123|4"), P("124|3"), P("12|34")]) == P("12|3|4")
     p = P("13|24")
     assert meet_all([p]) == p
-    all_bips = [b.to_partition() for b in enumerate_bipartitions(4)]
-    assert meet_all(all_bips) == Partition.singletons(4)
+    assert meet_all(enumerate_bipartitions(4)) == Partition.singletons(4)
     with pytest.raises(ValueError):
         meet_all([])
     with pytest.raises(ValueError, match="ground sets differ: 4 vs 3"):
@@ -243,7 +243,7 @@ def test_enumerate_bipartitions_order_and_membership():
     assert masks == sorted(masks)
     assert len(set(masks)) == len(masks)
     for b in bips:
-        members, complement = b.to_partition().blocks()
+        members, complement = b.blocks()
         assert 1 in members
         assert complement
 
@@ -263,9 +263,63 @@ def test_bipartition_validation():
 
 def test_bipartition_to_partition():
     b = Bipartition(4, 0b1011)
-    assert b.to_partition() == P("124|3")
-    assert b.sizes() == (3, 1)
-    assert str(b) == "124|3"
+    assert b.assignment == (0, 0, 1, 0)
+    assert b.blocks() == ((1, 2, 4), (3,))
+    assert Partition(b.assignment) == P("124|3")
+    assert str(b) == "124|3" and repr(b) == "Bipartition('124|3')"
+
+
+def _bipartitions_to_check():
+    for n in range(2, 8):
+        yield from enumerate_bipartitions(n)
+    rng = np.random.default_rng(20260861)
+    for n in (10, 11):
+        for members in rng.integers(0, 2 ** (n - 1) - 1, size=40).tolist():
+            yield Bipartition(n, 2 * members + 1)
+
+
+def test_a_bipartition_reads_as_its_partition():
+    # every lattice function and every text form gives the same for b as for
+    # the Partition with b's assignment
+    rng = np.random.default_rng(20260862)
+    for b in _bipartitions_to_check():
+        p = Partition(b.assignment)
+        assert p.assignment == b.assignment and p.blocks() == b.blocks()
+        assert format_partition(b) == format_partition(p) == str(b) == str(p)
+        assert repr(b) == repr(p).replace("Partition", "Bipartition")
+        other = Bipartition(b.n, 2 * int(rng.integers(0, 2 ** (b.n - 1) - 1)) + 1)
+        pairs = [(q, q) for q in (random_partition(rng, b.n), Partition.singletons(b.n),
+                                  Partition.one_block(b.n))]
+        pairs += [(b, p), (other, Partition(other.assignment))]
+        for q, q_as_p in pairs:
+            assert meet(b, q) == meet(p, q_as_p)
+            assert meet(q, b) == meet(q_as_p, p)
+            assert meet_all([b, q]) == meet_all([p, q_as_p])
+            assert is_refinement(b, q) == is_refinement(p, q_as_p)
+            assert is_refinement(q, b) == is_refinement(q_as_p, p)
+        assert meet_all([b]) == p
+
+
+def test_resolve_pattern_meets_the_survivors_like_the_oracle():
+    rng = np.random.default_rng(20260863)
+    for n in (2, 3, 5, 8):
+        bips = enumerate_bipartitions(n)
+        everything = frozenset(range(1, n + 1))
+        for trial in range(30):
+            # a share of tiny p-values, so that anything from no rejection to
+            # every rejection (the last trial: no survivors) comes out
+            pvalues = rng.uniform(size=len(bips)) ** rng.uniform(1.0, 40.0)
+            if trial == 29:
+                pvalues[:] = 0.0
+            rejected, mu_hat = resolve_pattern(n, bips, pvalues, 0.1, "fdr")
+            expected = frozenset([everything])
+            for b, rej in zip(bips, rejected):
+                if not rej:
+                    members = frozenset(i + 1 for i in range(n) if (b.members >> i) & 1)
+                    expected = oracles.meet_blocks(expected, {members, everything - members})
+            assert oracles.as_block_sets(mu_hat) == expected
+            assert isinstance(mu_hat, Partition)
+        assert all(rejected) and mu_hat == Partition.one_block(n)
 
 
 # --- entailed dichotomies ---------------------------------------------------
@@ -288,7 +342,7 @@ def test_entailed_dichotomies_count_property():
             assert len(dichotomies) == 2 ** (k - 1) - 1
             assert len(set(dichotomies)) == len(dichotomies)
             for b in dichotomies:
-                assert is_refinement(mu, b.to_partition())
+                assert is_refinement(mu, b)
 
 
 def test_dichotomy_reconstruction_exhaustive():
@@ -297,8 +351,7 @@ def test_dichotomy_reconstruction_exhaustive():
         for mu in enumerate_partitions(n):
             if mu.block_count < 2:
                 continue
-            lifted = [b.to_partition() for b in entailed_dichotomies(mu)]
-            assert meet_all(lifted) == mu
+            assert meet_all(entailed_dichotomies(mu)) == mu
 
 
 def test_entailed_masks_match_entailed_dichotomies():
