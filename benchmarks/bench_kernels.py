@@ -1,4 +1,4 @@
-"""Time the dichotomy kernel, `infer_from_model` and the desk campaign.
+"""Time the dichotomy kernel, `infer_from_model` and the simulation campaigns.
 
 Usage: python benchmarks/bench_kernels.py [--out FILE]
 
@@ -6,10 +6,11 @@ Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models) and on identity models, where
 every dichotomy survives and the meet is the cost, the 300-run desk
-simulation (five times, reported as the median with its quartiles),
-the rewrite of that campaign's CSV and summary onto the same two
-paths, as a campaign re-run into the same files does, and a
-`mutindep simulate` process re-run onto its own --csv and --summary.
+simulation (five times, reported as the median with its quartiles), the
+rewrite of that campaign's CSV and summary onto the same two paths, as a
+campaign re-run into the same files does, the default 3000-run reference
+campaign (three times, reported like the desk one), and a `mutindep
+simulate` process re-run onto its own --csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
 (the re-run processes are given that package's directory as PYTHONPATH).
@@ -21,6 +22,7 @@ the earlier BENCH_*.json files, so they compare row by row.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -57,14 +59,22 @@ def _row(bench, size, seconds, **extra):
             "seconds": {mutindep.kernel_backend: seconds}, **extra}
 
 
+def _batch(r, masks, k):
+    """The statistic batch of r, its subset table included, for a kernel that
+    takes the table as for one that took the matrix itself."""
+    if "lds" in inspect.signature(_kernels.mdi_statistic_batch).parameters:
+        return _kernels.mdi_statistic_batch(_kernels._subset_logdets(r), masks, k)
+    return _kernels.mdi_statistic_batch(r, masks, k)
+
+
 def bench_batch():
-    print("mdi_statistic_batch over all dichotomies (per batch)")
+    print("mdi_statistic_batch over all dichotomies, subset table included (per batch)")
     rng = RngStream(2)
     rows = []
     for n in (4, 6, 10, 14, 16):
         r = sample_wishart_correlation(n, rng)
         masks = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
-        t = _time(lambda: _kernels.mdi_statistic_batch(r, masks, 300))
+        t = _time(lambda: _batch(r, masks, 300))
         print(f"{n:>5} {len(masks):>6} {t * 1e3:>10.2f}ms")
         rows.append(_row("mdi_statistic_batch", n, t))
     return rows
@@ -94,13 +104,9 @@ def bench_infer():
     return rows
 
 
-def bench_campaign(repeats=5):
+def _time_campaign(label, bench, config, repeats):
     print()
-    print(f"desk simulation (300 runs x 6 sizes), {repeats} runs: median [quartiles]")
-    config = SimulationConfig(n=6, block_counts=(1, 2, 3, 4, 5, 6), runs_per_k=50,
-                              max_samples=300,
-                              subset_sizes=(50, 100, 150, 200, 250, 300),
-                              master_seed=3)
+    print(f"{label}, {repeats} runs: median [quartiles]")
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -108,8 +114,19 @@ def bench_campaign(repeats=5):
         times.append(time.perf_counter() - start)
     q1, median, q3 = statistics.quantiles(times, n=4)
     print(f"  {median:.3f}s [{q1:.3f}, {q3:.3f}]")
-    rows = [_row("desk_campaign", 300, median,
-                 quartiles={mutindep.kernel_backend: [q1, q3]})]
+    runs = len(config.block_counts) * config.runs_per_k
+    row = _row(bench, runs, median, quartiles={mutindep.kernel_backend: [q1, q3]})
+    return campaign, row
+
+
+def bench_campaign(repeats=5):
+    config = SimulationConfig(n=6, block_counts=(1, 2, 3, 4, 5, 6), runs_per_k=50,
+                              max_samples=300,
+                              subset_sizes=(50, 100, 150, 200, 250, 300),
+                              master_seed=3)
+    campaign, row = _time_campaign("desk simulation (300 runs x 6 sizes)",
+                                   "desk_campaign", config, repeats)
+    rows = [row]
 
     print()
     print("desk campaign CSV + summary, rewritten onto the same paths (per rewrite)")
@@ -125,6 +142,13 @@ def bench_campaign(repeats=5):
     print(f"  {t * 1e3:.2f}ms")
     rows.append(_row("campaign_rewrite", 300, t))
     return rows
+
+
+def bench_reference_campaign(repeats=3):
+    # the study's default: 3000 runs x 6 sizes, the CLI's `simulate --seed 0`
+    _, row = _time_campaign("reference simulation (3000 runs x 6 sizes)",
+                            "reference_campaign", SimulationConfig(), repeats)
+    return [row]
 
 
 def bench_cli_rerun(repeats=7):
@@ -158,7 +182,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = bench_batch() + bench_infer() + bench_campaign() + bench_cli_rerun()
+    rows = (bench_batch() + bench_infer() + bench_campaign() + bench_reference_campaign()
+            + bench_cli_rerun())
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

@@ -27,7 +27,8 @@ MAX_VARIABLES = 20
 
 
 def _subset_logdets(r):
-    """log det(R_SS) for every subset S of the variables, indexed by bitmask.
+    """log det(R_SS) for every subset S of the variables, indexed by bitmask,
+    for each matrix of a stack: (..., n, n) -> (..., 2^n).
 
     Entry 0 (the empty subset) is 0; an entry is NaN where S fails the pivot
     rule.  One pass over the variables j = 0..n-1 keeps, for each subset S
@@ -36,49 +37,50 @@ def _subset_logdets(r):
     Extending S by j takes the leading entry as its pivot, which is exactly
     diag(L)^2 of the in-order Cholesky of R_SS, and updates the rest by a
     rank-1 term; the subsets without j drop the leading row and column.
+    Every step is elementwise per matrix, so a matrix's table does not
+    depend on the stack it comes in.
     """
-    schur = r[None].copy()
-    lds = np.zeros(1)
-    lowest = np.full(1, np.inf)  # smallest pivot of each subset
-    size = np.zeros(1)
-    top = np.zeros(1)  # largest diagonal entry of each subset
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(r.shape[0]):
-            piv = schur[:, 0, 0]
-            col = schur[:, 1:, 0]
-            rest = schur[:, 1:, 1:]
-            updated = rest - (col / piv[:, None])[:, :, None] * col[:, None, :]
-            # the subsets holding j follow those without it, so bit j of an
-            # index says whether j is in its subset
-            schur = np.concatenate([rest, updated])
-            lds = np.concatenate([lds, lds + np.log(piv)])
-            # fmin ignores the NaN pivots below a failed one
-            lowest = np.concatenate([lowest, np.fmin(lowest, piv)])
-            size = np.concatenate([size, size + 1])
-            top = np.concatenate([top, np.maximum(top, r[j, j])])
-    lds[lowest <= PIVOT_TOL * size * top] = np.nan
-    return lds
-
-
-def mdi_statistic_batch(r, masks, k):
-    """Raw dichotomy statistics for every members bitmask in `masks`.
-
-    Every statistic is read off one table of subset log-determinants, so no
-    Python loop runs per test.  The full matrix is checked first; after
-    it, the first mask in input order whose members or (then) complement
-    submatrix fails the pivot rule is reported.
-    """
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    n = r.shape[0]
-    if r.ndim != 2 or r.shape[1] != n:
-        raise ValueError("correlation matrix must be square")
+    r = np.asarray(r, dtype=np.float64)
+    n = r.shape[-1]
     if n > MAX_VARIABLES:
         raise ValueError(
             f"n={n} variables needs a table of 2^{n} subset log-determinants; "
             f"the limit is n <= {MAX_VARIABLES}"
         )
+    stack = r.reshape(-1, n, n)
+    schur = stack[:, None].copy()  # (matrix, subset, row, column)
+    lds = np.zeros((len(stack), 1))
+    lowest = np.full(lds.shape, np.inf)  # smallest pivot of each subset
+    size = np.zeros(1)
+    top = np.zeros(lds.shape)  # largest diagonal entry of each subset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n):
+            piv = schur[:, :, 0, 0]
+            col = schur[:, :, 1:, 0]
+            rest = schur[:, :, 1:, 1:]
+            updated = rest - (col / piv[..., None])[..., :, None] * col[..., None, :]
+            # the subsets holding j follow those without it, so bit j of an
+            # index says whether j is in its subset
+            schur = np.concatenate([rest, updated], axis=1)
+            lds = np.concatenate([lds, lds + np.log(piv)], axis=1)
+            # fmin ignores the NaN pivots below a failed one
+            lowest = np.concatenate([lowest, np.fmin(lowest, piv)], axis=1)
+            size = np.concatenate([size, size + 1])
+            top = np.concatenate([top, np.maximum(top, stack[:, j, j, None])], axis=1)
+    lds[lowest <= PIVOT_TOL * size * top] = np.nan
+    return lds.reshape(r.shape[:-2] + (1 << n,))
+
+
+def mdi_statistic_batch(lds, masks, k):
+    """Raw dichotomy statistics for every members bitmask in `masks`, read
+    off `lds`, the subset table of a matrix with sample count k.
+
+    No Python loop runs per test.  The full matrix is checked first; after
+    it, the first mask in input order whose members or (then) complement
+    submatrix fails the pivot rule is reported.
+    """
+    n = lds.size.bit_length() - 1
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    lds = _subset_logdets(r)
     ld_full = lds[-1]
     if np.isnan(ld_full):
         raise not_pd_submatrix("full")

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateDataError
 
 _MODEL_TOL = 1e-12
@@ -46,7 +47,7 @@ class CorrelationModel:
     statistic depends on the data only through (r, k).
     """
 
-    __slots__ = ("r", "k")
+    __slots__ = ("r", "k", "_logdets")
 
     def __init__(self, r, k):
         r = np.array(r, dtype=np.float64)
@@ -66,10 +67,20 @@ class CorrelationModel:
         r.setflags(write=False)
         self.r = r
         self.k = k
+        self._logdets = None
 
     @property
     def n(self):
         return self.r.shape[0]
+
+    @property
+    def logdets(self):
+        """The kernel's table of log det(R_SS) for every subset S, by bitmask:
+        built on first read and kept, 2^n floats (8 MiB at n = 20)."""
+        if self._logdets is None:
+            self._logdets = _kernels._subset_logdets(self.r)
+            self._logdets.setflags(write=False)
+        return self._logdets
 
     def __repr__(self):
         return f"CorrelationModel(n={self.n}, k={self.k})"
@@ -85,28 +96,52 @@ def sample_correlation(data):
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(data)
-    if data.k < 3:
-        raise ValueError(f"sample correlation needs at least 3 rows, got {data.k}")
-    x = data.values
-    # a copy of the transpose, since numpy reduces a few long rows several
+    r, constant = _correlations(data.values)
+    if constant.any():
+        cols = ", ".join(str(i + 1) for i in np.flatnonzero(constant))
+        raise DegenerateDataError(
+            f"column(s) {cols} are constant (zero sample variance)")
+    return CorrelationModel(r, data.k)
+
+
+def sample_correlations(stack):
+    """The sample_correlation models of a stack of data sets (sets, k, n), in
+    order, with None for a set that has a constant column.  The models'
+    subset tables are built in one pass over the stack."""
+    r, constant = _correlations(stack)
+    tables = _kernels._subset_logdets(r)
+    tables.setflags(write=False)
+    models = [None if dead.any() else CorrelationModel(m, stack.shape[-2])
+              for m, dead in zip(r, constant)]
+    for model, table in zip(models, tables):
+        if model is not None:
+            model._logdets = table
+    return models
+
+
+def _correlations(x):
+    """The correlation matrix of each data set of a stack (..., k, n), and
+    which of its columns are constant (those make the matrix meaningless)."""
+    k, n = x.shape[-2:]
+    if k < 3:
+        raise ValueError(f"sample correlation needs at least 3 rows, got {k}")
+    # a copy of the transposes, since numpy reduces a few long rows several
     # times faster than a few columns
-    columns = x.T.copy()
-    top, bottom = columns.max(axis=1), columns.min(axis=1)
+    columns = np.swapaxes(x, -1, -2).copy()
+    top, bottom = columns.max(axis=-1), columns.min(axis=-1)
+    del columns
     # the mean of equal values can round away from them, so a constant
     # column is told by its range, not by its sum of squares
-    dead = np.flatnonzero(top == bottom)
-    if dead.size:
-        cols = ", ".join(str(i + 1) for i in dead)
-        raise DegenerateDataError(
-            f"column(s) {cols} are constant (zero sample variance)"
-        )
+    constant = top == bottom
     # dividing a column by the power of two at its largest |value| is exact,
-    # and keeps the squares below from overflowing or underflowing
-    x = np.ldexp(x, -np.frexp(np.maximum(top, -bottom))[1])
-    centered = x - x.mean(axis=0)
-    ss = np.einsum("ij,ij->j", centered, centered)
-    z = centered / np.sqrt(ss / (data.k - 1))
-    r = (z.T @ z) / (data.k - 1)
-    r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
-    return CorrelationModel(r, data.k)
+    # and keeps the squares below from overflowing or underflowing; the
+    # centering and the scaling to unit variance work in place on that copy
+    z = np.ldexp(x, -np.frexp(np.maximum(top, -bottom))[1][..., None, :])
+    z -= z.mean(axis=-2, keepdims=True)
+    ss = np.einsum("...ij,...ij->...j", z, z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant columns
+        z /= np.sqrt(ss / (k - 1))[..., None, :]
+    r = (np.swapaxes(z, -1, -2) @ z) / (k - 1)
+    r = np.clip((r + np.swapaxes(r, -1, -2)) / 2.0, -1.0, 1.0)
+    r[..., range(n), range(n)] = 1.0
+    return r, constant

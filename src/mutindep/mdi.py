@@ -109,7 +109,7 @@ def mdi_statistics(model, bipartitions):
     for n in dict.fromkeys(b.n for b in bipartitions):
         _check_model(model, n)
     masks = np.array([b.members for b in bipartitions], dtype=np.uint64)
-    raw = _kernels.mdi_statistic_batch(model.r, masks, model.k)
+    raw = _kernels.mdi_statistic_batch(model.logdets, masks, model.k)
     return _clamped(raw, model)
 
 

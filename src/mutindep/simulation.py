@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 from .inference import (
     CORRECTIONS,
     check_variable_count,
     classify_against_truth,
     infer_from_model,
 )
-from .linalg import DataMatrix, sample_correlation
+from .linalg import sample_correlations
 from .mdi import MODES
 from .partitions import bipartition_masks, entailed_masks, format_partition
 from .randomness import (
@@ -50,6 +50,11 @@ CSV_COLUMNS = (
 Row = namedtuple("Row", CSV_COLUMNS)
 
 _DECILE_EDGES = [i / 10.0 for i in range(11)]
+
+# Runs are drawn and analysed in chunks of at most CHUNK_BYTES of data
+# (max_samples x n floats per run) and subset tables (2^n floats per run and
+# size): 30 runs at the desk size of n = 6, 300 samples and 6 sizes.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -173,52 +178,59 @@ def within_block_correlation(truth, matrix):
     return float(np.mean(values))
 
 
-def _execute_run(config, run_id, blocks):
-    """The rows of one run, one per subset size, in config order."""
-    rng = RngStream(config.master_seed, run_id)
-    truth, sigma = generate_model(config.n, blocks, rng)
-    data = sample_mvn(sigma, config.max_samples, rng).values
-    truth_text = format_partition(truth)
-    rho = within_block_correlation(truth, sigma)
-    negative = entailed_masks(bipartition_masks(config.n), truth)
+def _execute_chunk(config, runs):
+    """The rows of a chunk of (run id, block count) runs, in the chunk's
+    order, with one row per subset size, in config order, for each run."""
+    truths = []
+    data = np.empty((len(runs), config.max_samples, config.n))
+    for i, (run_id, blocks) in enumerate(runs):
+        rng = RngStream(config.master_seed, run_id)
+        truths.append(generate_model(config.n, blocks, rng))
+        data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
+    by_size = [sample_correlations(data[:, :size]) for size in config.subset_sizes]
     rows = []
-    for size in config.subset_sizes:
-        try:
-            model = sample_correlation(DataMatrix(data[:size]))
-            outcome = infer_from_model(
-                model, alpha=config.alpha, correction=config.correction, mode=config.mode
-            )
-        except (DegenerateDataError, NotPositiveDefiniteError):
-            rows.append(Row(run_id, blocks, truth_text, size, None, None, None, None,
-                            rho, True))
-            continue
-        confusion = classify_against_truth(outcome, negative)
-        rows.append(Row(
-            run_id, blocks, truth_text, size,
-            sensitivity(confusion),
-            specificity(confusion),
-            auc([t.p_value for t in outcome.tests], negative),
-            outcome.mu_hat == truth,
-            rho,
-            False,
-        ))
+    for i, ((run_id, blocks), (truth, sigma)) in enumerate(zip(runs, truths)):
+        truth_text = format_partition(truth)
+        rho = within_block_correlation(truth, sigma)
+        negative = entailed_masks(bipartition_masks(config.n), truth)
+        for size, models in zip(config.subset_sizes, by_size):
+            metrics = _analyse(config, models[i], truth, negative)
+            rows.append(Row(run_id, blocks, truth_text, size,
+                            *(metrics or (None,) * 4), rho, metrics is None))
     return rows
+
+
+def _analyse(config, model, truth, negative):
+    """Sensitivity, specificity, AUC and exact recovery of one analysis; None
+    for a constant column (no model) or a submatrix not positive definite."""
+    if model is None:
+        return None
+    try:
+        outcome = infer_from_model(
+            model, alpha=config.alpha, correction=config.correction, mode=config.mode
+        )
+    except NotPositiveDefiniteError:
+        return None
+    confusion = classify_against_truth(outcome, negative)
+    return (sensitivity(confusion), specificity(confusion),
+            auc([t.p_value for t in outcome.tests], negative), outcome.mu_hat == truth)
 
 
 def run_campaign(config):
     """Execute the whole campaign; deterministic given config.master_seed.
 
-    Runs execute in order on the calling thread.  Each run draws from a
-    private (master_seed, run id) stream, so a run's rows depend on nothing
-    but the config and its id.  An inference failure is recorded as a row
-    with a failure flag instead of aborting the campaign.
+    Runs execute in order on the calling thread, in chunks.  Each run draws
+    from a private (master_seed, run id) stream, so a run's rows depend on
+    nothing but the config and its id, not on its chunk.  An inference
+    failure is recorded as a row with a failure flag instead of aborting.
     """
-    rows = []
-    run_id = 0
-    for blocks in config.block_counts:
-        for _ in range(config.runs_per_k):
-            rows.extend(_execute_run(config, run_id, blocks))
-            run_id += 1
+    runs = list(enumerate(
+        b for b in config.block_counts for _ in range(config.runs_per_k)))
+    per_run = 8 * (config.max_samples * config.n
+                   + len(config.subset_sizes) * 2**config.n)
+    step = max(1, CHUNK_BYTES // per_run)
+    rows = [row for start in range(0, len(runs), step)
+            for row in _execute_chunk(config, runs[start:start + step])]
     return Campaign(config, tuple(rows))
 
 

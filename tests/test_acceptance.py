@@ -273,15 +273,26 @@ def test_criterion_10_campaign_determinism(tmp_path):
         campaign.write_csv(path)
         paths.append(path.read_bytes())
     # a run must depend on (master_seed, run_id) alone: executing the same
-    # jobs last to first and restoring run order gives the same bytes
+    # jobs last to first, one chunk each or as one chunk, and restoring run
+    # order gives the same bytes; so do chunks of 1 run, 3 runs and the
+    # whole campaign
     jobs = list(enumerate(
         blocks for blocks in config.block_counts for _ in range(config.runs_per_k)
     ))
-    rows = [row for rid, blocks in reversed(jobs)
-            for row in simulation._execute_run(config, rid, blocks)]
-    rows.sort(key=lambda row: row.run_id)  # stable: sizes stay in order
-    path = tmp_path / "reversed.csv"
-    simulation.Campaign(config, tuple(rows)).write_csv(path)
-    paths.append(path.read_bytes())
-    ok = paths[0] == paths[1] == paths[2]
-    report(10, ok, "byte-identical CSV across repeated campaigns and run order")
+    orders = {
+        "reversed": [[job] for job in reversed(jobs)],
+        "reversed-chunk": [jobs[::-1]],
+        "chunks-1": [[job] for job in jobs],
+        "chunks-3": [jobs[i : i + 3] for i in range(0, len(jobs), 3)],
+        "chunk-all": [jobs],
+    }
+    for label, chunks in orders.items():
+        rows = [row for chunk in chunks
+                for row in simulation._execute_chunk(config, chunk)]
+        rows.sort(key=lambda row: row.run_id)  # stable: sizes stay in order
+        path = tmp_path / f"{label}.csv"
+        simulation.Campaign(config, tuple(rows)).write_csv(path)
+        paths.append(path.read_bytes())
+    ok = all(p == paths[0] for p in paths)
+    report(10, ok, "byte-identical CSV across repeated campaigns, run order and "
+                  "chunks of 1, 3 and all runs")

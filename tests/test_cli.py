@@ -10,7 +10,7 @@ import pytest
 import mutindep
 from mutindep.cli import main
 from mutindep.datasets import hiv_correlation
-from mutindep.errors import NotPositiveDefiniteError
+from mutindep.linalg import DataMatrix
 from mutindep.randomness import RngStream, sample_mvn
 
 
@@ -249,12 +249,21 @@ def test_simulate_seed_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_total_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
-    # every analysis fails, and the campaign reports it
-    def not_positive_definite(data):
-        raise NotPositiveDefiniteError("not positive definite", part="full")
+    # every analysis fails, and the campaign reports it: run 0's data have a
+    # constant column, run 1's a duplicated one
+    draw = mutindep.simulation.sample_mvn
+    drawn = []
 
-    monkeypatch.setattr(mutindep.simulation, "sample_correlation",
-                        not_positive_definite)
+    def degenerate(sigma, k, rng):
+        data = draw(sigma, k, rng).values.copy()
+        if drawn:
+            data[:, 4] = data[:, 1]
+        else:
+            data[:, 2] = -1.5
+        drawn.append(data)
+        return DataMatrix(data)
+
+    monkeypatch.setattr(mutindep.simulation, "sample_mvn", degenerate)
     code = main([
         "simulate", "--n", "6", "--blocks", "2", "--runs", "2",
         "--samples", "50", "--sizes", "50", "--seed", "3",

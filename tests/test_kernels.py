@@ -13,6 +13,11 @@ from mutindep.randomness import RngStream, sample_wishart_correlation
 import oracles
 
 
+def _batch(r, masks, k):
+    """The statistics of one matrix: its subset table, then the batch."""
+    return kernels.mdi_statistic_batch(kernels._subset_logdets(r), masks, k)
+
+
 def test_logdet_parity_random_matrices():
     rng = RngStream(20260836)
     for _ in range(200):
@@ -32,7 +37,7 @@ def test_non_pd_parity():
     r[0, 1] = r[1, 0] = 1.0
     masks = np.array([0b0011], dtype=np.uint64)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        kernels.mdi_statistic_batch(r, masks, 10)
+        _batch(r, masks, 10)
     assert err.value.part == "full"
 
 
@@ -40,14 +45,14 @@ def test_a_matrix_past_the_table_limit_is_refused():
     n = kernels.MAX_VARIABLES + 1
     masks = np.array([1], dtype=np.uint64)
     with pytest.raises(ValueError, match=f"n={n} .* n <= {kernels.MAX_VARIABLES}"):
-        kernels.mdi_statistic_batch(np.eye(n), masks, 10)
+        _batch(np.eye(n), masks, 10)
 
 
 def test_scalar_and_batch_agree():
     rng = RngStream(20260838)
     r = sample_wishart_correlation(6, rng)
     masks = np.arange(1, 2**6 - 1, 2, dtype=np.uint64)
-    batch = kernels.mdi_statistic_batch(r, masks, 99)
+    batch = _batch(r, masks, 99)
     full = oracles.chol_logdet(r)
     for mask, stat in zip(masks, batch):
         sel = [i for i in range(6) if (int(mask) >> i) & 1]
@@ -100,7 +105,7 @@ def test_batched_kernel_matches_slogdet(chunk):
         trivial = np.array([0, 2**n - 1], dtype=np.uint64)
         masks = np.concatenate([shuffled, shuffled[: n], extra, trivial])
         got = np.concatenate([
-            kernels.mdi_statistic_batch(r, masks[i : i + chunk], k)
+            _batch(r, masks[i : i + chunk], k)
             for i in range(0, len(masks), chunk)
         ])
         np.testing.assert_allclose(
@@ -115,7 +120,7 @@ def test_small_batches_match_cofactor_determinants():
         r = sample_wishart_correlation(n, rng)
         masks = np.arange(1, 2**n - 1, 2, dtype=np.uint64)
         full = math.log(oracles.det_cofactor(r))
-        for mask, stat in zip(masks, kernels.mdi_statistic_batch(r, masks, 50)):
+        for mask, stat in zip(masks, _batch(r, masks, 50)):
             sel = [i for i in range(n) if (int(mask) >> i) & 1]
             comp = [i for i in range(n) if not (int(mask) >> i) & 1]
             expected = 49.0 * (
@@ -150,32 +155,26 @@ def test_subset_table_and_pivot_rule_match_the_scalar_factorization():
     assert np.isnan(kernels._subset_logdets(near)[0b1011])
 
 
-def test_first_failing_mask_in_input_order_is_named(monkeypatch):
-    # a full matrix that passes the pivot rule has only passing principal
-    # submatrices in exact arithmetic, so let the full matrix's entry of the
-    # table pass to reach the per-mask reporting
-    table = kernels._subset_logdets
-
-    def full_passes(r):
-        lds = table(r)
-        lds[-1] = 0.0
-        return lds
-
-    monkeypatch.setattr(kernels, "_subset_logdets", full_passes)
+def test_first_failing_mask_in_input_order_is_named():
     # variables 1, 2 and variables 3, 4 are identical pairs
     r = np.eye(4)
     r[0, 1] = r[1, 0] = r[2, 3] = r[3, 2] = 1.0
+    # a full matrix that passes the pivot rule has only passing principal
+    # submatrices in exact arithmetic, so let the full matrix's entry of the
+    # table pass to reach the per-mask reporting
+    lds = kernels._subset_logdets(r)
+    lds[-1] = 0.0
     passes = 0b0101  # 13 | 24
     fails_in_complement = 0b0100  # 3 | 124
     fails_in_both = 0b0011  # 12 | 34
-    ok = kernels.mdi_statistic_batch(r, np.array([passes], dtype=np.uint64), 10)
+    ok = kernels.mdi_statistic_batch(lds, np.array([passes], dtype=np.uint64), 10)
     assert np.isfinite(ok).all()
     for masks, part, elements in (
         ([passes, fails_in_complement, fails_in_both], "complement", (1, 2, 4)),
         ([passes, fails_in_both, fails_in_complement], "members", (1, 2)),
     ):
         with pytest.raises(NotPositiveDefiniteError) as err:
-            kernels.mdi_statistic_batch(r, np.array(masks, dtype=np.uint64), 10)
+            kernels.mdi_statistic_batch(lds, np.array(masks, dtype=np.uint64), 10)
         assert err.value.part == part
         assert err.value.elements == elements
 
@@ -194,7 +193,31 @@ def test_statistics_are_invariant_under_relabelling():
         dtype=np.uint64,
     )
     np.testing.assert_allclose(
-        kernels.mdi_statistic_batch(relabelled, moved, 200),
-        kernels.mdi_statistic_batch(r, masks, 200),
+        _batch(relabelled, moved, 200),
+        _batch(r, masks, 200),
         rtol=0, atol=_rounding_tolerance(r, 200),
     )
+
+
+def test_a_stacked_table_is_the_per_matrix_tables_bit_for_bit():
+    rng = RngStream(20260843)
+    n = 6
+    matrices = [sample_wishart_correlation(n, rng) for _ in range(7)]
+    # variables 2 and 5 identical; variables 1 and 3 at 1 - 1e-14
+    singular = sample_wishart_correlation(n, rng)
+    singular[4], singular[:, 4] = singular[1], singular[:, 1]
+    near = np.eye(n)
+    near[0, 2] = near[2, 0] = 1.0 - 1e-14
+    failing = {2: singular, 5: near}
+    for i, r in failing.items():
+        matrices.insert(i, r)
+    stack = np.array(matrices)
+    tables = kernels._subset_logdets(stack)
+    assert tables.shape == (len(matrices), 2**n)
+    for i, r in enumerate(matrices):
+        one = kernels._subset_logdets(r)
+        assert tables[i].tobytes() == one.tobytes()
+        assert np.isnan(tables[i]).any() == (i in failing)
+    # any leading axes, and a stack of one
+    assert kernels._subset_logdets(stack.reshape(3, 3, n, n)).tobytes() == tables.tobytes()
+    assert kernels._subset_logdets(stack[:1]).tobytes() == tables[:1].tobytes()

@@ -5,7 +5,12 @@ import pytest
 
 from mutindep import _kernels
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
-from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
+from mutindep.linalg import (
+    CorrelationModel,
+    DataMatrix,
+    sample_correlation,
+    sample_correlations,
+)
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
@@ -31,8 +36,9 @@ def test_logdet_2x2_closed_form():
 def test_logdet_singular_raises():
     one_split = np.array([1], dtype=np.uint64)
     for m in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
+        lds = _kernels._subset_logdets(np.array(m))
         with pytest.raises(NotPositiveDefiniteError) as err:
-            _kernels.mdi_statistic_batch(np.array(m), one_split, 10)
+            _kernels.mdi_statistic_batch(lds, one_split, 10)
         assert err.value.part == "full"
 
 
@@ -104,6 +110,42 @@ def test_sample_correlation_constant_column_named():
     for scale in (1e-300, 1e-170, 1e170, 1e300):
         scaled = sample_correlation(DataMatrix(x * scale)).r
         np.testing.assert_allclose(scaled, r, rtol=0, atol=1e-15)
+
+
+def test_stacked_correlations_are_the_single_matrix_ones_bit_for_bit():
+    rng = RngStream(20260809)
+    scales = (1.0, 3.7, 1e-3, 1e5, 2.0**990, 2.0**-990)
+    for n in range(3, 11):
+        for k in (n + 1, 50, 300):
+            mix = rng.generator.standard_normal((n, n))
+            stack = rng.generator.standard_normal((2 * len(scales), k, n)) @ mix
+            stack[: len(scales)] *= np.array(scales)[:, None, None]
+            # per-column scales, one of each per column in turn
+            stack[len(scales):] *= np.resize(scales, n)
+            models = sample_correlations(stack)
+            for x, model in zip(stack, models):
+                single = sample_correlation(DataMatrix(x))
+                assert model.r.tobytes() == single.r.tobytes()
+                assert model.k == single.k == k
+                # the table built with the stack is the one a model builds
+                assert model.logdets.tobytes() == single.logdets.tobytes()
+    # a constant column flags its own data set only
+    stack = rng.generator.standard_normal((4, 30, 3))
+    stack[2, :, 1] = 0.1
+    models = sample_correlations(stack)
+    assert models[2] is None
+    for i in (0, 1, 3):
+        assert models[i].r.tobytes() == sample_correlation(stack[i]).r.tobytes()
+    with pytest.raises(DegenerateDataError, match=r"column\(s\) 2 are constant"):
+        sample_correlation(stack[2])
+
+
+def test_a_model_keeps_its_subset_table():
+    model = CorrelationModel([[1.0, 0.6], [0.6, 1.0]], 10)
+    table = model.logdets
+    assert model.logdets is table and not table.flags.writeable
+    assert table.tobytes() == _kernels._subset_logdets(model.r).tobytes()
+    assert table[-1] == pytest.approx(math.log(1 - 0.36), abs=1e-15)
 
 
 def test_sample_correlation_needs_three_rows():

@@ -277,8 +277,8 @@ def test_broken_determinant_margin_still_raises(monkeypatch, make, k, margin):
     model = CorrelationModel(r, k)
     kernel = mutindep._kernels.mdi_statistic_batch
 
-    def broken(r, masks, k):
-        raw = kernel(r, masks, k)
+    def broken(lds, masks, k):
+        raw = kernel(lds, masks, k)
         raw[-1] = margin
         return raw
 

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import mutindep.simulation
-from mutindep.errors import NotPositiveDefiniteError
+from mutindep.errors import (
+    DegenerateDataError,
+    InternalNumericError,
+    NotPositiveDefiniteError,
+)
 from mutindep.inference import (
     MAX_VARIABLES,
     ConfusionCounts,
@@ -237,26 +241,65 @@ def test_campaign_nested_subsets_reuse_prefix():
 
 
 def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
-    correlate = mutindep.simulation.sample_correlation
+    # in one chunk of three runs, run 1's first 30 rows have a constant
+    # column and run 2's a duplicated one; the rows after them vary, so only
+    # the size-30 analyses of those two runs fail
+    draw = mutindep.simulation.sample_mvn
+    drawn = []
 
-    def fails_at_size_30(data):
-        if data.k == 30:
-            raise NotPositiveDefiniteError("not positive definite", part="full")
-        return correlate(data)
+    def doctored(sigma, k, rng):
+        data = draw(sigma, k, rng).values.copy()
+        if len(drawn) == 1:
+            data[:30, 0] = 0.5
+        elif len(drawn) == 2:
+            data[:30, 3] = data[:30, 2]
+        drawn.append(data)
+        return DataMatrix(data)
 
-    monkeypatch.setattr(mutindep.simulation, "sample_correlation", fails_at_size_30)
     config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(30, 50))
+    monkeypatch.setattr(mutindep.simulation, "CHUNK_BYTES", 1 << 30)  # one chunk
+    clean = run_campaign(config)
+    monkeypatch.setattr(mutindep.simulation, "sample_mvn", doctored)
     campaign = run_campaign(config)
-    assert [row.failed for row in campaign.rows] == [True, False] * 3
-    assert campaign.failure_count() == 3
-    for row in campaign.rows[::2]:
+    with pytest.raises(DegenerateDataError):
+        sample_correlation(drawn[1][:30])
+    with pytest.raises(NotPositiveDefiniteError):
+        infer_from_model(sample_correlation(drawn[2][:30]))
+    assert [row.failed for row in campaign.rows] == [False, False, True, False, True, False]
+    assert campaign.failure_count() == 2
+    # a failure flags its own row only
+    assert campaign.rows[:2] == clean.rows[:2]
+    for row, data in ((campaign.rows[3], drawn[1]), (campaign.rows[5], drawn[2])):
+        outcome = infer_from_model(sample_correlation(data[:50]), alpha=config.alpha)
+        negative = negatives(parse_partition(row.truth))
+        assert row.auc == auc([t.p_value for t in outcome.tests], negative)
+    for row in campaign.rows[2::2]:
         assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
     path = tmp_path / "runs.csv"
     campaign.write_csv(path)
     lines = path.read_text().splitlines()[1:]
-    for line in lines[::2]:
+    for line in lines[2::2]:
         # sensitivity, specificity, auc and correct are empty cells
         assert line.split(",")[4:8] == [""] * 4 and line.endswith(",1")
+
+
+def test_an_internal_error_aborts_the_campaign_at_the_first_in_run_order(monkeypatch):
+    infer = mutindep.simulation.infer_from_model
+    analysed = []
+
+    def breaks_third_and_fifth(model, **kwargs):
+        analysed.append(model.k)
+        if len(analysed) in (3, 5):
+            raise InternalNumericError(f"analysis {len(analysed)}")
+        return infer(model, **kwargs)
+
+    monkeypatch.setattr(mutindep.simulation, "infer_from_model", breaks_third_and_fifth)
+    monkeypatch.setattr(mutindep.simulation, "CHUNK_BYTES", 1 << 30)  # one chunk
+    config = small_config()  # 12 runs of sizes 50 and 120
+    with pytest.raises(InternalNumericError, match="analysis 3"):
+        run_campaign(config)
+    # runs in order, each with its sizes in order: run 1 at size 50 raised
+    assert analysed == [50, 120, 50]
 
 
 def test_campaign_finds_each_runs_negatives_once(monkeypatch):
