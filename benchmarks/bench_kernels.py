@@ -22,7 +22,6 @@ the earlier BENCH_*.json files, so they compare row by row.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -60,11 +59,8 @@ def _row(bench, size, seconds, **extra):
 
 
 def _batch(r, masks, k):
-    """The statistic batch of r, its subset table included, for a kernel that
-    takes the table as for one that took the matrix itself."""
-    if "lds" in inspect.signature(_kernels.mdi_statistic_batch).parameters:
-        return _kernels.mdi_statistic_batch(_kernels._subset_logdets(r), masks, k)
-    return _kernels.mdi_statistic_batch(r, masks, k)
+    """The statistic batch of r, its subset table included."""
+    return _kernels.mdi_statistic_batch(_kernels._subset_logdets(r), masks, k)
 
 
 def bench_batch():

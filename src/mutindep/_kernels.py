@@ -21,9 +21,19 @@ from .errors import not_pd_submatrix
 
 PIVOT_TOL = 1e-12
 
-# The subset table has 2^n entries per running quantity, about 45 MiB at
-# n = 20; a larger matrix is refused rather than left to exhaust memory.
+# An analysis of n variables tests 2^(n-1) - 1 dichotomies off a table of
+# 2^n subsets; past n = 20 it is refused rather than left to exhaust memory.
 MAX_VARIABLES = 20
+
+
+def check_size(n, what="variables", least=2):
+    """Refuse n variables (or a partition of n blocks) outside
+    least..MAX_VARIABLES, before anything of size 2^n is allocated."""
+    if not least <= n <= MAX_VARIABLES:
+        raise ValueError(
+            f"n={n} {what}: the limit is {least} <= n <= {MAX_VARIABLES}, as n "
+            f"{what} give 2^(n-1) - 1 dichotomies"
+        )
 
 
 def _subset_logdets(r):
@@ -42,11 +52,7 @@ def _subset_logdets(r):
     """
     r = np.asarray(r, dtype=np.float64)
     n = r.shape[-1]
-    if n > MAX_VARIABLES:
-        raise ValueError(
-            f"n={n} variables needs a table of 2^{n} subset log-determinants; "
-            f"the limit is n <= {MAX_VARIABLES}"
-        )
+    check_size(n, least=1)
     stack = r.reshape(-1, n, n)
     schur = stack[:, None].copy()  # (matrix, subset, row, column)
     lds = np.zeros((len(stack), 1))

@@ -61,8 +61,6 @@ def _read_data_csv(path):
         if not rows:
             raise ValueError(f"{path} has a header but no data rows")
     width = len(rows[0])
-    if width < 2:
-        raise ValueError("need at least 2 variable columns")
     data = []
     for i, row in enumerate(rows, start=2 if header else 1):
         if len(row) != width:
@@ -86,7 +84,7 @@ def _is_number(cell):
 
 
 def _read_matrix(path):
-    """Read a square numeric matrix; cells separated by commas or whitespace."""
+    """Read a numeric matrix; cells separated by commas or whitespace."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -104,10 +102,6 @@ def _read_matrix(path):
     width = len(matrix[0])
     if any(len(row) != width for row in matrix):
         raise ValueError(f"ragged matrix in {path}")
-    if len(matrix) != width:
-        raise ValueError(
-            f"matrix in {path} is {len(matrix)}x{width}, expected square"
-        )
     return matrix
 
 
@@ -184,8 +178,6 @@ def cmd_infer(args):
             raise ValueError("give either a data CSV or --correlation, not both")
         if args.samples is None:
             raise ValueError("--correlation requires --samples")
-        if args.samples < 3:
-            raise ValueError("--samples must be at least 3")
         model = CorrelationModel(_read_matrix(args.correlation), args.samples)
         outcome = infer_from_model(
             model, alpha=args.alpha, correction=args.correction, mode=args.mode
@@ -216,12 +208,23 @@ def cmd_meet(args):
     return _EXIT_OK
 
 
+def _integers(flag, tokens):
+    """The tokens of `flag`'s value as ints; a malformed one names the flag."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag}: {tok!r} is not an integer")
+    return out
+
+
 def _parse_blocks_arg(text):
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+        lo, hi = _integers("--blocks", text.split("..", 1))
+        return tuple(range(lo, hi + 1))
+    return tuple(_integers("--blocks", [tok for tok in text.split(",") if tok]))
 
 
 def _parse_sizes_arg(text):
@@ -230,11 +233,11 @@ def _parse_sizes_arg(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("--sizes range must look like start:stop:step")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = _integers("--sizes", parts)
         if step <= 0:
             raise ValueError("--sizes step must be positive")
         return tuple(range(start, stop + 1, step))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    return tuple(_integers("--sizes", [tok for tok in text.split(",") if tok]))
 
 
 def cmd_simulate(args):

@@ -6,14 +6,18 @@ Each returns a boolean array of rejection flags aligned with the p-values.
 import numpy as np
 
 
+def check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _validated(pvalues, alpha):
     p = np.asarray(list(pvalues), dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("need a nonempty sequence of p-values")
     if not np.isfinite(p).all() or (p < 0).any() or (p > 1).any():
         raise ValueError("p-values must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return p
 
 

@@ -12,22 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MAX_VARIABLES
-from .fdr import bh_fdr, bonferroni
+from ._kernels import check_size
+from .fdr import bh_fdr, bonferroni, check_alpha
 from .linalg import CorrelationModel, DataMatrix, sample_correlation
-from .mdi import MODES, test_bipartitions
+from .mdi import check_mode, test_bipartitions
 from .partitions import Partition, enumerate_bipartitions, meet_all
 
 CORRECTIONS = {"fdr": bh_fdr, "bonferroni": bonferroni}
 
-# Every analysis tests all 2^(n-1) - 1 dichotomies.  Measured with
-# tracemalloc at n = 13 (Python 3.11), infer_from_model peaks at about 270
-# bytes per test on the first call for an n (210 of them the TestResults
-# the outcome keeps and the Bipartitions enumerate_bipartitions keeps for
-# that n; about 185 on later calls) and the command line's JSON rendering,
-# outcome included, at about 1.6 KiB; BYTES_PER_TEST rounds the largest
-# up.  The kernel's MAX_VARIABLES keeps an analysis within about 1 GiB.
-BYTES_PER_TEST = 2048
+
+def check_correction(correction):
+    if correction not in CORRECTIONS:
+        raise ValueError(
+            f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,41 +76,26 @@ def resolve_pattern(n, bipartitions, pvalues, alpha, correction="fdr"):
     combination step of the pipeline, usable directly when p-values come
     from elsewhere.
     """
-    if correction not in CORRECTIONS:
-        raise ValueError(
-            f"correction must be one of {tuple(CORRECTIONS)}, got {correction!r}"
-        )
+    check_correction(correction)
     rejected = tuple(CORRECTIONS[correction](pvalues, alpha).tolist())
     survivors = [b for b, rej in zip(bipartitions, rejected, strict=True) if not rej]
     mu_hat = meet_all(survivors) if survivors else Partition.one_block(n)
     return rejected, mu_hat
 
 
-def check_variable_count(n):
-    """Refuse n above MAX_VARIABLES before anything is allocated."""
-    if n > MAX_VARIABLES:
-        m = 2 ** (n - 1) - 1
-        raise ValueError(
-            f"n={n} variables means {m} dichotomy tests, about "
-            f"{m * BYTES_PER_TEST / 2**30:.1f} GiB at {BYTES_PER_TEST} bytes per "
-            f"test; the limit is n <= {MAX_VARIABLES}"
-        )
-
-
 def infer_from_model(model, alpha=0.1, correction="fdr", mode="central"):
     """Run every dichotomy test on a correlation model and intersect survivors.
 
     A positive-definiteness failure in any submatrix aborts the whole
-    inference: a silently skipped test would bias the survivor set.  Models
-    over MAX_VARIABLES variables are refused with a ValueError.
+    inference: a silently skipped test would bias the survivor set.  A bad
+    option, or a model over MAX_VARIABLES variables, is refused with a
+    ValueError before any test runs.
     """
     if not isinstance(model, CorrelationModel):
         raise TypeError("expected a CorrelationModel")
-    if model.n < 2:
-        raise ValueError("inference needs at least 2 variables")
-    check_variable_count(model.n)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_alpha(alpha)
+    check_correction(correction)
+    check_mode(mode)
     bipartitions = enumerate_bipartitions(model.n)
     tests = test_bipartitions(model, bipartitions, mode)
     rejected, mu_hat = resolve_pattern(
@@ -132,10 +115,7 @@ def infer_from_data(data, alpha=0.1, correction="fdr", mode="central"):
     """Sample-correlation front end to infer_from_model."""
     if not isinstance(data, DataMatrix):
         data = DataMatrix(data)
-    if data.n < 2:
-        raise ValueError("inference needs at least 2 variable columns")
-    if data.k < 3:
-        raise ValueError(f"inference needs at least 3 rows, got {data.k}")
+    check_size(data.n)  # before a constant column is looked for
     model = sample_correlation(data)
     return infer_from_model(model, alpha=alpha, correction=correction, mode=mode)
 

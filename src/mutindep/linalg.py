@@ -8,6 +8,13 @@ from .errors import DegenerateDataError
 _MODEL_TOL = 1e-12
 
 
+def check_sample_count(k):
+    """Refuse fewer than 3 samples: two rows correlate at +-1, so no test
+    can use fewer."""
+    if k < 3:
+        raise ValueError(f"need a sample count of at least 3, got {k}")
+
+
 class DataMatrix:
     """k i.i.d. observation rows over n variables (immutable)."""
 
@@ -44,15 +51,17 @@ class CorrelationModel:
     """A correlation matrix together with the sample count behind it.
 
     These are the sufficient statistics for every dichotomy test: the
-    statistic depends on the data only through (r, k).
+    statistic depends on the data only through (r, k), with k >= 3.
     """
 
     __slots__ = ("r", "k", "_logdets")
 
     def __init__(self, r, k):
+        k = int(k)
+        check_sample_count(k)
         r = np.array(r, dtype=np.float64)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError("correlation matrix must be square")
+            raise ValueError(f"correlation matrix must be square, got shape {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("correlation matrix contains non-finite entries")
         if np.abs(r - r.T).max(initial=0.0) > _MODEL_TOL:
@@ -61,9 +70,6 @@ class CorrelationModel:
             raise ValueError("correlation matrix must have a unit diagonal")
         if np.abs(r).max(initial=0.0) > 1.0 + _MODEL_TOL:
             raise ValueError("correlation entries must lie in [-1, 1]")
-        k = int(k)
-        if k < 2:
-            raise ValueError(f"need a sample count of at least 2, got {k}")
         r.setflags(write=False)
         self.r = r
         self.k = k
@@ -96,6 +102,7 @@ def sample_correlation(data):
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(data)
+    check_sample_count(data.k)  # before a constant column is looked for
     r, constant = _correlations(data.values)
     if constant.any():
         cols = ", ".join(str(i + 1) for i in np.flatnonzero(constant))
@@ -108,6 +115,7 @@ def sample_correlations(stack):
     """The sample_correlation models of a stack of data sets (sets, k, n), in
     order, with None for a set that has a constant column.  The models'
     subset tables are built in one pass over the stack."""
+    check_sample_count(stack.shape[-2])
     r, constant = _correlations(stack)
     tables = _kernels._subset_logdets(r)
     tables.setflags(write=False)
@@ -123,8 +131,6 @@ def _correlations(x):
     """The correlation matrix of each data set of a stack (..., k, n), and
     which of its columns are constant (those make the matrix meaningless)."""
     k, n = x.shape[-2:]
-    if k < 3:
-        raise ValueError(f"sample correlation needs at least 3 rows, got {k}")
     # a copy of the transposes, since numpy reduces a few long rows several
     # times faster than a few columns
     columns = np.swapaxes(x, -1, -2).copy()

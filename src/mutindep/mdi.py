@@ -19,6 +19,12 @@ from .partitions import Bipartition
 
 MODES = ("central", "noncentral")
 
+
+def check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 # A raw statistic is (k-1) * (ld_a + ld_c - ld_full), so an entailed split
 # of an exactly block-diagonal model gives 0 up to rounding.  Cholesky
 # rounding moves a log-determinant by at most about n(n+1) eps / lambda_min
@@ -66,8 +72,6 @@ def _check_model(model, n):
         raise TypeError("expected a CorrelationModel")
     if model.n != n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, test has n={n}")
-    if model.k < 3:
-        raise ValueError(f"the test needs a sample count of at least 3, got {model.k}")
 
 
 def _clamped(raw, model):
@@ -119,8 +123,7 @@ def test_bipartitions(model, bipartitions, mode="central"):
     A test's df and noncentrality depend only on the size of its members
     block (the model fixes n and k), so each is computed once per size.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     bipartitions = list(bipartitions)
     stats = mdi_statistics(model, bipartitions).tolist()
     n = model.n

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from ._kernels import MAX_VARIABLES
+from ._kernels import check_size
 
 # Largest n accepted by the public counting functions.  Bell/Stirling values
 # up to this point stay within the range of 64-bit consumers; Python ints are
@@ -138,7 +138,8 @@ class Bipartition:
     __slots__ = ("_n", "_members")
 
     def __init__(self, n, members):
-        _check_bipartition_n(n)
+        if not 2 <= n <= 32:
+            raise ValueError(f"bipartitions support 2 <= n <= 32, got n={n}")
         members = int(members)
         full = (1 << n) - 1
         if members & 1 == 0:
@@ -185,11 +186,6 @@ class Bipartition:
 
     def __str__(self):
         return format_partition(self)
-
-
-def _check_bipartition_n(n):
-    if not 2 <= n <= 32:
-        raise ValueError(f"bipartitions support 2 <= n <= 32, got n={n}")
 
 
 def _check_same_n(p, q):
@@ -242,15 +238,6 @@ def meet_all(partitions):
     return Partition(zip(*(p.assignment for p in partitions)))
 
 
-def _check_enumeration_size(count, what):
-    # 2^(count-1) - 1 dichotomies; refuse before allocating them
-    if count > MAX_VARIABLES:
-        raise ValueError(
-            f"{count} {what} have {2 ** (count - 1) - 1} dichotomies; enumerating "
-            f"them is limited to {MAX_VARIABLES} {what}"
-        )
-
-
 def bipartition_masks(n):
     """Members bitmasks of all 2^(n-1) - 1 bipartitions of {1..n}, ascending.
 
@@ -258,8 +245,7 @@ def bipartition_masks(n):
     numbers below 2^n - 1, as a uint64 array.  At most MAX_VARIABLES
     variables.
     """
-    _check_bipartition_n(n)
-    _check_enumeration_size(n, "variables")
+    check_size(n)
     return np.arange(1, 2**n - 1, 2, dtype=np.uint64)
 
 
@@ -288,19 +274,33 @@ def block_masks(mu):
     return out
 
 
-def entailed_masks(masks, mu):
-    """Boolean array: which members bitmasks are dichotomies entailed by mu.
+def _entailed_members(mu):
+    """Members bitmasks of the dichotomies entailed by mu, ascending.
 
-    A dichotomy is entailed exactly when it splits no block of mu, that is
-    when mask & B is 0 or B for every block mask B.  Agrees with membership
-    in entailed_dichotomies(mu).
+    A dichotomy is entailed exactly when it splits no block of mu: its
+    members block is the block of element 1 joined with a proper subset of
+    the other blocks, 2^(k-1) - 1 choices for k blocks (none when k == 1).
+    At most MAX_VARIABLES blocks.
     """
+    blocks = block_masks(mu)
+    check_size(len(blocks), "blocks", least=1)
+    members = np.array(blocks[:1], dtype=np.uint64)
+    for block in blocks[1:]:
+        members = np.concatenate([members, members | np.uint64(block)])
+    # the last union is every block, which leaves the complement empty
+    return np.sort(members[:-1])
+
+
+def entailed_masks(masks, mu):
+    """Boolean array: which members bitmasks are dichotomies entailed by mu,
+    the members masks of entailed_dichotomies(mu)."""
     masks = np.asarray(masks, dtype=np.uint64)
-    entailed = np.ones(masks.shape, dtype=bool)
-    for block in block_masks(mu):
-        block = np.uint64(block)
-        inside = masks & block
-        entailed &= (inside == 0) | (inside == block)
+    members = _entailed_members(mu)
+    # a mask is entailed when it is the member at its sorted position
+    at = np.searchsorted(members, masks)
+    found = at < members.size
+    entailed = np.zeros(masks.shape, dtype=bool)
+    entailed[found] = members[at[found]] == masks[found]
     return entailed
 
 
@@ -311,18 +311,7 @@ def entailed_dichotomies(mu):
     mu; there are 2^(k-1) - 1 of them for k blocks (none when k == 1).
     Returned ascending by members bitmask.  At most MAX_VARIABLES blocks.
     """
-    blocks = block_masks(mu)
-    _check_enumeration_size(len(blocks), "blocks")
-    out = []
-    for s in range(2 ** (len(blocks) - 1) - 1):
-        selector = 1 | (s << 1)
-        members = 0
-        for j, block in enumerate(blocks):
-            if (selector >> j) & 1:
-                members |= block
-        out.append(Bipartition(mu.n, members))
-    out.sort(key=lambda b: b.members)
-    return out
+    return [Bipartition(mu.n, m) for m in _entailed_members(mu).tolist()]
 
 
 def enumerate_coarsenings(mu):

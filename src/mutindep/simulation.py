@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import check_size
 from .errors import NotPositiveDefiniteError
-from .inference import (
-    CORRECTIONS,
-    check_variable_count,
-    classify_against_truth,
-    infer_from_model,
-)
+from .fdr import check_alpha
+from .inference import check_correction, classify_against_truth, infer_from_model
 from .linalg import sample_correlations
-from .mdi import MODES
+from .mdi import check_mode
 from .partitions import bipartition_masks, entailed_masks, format_partition
 from .randomness import (
     RngStream,
@@ -74,9 +71,7 @@ class SimulationConfig:
     def __post_init__(self):
         object.__setattr__(self, "block_counts", tuple(self.block_counts))
         object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
-        if self.n < 2:
-            raise ValueError("need at least 2 variables")
-        check_variable_count(self.n)
+        check_size(self.n)
         if not self.block_counts:
             raise ValueError("need at least one block count")
         for blocks in self.block_counts:
@@ -93,12 +88,9 @@ class SimulationConfig:
                     f"{self.max_samples}: the correlation of at most n={self.n} "
                     "rows is singular"
                 )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.correction not in CORRECTIONS:
-            raise ValueError(f"unknown correction {self.correction!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_alpha(self.alpha)
+        check_correction(self.correction)
+        check_mode(self.mode)
         RngStream(self.master_seed)  # the stream's own range check on the seed
 
 

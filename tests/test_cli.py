@@ -112,7 +112,16 @@ def test_infer_bad_inputs(tmp_path, capsys):
 
     narrow = tmp_path / "one_col.csv"
     narrow.write_text("1\n2\n3\n")
+    capsys.readouterr()
     assert main(["infer", str(narrow)]) == 2
+    assert "n=1 variables: the limit is 2 <= n" in capsys.readouterr().err
+
+    # a cell that parses to NaN or an infinity
+    for cell in ("nan", "inf", "-inf"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"1,2\n3,{cell}\n5,6\n7,9\n")
+        assert main(["infer", str(nonfinite)]) == 2, cell
+        assert "non-finite" in capsys.readouterr().err, cell
 
     missing = tmp_path / "nope.csv"
     assert main(["infer", str(missing)]) == 2
@@ -136,15 +145,50 @@ def test_correlation_input_validation(tmp_path, capsys):
     assert main(["infer", "--correlation", str(path)]) == 2  # missing --samples
     capsys.readouterr()
 
+    def infer(samples="50"):
+        code = main(["infer", "--correlation", str(path), "--samples", samples,
+                     "--format", "text"])
+        return code, capsys.readouterr()
+
+    path.write_text("1,0,0\n0,1,0\n")
+    assert infer() == (2, ("", "error: correlation matrix must be square, "
+                              "got shape (2, 3)\n"))
+    np.savetxt(path, np.eye(3))
+    assert infer("2") == (2, ("", "error: need a sample count of at least 3, got 2\n"))
+    # a sample count past any machine integer is taken as it is
+    code, out = infer(str(2**64 + 1))
+    assert code == 0 and "finest pattern: 1|2|3" in out.out
+    # an entry just past or just inside +-1 passes the range check, and the
+    # pivot rule refuses the matrix
+    for entry in (1 + 1e-12, 1 - 1e-12, -1 - 1e-12):
+        r = np.eye(3)
+        r[0, 1] = r[1, 0] = entry
+        np.savetxt(path, r)
+        code, out = infer()
+        assert code == 2 and "not positive definite" in out.err, entry
+
 
 def test_infer_over_the_size_limit_is_a_usage_error(tmp_path, capsys):
-    from mutindep.inference import MAX_VARIABLES
+    from mutindep._kernels import MAX_VARIABLES
 
     path = tmp_path / "identity.txt"
     np.savetxt(path, np.eye(MAX_VARIABLES + 1))
     assert main(["infer", "--correlation", str(path), "--samples", "100"]) == 2
     err = capsys.readouterr().err
     assert f"n={MAX_VARIABLES + 1}" in err and f"n <= {MAX_VARIABLES}" in err
+
+
+@pytest.mark.parametrize("source", ["data", "correlation"])
+def test_infer_refuses_a_bad_alpha_before_any_test_runs(
+        source, two_column_csv, hiv_matrix_file, capsys, monkeypatch):
+    def no_tests(*args):
+        pytest.fail("a dichotomy test ran before alpha was checked")
+
+    monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", no_tests)
+    argv = ([str(two_column_csv)] if source == "data"
+            else ["--correlation", str(hiv_matrix_file), "--samples", "107"])
+    assert main(["infer", *argv, "--alpha", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: alpha must lie in (0, 1), got 1.5\n"
 
 
 def test_dichotomies_command(capsys):
@@ -163,15 +207,15 @@ def test_dichotomies_command(capsys):
 
 
 def test_dichotomies_over_the_size_limit_is_a_usage_error(capsys):
-    from mutindep.inference import MAX_VARIABLES
+    from mutindep._kernels import MAX_VARIABLES
 
     singletons = "|".join(str(i) for i in range(1, MAX_VARIABLES + 2))
     assert main(["dichotomies", singletons]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == (f"error: {MAX_VARIABLES + 1} blocks have {2 ** MAX_VARIABLES - 1} "
-                       f"dichotomies; enumerating them is limited to {MAX_VARIABLES} "
-                       "blocks\n")
+    assert out.err == (f"error: n={MAX_VARIABLES + 1} blocks: the limit is "
+                       f"1 <= n <= {MAX_VARIABLES}, as n blocks give 2^(n-1) - 1 "
+                       "dichotomies\n")
 
 
 def test_meet_command(capsys):
@@ -286,11 +330,19 @@ def test_simulate_bad_config(tmp_path, capsys):
     # a config error is reported before the output file is created
     # sizes of at most n rows give a singular correlation
     for bad in (["--blocks", "9"], ["--seed", "-1"],
-                ["--seed", str(1 << 64)], ["--n", "6", "--sizes", "4"]):
+                ["--seed", str(1 << 64)], ["--n", "6", "--sizes", "4"],
+                ["--alpha", "1.5"], ["--n", "1", "--blocks", "1"]):
         argv = _SMALL_CAMPAIGN + bad + ["--csv", str(tmp_path / "x.csv")]
         assert main(argv) == 2, bad
         capsys.readouterr()
         assert not (tmp_path / "x.csv").exists(), bad
+    # a malformed integer names its flag
+    for flag, value in (("--blocks", "a"), ("--sizes", "a"), ("--blocks", "1..a"),
+                        ("--sizes", "50:a:50")):
+        argv = _SMALL_CAMPAIGN + [flag, value, "--csv", str(tmp_path / "x.csv")]
+        assert main(argv) == 2, value
+        assert capsys.readouterr().err == f"error: {flag}: 'a' is not an integer\n"
+        assert not (tmp_path / "x.csv").exists(), value
 
 
 def test_simulate_rerun_onto_the_same_paths(tmp_path, capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import mutindep.mdi
+from mutindep import _kernels
+from mutindep._kernels import MAX_VARIABLES
 from mutindep.datasets import hiv_model
 from mutindep.distributions import noncentral_chi2_sf
 from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
 from mutindep.inference import (
-    MAX_VARIABLES,
     classify_against_truth,
     infer_from_data,
     infer_from_model,
@@ -80,9 +81,23 @@ def test_resolve_pattern_validation():
         resolve_pattern(3, bips, [0.5] * 2, 0.1)  # length mismatch
 
 
+@pytest.mark.parametrize("option", [
+    {"alpha": 1.5}, {"alpha": 0.0}, {"correction": "storey"}, {"mode": "bogus"},
+], ids=["alpha-1.5", "alpha-0", "correction", "mode"])
+def test_a_bad_option_is_refused_before_any_test_runs(option, monkeypatch):
+    def no_tests(*args):
+        pytest.fail("a dichotomy test ran before the options were checked")
+
+    monkeypatch.setattr(_kernels, "mdi_statistic_batch", no_tests)
+    [name] = option
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        infer_from_model(CorrelationModel(np.eye(12), 300), **option)
+
+
 def test_size_guard_refuses_before_allocating():
     n = MAX_VARIABLES + 1
-    with pytest.raises(ValueError, match=rf"n={n} .* GiB .* n <= {MAX_VARIABLES}"):
+    limit = f"n={n} variables: the limit is 2 <= n <= {MAX_VARIABLES}"
+    with pytest.raises(ValueError, match=limit):
         infer_from_model(CorrelationModel(np.eye(n), 100))
 
 
@@ -160,10 +175,14 @@ def test_mu_hat_is_invariant_when_columns_are_rescaled():
 
 
 def test_infer_from_data_guards():
-    with pytest.raises(ValueError):
-        infer_from_data(DataMatrix([[0.0, 1.0], [1.0, 0.0]]))  # k = 2
-    with pytest.raises(ValueError):
-        infer_from_data(np.zeros((10, 1)))  # single variable
+    # the sample count and the variable count are refused before a
+    # constant column is looked for
+    for data in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]]):  # k = 2
+        with pytest.raises(ValueError, match="sample count of at least 3, got 2"):
+            infer_from_data(DataMatrix(data))
+    for column in (np.zeros(10), np.arange(10.0)):  # single variable
+        with pytest.raises(ValueError, match="n=1 variables: the limit is 2 <= n"):
+            infer_from_data(column[:, None])
     constant = np.column_stack([np.arange(10.0), np.full(10, 2.0)])
     with pytest.raises(DegenerateDataError, match="2"):
         infer_from_data(constant)

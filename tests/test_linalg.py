@@ -73,6 +73,11 @@ def test_correlation_model_validation():
         CorrelationModel([[1.0, 1.5], [1.5, 1.0]], 10)  # out of range
     with pytest.raises(ValueError):
         CorrelationModel(np.eye(3), 1)  # sample count too small
+    # two rows correlate at +-1, so no model has fewer than 3
+    with pytest.raises(ValueError, match="sample count of at least 3, got 2"):
+        CorrelationModel(np.eye(3), 2)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        CorrelationModel(np.eye(3)[:2], 10)
     model = CorrelationModel(np.eye(3), 5)
     assert (model.n, model.k) == (3, 5)
 

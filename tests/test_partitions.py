@@ -200,9 +200,13 @@ def test_enumerations_refuse_more_than_max_variables():
     limit = MAX_VARIABLES
     assert len(bipartition_masks(limit)) == 2 ** (limit - 1) - 1
     for enumerate_all in (bipartition_masks, enumerate_bipartitions):
-        with pytest.raises(ValueError, match=f"limited to {limit} variables"):
+        with pytest.raises(ValueError, match=f"n={limit + 1} variables: the limit is "
+                                             f"2 <= n <= {limit}"):
             enumerate_all(limit + 1)
-    with pytest.raises(ValueError, match=f"limited to {limit} blocks"):
+        with pytest.raises(ValueError, match="n=1 variables: the limit is 2 <= n"):
+            enumerate_all(1)
+    with pytest.raises(ValueError, match=f"n={limit + 1} blocks: the limit is "
+                                         f"1 <= n <= {limit}"):
         entailed_dichotomies(Partition.singletons(limit + 1))
     # the limit is on blocks, not on variables
     wide = Partition([0] * 10 + [1] * 10 + [2] * 10)
@@ -355,13 +359,19 @@ def test_dichotomy_reconstruction_exhaustive():
 
 
 def test_entailed_masks_match_entailed_dichotomies():
+    # both against the set-algebra rule: a dichotomy is entailed when mu
+    # refines it
     for n in range(2, 7):
         masks = bipartition_masks(n)
-        assert masks.tolist() == [b.members for b in enumerate_bipartitions(n)]
+        bipartitions = enumerate_bipartitions(n)
+        assert masks.tolist() == [b.members for b in bipartitions]
         for mu in enumerate_partitions(n):
-            expected = {b.members for b in entailed_dichotomies(mu)}
-            got = entailed_masks(masks, mu)
-            assert got.tolist() == [m in expected for m in masks.tolist()]
+            blocks = oracles.as_block_sets(mu)
+            expected = [oracles.is_refinement_blocks(blocks, oracles.as_block_sets(b))
+                        for b in bipartitions]
+            assert entailed_masks(masks, mu).tolist() == expected
+            assert entailed_dichotomies(mu) == [
+                b for b, entailed in zip(bipartitions, expected) if entailed]
 
 
 # --- coarsenings -------------------------------------------------------------

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import mutindep.simulation
+from mutindep._kernels import MAX_VARIABLES
 from mutindep.errors import (
     DegenerateDataError,
     InternalNumericError,
     NotPositiveDefiniteError,
 )
 from mutindep.inference import (
-    MAX_VARIABLES,
     ConfusionCounts,
     classify_against_truth,
     infer_from_model,
@@ -188,10 +188,14 @@ def test_config_validation():
     SimulationConfig(n=6, subset_sizes=(7, 50))
     with pytest.raises(ValueError):
         SimulationConfig(runs_per_k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         SimulationConfig(alpha=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="correction must be one of"):
         SimulationConfig(correction="storey")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        SimulationConfig(mode="bogus")
+    with pytest.raises(ValueError, match="n=1 variables: the limit is 2 <= n"):
+        SimulationConfig(n=1, block_counts=(1,))
     with pytest.raises(ValueError, match=f"n <= {MAX_VARIABLES}"):
         SimulationConfig(n=MAX_VARIABLES + 1, block_counts=(1,))
 
