@@ -16,7 +16,7 @@ def check_sample_count(k):
 
 
 class DataMatrix:
-    """k i.i.d. observation rows over n variables (immutable)."""
+    """k >= 3 i.i.d. observation rows over n variables (immutable)."""
 
     __slots__ = ("values",)
 
@@ -26,8 +26,7 @@ class DataMatrix:
         v = np.array(values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("data must be two-dimensional (rows = observations)")
-        if v.shape[0] < 2:
-            raise ValueError(f"need at least 2 observation rows, got {v.shape[0]}")
+        check_sample_count(v.shape[0])
         if v.shape[1] < 1:
             raise ValueError("need at least 1 variable column")
         if not np.isfinite(v).all():
@@ -102,7 +101,6 @@ def sample_correlation(data):
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(data)
-    check_sample_count(data.k)  # before a constant column is looked for
     r, constant = _correlations(data.values)
     if constant.any():
         cols = ", ".join(str(i + 1) for i in np.flatnonzero(constant))

@@ -280,10 +280,15 @@ def _entailed_members(mu):
     A dichotomy is entailed exactly when it splits no block of mu: its
     members block is the block of element 1 joined with a proper subset of
     the other blocks, 2^(k-1) - 1 choices for k blocks (none when k == 1).
-    At most MAX_VARIABLES blocks.
+    At most MAX_VARIABLES blocks, and n <= 32 as for a Bipartition.
     """
     blocks = block_masks(mu)
     check_size(len(blocks), "blocks", least=1)
+    if len(blocks) == 1:
+        return np.zeros(0, dtype=np.uint64)
+    # blocks[0] is the least member; building it as a Bipartition refuses
+    # n > 32 before the masks are made uint64
+    Bipartition(mu.n, blocks[0])
     members = np.array(blocks[:1], dtype=np.uint64)
     for block in blocks[1:]:
         members = np.concatenate([members, members | np.uint64(block)])

@@ -216,6 +216,14 @@ def test_dichotomies_over_the_size_limit_is_a_usage_error(capsys):
     assert out.err == (f"error: n={MAX_VARIABLES + 1} blocks: the limit is "
                        f"1 <= n <= {MAX_VARIABLES}, as n blocks give 2^(n-1) - 1 "
                        "dichotomies\n")
+    # the limit on elements is the Bipartition's: past 64 elements a block
+    # no longer fits a 64-bit mask
+    elements = " ".join(str(i) for i in range(2, 66))
+    assert main(["dichotomies", "1 " + elements]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["dichotomies", "1|" + elements]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bipartitions support 2 <= n <= 32, got n=65\n")
 
 
 def test_meet_command(capsys):

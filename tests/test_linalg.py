@@ -58,8 +58,10 @@ def test_data_matrix_validation():
         DataMatrix([1.0, 2.0, 3.0])  # one-dimensional
     with pytest.raises(ValueError):
         DataMatrix([[1.0, np.nan], [0.0, 1.0]])
-    dm = DataMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert (dm.k, dm.n) == (2, 2)
+    with pytest.raises(ValueError, match="sample count of at least 3, got 2"):
+        DataMatrix([[1.0, 2.0], [3.0, 4.0]])  # two rows correlate at +-1
+    dm = DataMatrix([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    assert (dm.k, dm.n) == (3, 2)
     with pytest.raises(ValueError):
         dm.values[0, 0] = 9.0  # immutable
 

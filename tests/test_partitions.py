@@ -215,6 +215,10 @@ def test_enumerations_refuse_more_than_max_variables():
         format_partition(Partition([0] * 20 + [1] * 10)),
         format_partition(Partition([0] * 10 + [1] * 10 + [0] * 10)),
     ]
+    # and on elements, the Bipartition's, whichever size a block mask takes
+    assert entailed_dichotomies(Partition.one_block(65)) == []
+    with pytest.raises(ValueError, match="bipartitions support 2 <= n <= 32, got n=65"):
+        entailed_dichotomies(Partition([0] + [1] * 64))
 
 
 # --- bipartitions -----------------------------------------------------------
