@@ -5,7 +5,9 @@ Usage: python benchmarks/bench_kernels.py [--out FILE]
 Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models) and on identity models, where
-every dichotomy survives and the meet is the cost, the 300-run desk
+every dichotomy survives and the meet is the cost, the scoring layers of
+one desk campaign chunk (statistics, p-values, correction and meet,
+classification, AUC), the 300-run desk
 simulation (five times, reported as the median with its quartiles), the
 rewrite of that campaign's CSV and summary onto the same two paths, as a
 campaign re-run into the same files does, the default 3000-run reference
@@ -35,10 +37,12 @@ import numpy as np
 
 import mutindep
 from mutindep import _kernels
-from mutindep.inference import infer_from_model
-from mutindep.linalg import CorrelationModel
-from mutindep.randomness import RngStream, sample_wishart_correlation
-from mutindep.simulation import SimulationConfig, run_campaign
+from mutindep.inference import classify_against_truth, infer_from_model, resolve_pattern
+from mutindep.linalg import CorrelationModel, sample_correlations
+from mutindep.mdi import mask_statistics, p_values
+from mutindep.partitions import bipartition_masks, entailed_masks, enumerate_bipartitions
+from mutindep.randomness import RngStream, sample_mvn, sample_wishart_correlation
+from mutindep.simulation import SimulationConfig, auc, generate_model, run_campaign
 
 
 def _time(fn, min_seconds=0.2):
@@ -97,6 +101,49 @@ def bench_infer():
         t = _time(lambda: infer_from_model(model, alpha=0.1))
         print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
         rows.append(_row("infer_from_model_identity", n, t))
+    return rows
+
+
+def bench_scoring():
+    """Each scoring layer of a campaign over one desk chunk: the 30 runs x 6
+    sizes that the desk campaign analyses together, from their models."""
+    print()
+    print("scoring layers of one desk chunk, 30 runs x 6 sizes (per chunk)")
+    config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
+    n, sizes = config.n, config.subset_sizes
+    masks = bipartition_masks(n)
+    bipartitions = enumerate_bipartitions(n)
+    member_sizes = [b.members.bit_count() for b in bipartitions]
+    runs = [b for b in config.block_counts for _ in range(config.runs_per_k)]
+    data, negatives = [], []
+    for run_id, blocks in enumerate(runs):
+        rng = RngStream(config.master_seed, run_id)
+        truth, sigma = generate_model(n, blocks, rng)
+        data.append(sample_mvn(sigma, config.max_samples, rng).values)
+        negatives.append(entailed_masks(masks, truth))
+    data = np.stack(data)
+    models = [m for size in sizes for m in sample_correlations(data[:, :size])]
+    flags = [negative for _ in sizes for negative in negatives]
+    stats = [mask_statistics(m, masks).tolist() for m in models]
+    pvalues = [p_values(s, member_sizes, n, m.k, config.mode)
+               for s, m in zip(stats, models)]
+    rejected = [resolve_pattern(n, bipartitions, p, config.alpha, config.correction)[0]
+                for p in pvalues]
+    layers = {
+        "statistics": lambda: [mask_statistics(m, masks) for m in models],
+        "p_values": lambda: [p_values(s, member_sizes, n, m.k, config.mode)
+                             for s, m in zip(stats, models)],
+        "correction_meet": lambda: [
+            resolve_pattern(n, bipartitions, p, config.alpha, config.correction)
+            for p in pvalues],
+        "classify": lambda: [classify_against_truth(r, f) for r, f in zip(rejected, flags)],
+        "auc": lambda: [auc(p, f) for p, f in zip(pvalues, flags)],
+    }
+    rows = []
+    for layer, fn in layers.items():
+        t = _time(fn)
+        print(f"  {layer:<16} {t * 1e3:>8.2f}ms")
+        rows.append(_row(f"desk_chunk_{layer}", len(models), t))
     return rows
 
 
@@ -178,8 +225,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = (bench_batch() + bench_infer() + bench_campaign() + bench_reference_campaign()
-            + bench_cli_rerun())
+    rows = (bench_batch() + bench_infer() + bench_scoring() + bench_campaign()
+            + bench_reference_campaign() + bench_cli_rerun())
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

@@ -120,19 +120,20 @@ def infer_from_data(data, alpha=0.1, correction="fdr", mode="central"):
     return infer_from_model(model, alpha=alpha, correction=correction, mode=mode)
 
 
-def classify_against_truth(outcome, negative):
+def classify_against_truth(rejected, negative):
     """Confusion counts of an inference against a ground-truth pattern.
 
-    `negative` flags, per test of `outcome`, the dichotomies entailed by the
-    truth (the null hypothesis holds): `entailed_masks(bipartition_masks(n),
-    truth)`.  All other bipartitions are positives.  A test is "detected
-    positive" when it was rejected.
+    `rejected` holds the correction's flag per test (an outcome's
+    `rejected`), and `negative` flags, per test, the dichotomies entailed
+    by the truth (the null hypothesis holds): `entailed_masks(
+    bipartition_masks(n), truth)`.  All other bipartitions are positives.  A
+    test is "detected positive" when it was rejected.
     """
+    rejected = np.asarray(rejected, dtype=bool)
     negative = np.asarray(negative, dtype=bool)
-    if negative.shape != (outcome.m,):
-        raise ValueError(f"need one negative flag per test: {outcome.m} tests, "
+    if negative.shape != rejected.shape:
+        raise ValueError(f"need one negative flag per test: {rejected.size} tests, "
                          f"{negative.size} flags")
-    rejected = np.array(outcome.rejected, dtype=bool)
 
     def count(flags):
         return int(np.count_nonzero(flags))

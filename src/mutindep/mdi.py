@@ -112,32 +112,52 @@ def mdi_statistics(model, bipartitions):
     bipartitions = list(bipartitions)
     for n in dict.fromkeys(b.n for b in bipartitions):
         _check_model(model, n)
-    masks = np.array([b.members for b in bipartitions], dtype=np.uint64)
+    return mask_statistics(model, [b.members for b in bipartitions])
+
+
+def mask_statistics(model, masks):
+    """Statistics for the members bitmasks `masks` over `model`, read off
+    its subset table and clamped as mdi_statistics' are."""
+    masks = np.asarray(masks, dtype=np.uint64)
     raw = _kernels.mdi_statistic_batch(model.logdets, masks, model.k)
     return _clamped(raw, model)
 
 
-def test_bipartitions(model, bipartitions, mode="central"):
-    """TestResults for a batch of bipartitions over one shared model.
+def _degrees_of_freedom(n):
+    """The df of a test of n variables, by the size na of its members block."""
+    return [na * (n - na) for na in range(n + 1)]
 
-    A test's df and noncentrality depend only on the size of its members
-    block (the model fixes n and k), so each is computed once per size.
+
+def p_values(stats, member_sizes, n, k, mode):
+    """The tail probability of each statistic, as a list: a test whose
+    members block has na of the n variables is chi-squared with na*(n-na)
+    df (central mode) or noncentral chi-squared with noncentrality(na,
+    n-na, k) (noncentral mode).
+
+    df and the noncentrality depend only on na (the model fixes n and k), so
+    each is computed once per size.
     """
+    check_mode(mode)
+    dfs = _degrees_of_freedom(n)
+    if mode == "central":
+        return [chi2_sf(stat, dfs[na]) for stat, na in zip(stats, member_sizes)]
+    lams = {}
+    out = []
+    for stat, na in zip(stats, member_sizes):
+        if na not in lams:
+            lams[na] = noncentrality(na, n - na, k)
+        out.append(noncentral_chi2_sf(stat, dfs[na], lams[na]))
+    return out
+
+
+def test_bipartitions(model, bipartitions, mode="central"):
+    """TestResults for a batch of bipartitions over one shared model."""
     check_mode(mode)
     bipartitions = list(bipartitions)
     stats = mdi_statistics(model, bipartitions).tolist()
     n = model.n
-    dfs = [na * (n - na) for na in range(n + 1)]
-    lams = {}
-    results = []
-    for b, stat in zip(bipartitions, stats):
-        na = b.members.bit_count()
-        df = dfs[na]
-        if mode == "central":
-            p = chi2_sf(stat, df)
-        else:
-            if na not in lams:
-                lams[na] = noncentrality(na, n - na, model.k)
-            p = noncentral_chi2_sf(stat, df, lams[na])
-        results.append(TestResult(b, stat, df, p))
-    return results
+    sizes = [b.members.bit_count() for b in bipartitions]
+    pvalues = p_values(stats, sizes, n, model.k, mode)
+    dfs = _degrees_of_freedom(n)
+    return [TestResult(b, stat, dfs[na], p)
+            for b, stat, na, p in zip(bipartitions, stats, sizes, pvalues)]

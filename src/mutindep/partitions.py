@@ -227,15 +227,42 @@ def is_refinement(p, q):
 
 
 def meet_all(partitions):
-    """Meet of a nonempty collection (order-independent), in one pass: i and
-    j share a block iff they do in every partition.  Bipartitions may be
-    mixed in with Partitions; the meet is a Partition."""
+    """Meet of a nonempty collection (order-independent): i and j share a
+    block iff they do in every partition.  Bipartitions may be mixed in with
+    Partitions; the meet is a Partition.
+
+    The blocks of the meet are its atoms, as bitmasks: starting from the
+    whole set, each block of each input splits every atom it cuts, until
+    there are n atoms (the singletons) or the inputs run out.
+    """
     partitions = list(partitions)
     if not partitions:
         raise ValueError("meet of an empty collection is undefined here")
-    for p in partitions[1:]:
-        _check_same_n(partitions[0], p)
-    return Partition(zip(*(p.assignment for p in partitions)))
+    n = partitions[0].n
+    for p in partitions:
+        if p.n != n:
+            _check_same_n(partitions[0], p)
+    atoms = [(1 << n) - 1]
+    for p in partitions:
+        cuts = (p.members,) if isinstance(p, Bipartition) else block_masks(p)
+        for cut in cuts:
+            split = []
+            for atom in atoms:
+                inside = atom & cut
+                if inside and inside != atom:
+                    split += (inside, atom ^ inside)
+                else:
+                    split.append(atom)
+            atoms = split
+        if len(atoms) == n:
+            break
+    labels = [0] * n
+    for label, atom in enumerate(atoms):
+        while atom:
+            low = atom & -atom
+            labels[low.bit_length() - 1] = label
+            atom ^= low
+    return Partition(labels)
 
 
 def bipartition_masks(n):

@@ -16,12 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import check_size
-from .errors import NotPositiveDefiniteError
+from .errors import InternalNumericError, NotPositiveDefiniteError
 from .fdr import check_alpha
-from .inference import check_correction, classify_against_truth, infer_from_model
+from .inference import check_correction, classify_against_truth, resolve_pattern
 from .linalg import sample_correlations
-from .mdi import check_mode
-from .partitions import bipartition_masks, entailed_masks, format_partition
+from .mdi import check_mode, mask_statistics, p_values
+from .partitions import (
+    bipartition_masks,
+    entailed_masks,
+    enumerate_bipartitions,
+    format_partition,
+)
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
@@ -180,32 +185,52 @@ def _execute_chunk(config, runs):
         truths.append(generate_model(config.n, blocks, rng))
         data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
     by_size = [sample_correlations(data[:, :size]) for size in config.subset_sizes]
+    tests = _Tests(config.n)
     rows = []
     for i, ((run_id, blocks), (truth, sigma)) in enumerate(zip(runs, truths)):
         truth_text = format_partition(truth)
         rho = within_block_correlation(truth, sigma)
-        negative = entailed_masks(bipartition_masks(config.n), truth)
+        negative = entailed_masks(tests.masks, truth)
         for size, models in zip(config.subset_sizes, by_size):
-            metrics = _analyse(config, models[i], truth, negative)
+            try:
+                metrics = _analyse(config, models[i], tests, truth, negative)
+            except InternalNumericError as exc:
+                raise InternalNumericError(
+                    f"analysis of run {run_id} at size {size}: {exc}") from exc
             rows.append(Row(run_id, blocks, truth_text, size,
                             *(metrics or (None,) * 4), rho, metrics is None))
     return rows
 
 
-def _analyse(config, model, truth, negative):
+class _Tests:
+    """The dichotomies of n variables, as infer_from_model tests them: the
+    members bitmasks, the Bipartitions and the members block sizes."""
+
+    def __init__(self, n):
+        self.masks = bipartition_masks(n)
+        self.bipartitions = enumerate_bipartitions(n)
+        self.sizes = [b.members.bit_count() for b in self.bipartitions]
+
+
+def _analyse(config, model, tests, truth, negative):
     """Sensitivity, specificity, AUC and exact recovery of one analysis; None
-    for a constant column (no model) or a submatrix not positive definite."""
+    for a constant column (no model) or a submatrix not positive definite.
+
+    The steps of infer_from_model, without its per-test objects: the
+    statistics, their p-values, the correction and the meet.
+    """
     if model is None:
         return None
     try:
-        outcome = infer_from_model(
-            model, alpha=config.alpha, correction=config.correction, mode=config.mode
-        )
+        stats = mask_statistics(model, tests.masks)
     except NotPositiveDefiniteError:
         return None
-    confusion = classify_against_truth(outcome, negative)
-    return (sensitivity(confusion), specificity(confusion),
-            auc([t.p_value for t in outcome.tests], negative), outcome.mu_hat == truth)
+    p = p_values(stats.tolist(), tests.sizes, model.n, model.k, config.mode)
+    rejected, mu_hat = resolve_pattern(
+        model.n, tests.bipartitions, p, config.alpha, config.correction)
+    confusion = classify_against_truth(rejected, negative)
+    return (sensitivity(confusion), specificity(confusion), auc(p, negative),
+            mu_hat == truth)
 
 
 def run_campaign(config):

@@ -192,6 +192,28 @@ def test_meet_all():
         meet_all([])
     with pytest.raises(ValueError, match="ground sets differ: 4 vs 3"):
         meet_all([p, P("12|34"), P("12|3")])
+    # every input is checked, also past the point where the meet is 1|2|3|4
+    with pytest.raises(ValueError, match="ground sets differ: 4 vs 3"):
+        meet_all(enumerate_bipartitions(4) + [P("12|3")])
+
+
+def test_meet_all_matches_the_oracle_on_mixed_inputs():
+    rng = np.random.default_rng(20261019)
+    for n in range(2, 13):
+        bipartitions = enumerate_bipartitions(n)
+        mixes = [bipartitions]  # the full enumeration meets to the singletons
+        for _ in range(40):
+            mixes.append([
+                bipartitions[int(rng.integers(len(bipartitions)))] if rng.random() < 0.5
+                else Partition(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+                for _ in range(int(rng.integers(1, 9)))
+            ])
+        for inputs in mixes:
+            expected = oracles.as_block_sets(inputs[0])
+            for p in inputs[1:]:
+                expected = oracles.meet_blocks(expected, oracles.as_block_sets(p))
+            assert oracles.as_block_sets(meet_all(inputs)) == expected
+        assert meet_all(bipartitions) == Partition.singletons(n)
 
 
 def test_enumerations_refuse_more_than_max_variables():

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import mutindep._kernels
+import mutindep.mdi
 import mutindep.simulation
 from mutindep._kernels import MAX_VARIABLES
 from mutindep.errors import (
@@ -16,7 +18,7 @@ from mutindep.inference import (
     classify_against_truth,
     infer_from_model,
 )
-from mutindep.linalg import DataMatrix, sample_correlation
+from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 from mutindep.partitions import (
     Partition,
     bipartition_masks,
@@ -237,11 +239,67 @@ def test_campaign_nested_subsets_reuse_prefix():
         assert not row.failed
         model = sample_correlation(DataMatrix(data.values[: row.size]))
         outcome = infer_from_model(model, alpha=config.alpha)
-        confusion = classify_against_truth(outcome, negative)
+        confusion = classify_against_truth(outcome.rejected, negative)
         assert row.sensitivity == sensitivity(confusion)
         assert row.specificity == specificity(confusion)
         assert row.auc == auc([t.p_value for t in outcome.tests], negative)
         assert row.correct == (outcome.mu_hat == truth)
+
+
+@pytest.mark.parametrize("mode, correction", [
+    ("central", "fdr"), ("noncentral", "bonferroni"), ("noncentral", "fdr")])
+def test_campaign_scores_equal_infer_from_model(monkeypatch, mode, correction):
+    # every row of a campaign equals infer_from_model and
+    # classify_against_truth on its run's data prefix; in run 4, the first
+    # 30 rows duplicate a column, so its size-30 analysis fails
+    draw = mutindep.simulation.sample_mvn
+    drawn = []
+
+    def doctored(sigma, k, rng):
+        data = draw(sigma, k, rng).values.copy()
+        if len(drawn) == 4:
+            data[:30, 3] = data[:30, 2]
+        drawn.append(data)
+        return DataMatrix(data)
+
+    monkeypatch.setattr(mutindep.simulation, "sample_mvn", doctored)
+    config = small_config(block_counts=(1, 2, 3, 6), runs_per_k=3, subset_sizes=(30, 60, 120),
+                          mode=mode, correction=correction, alpha=0.2)
+    campaign = run_campaign(config)
+    assert [row.run_id for row in campaign.rows if row.failed] == [4]
+    for row in campaign.rows:
+        model = sample_correlation(drawn[row.run_id][: row.size])
+        try:
+            outcome = infer_from_model(model, alpha=config.alpha, correction=correction,
+                                       mode=mode)
+        except NotPositiveDefiniteError:
+            assert row.failed
+            continue
+        truth = parse_partition(row.truth)
+        negative = negatives(truth)
+        confusion = classify_against_truth(outcome.rejected, negative)
+        assert not row.failed
+        assert row.sensitivity == sensitivity(confusion)
+        assert row.specificity == specificity(confusion)
+        assert row.auc == auc([t.p_value for t in outcome.tests], negative)
+        assert row.correct == (outcome.mu_hat == truth)
+
+
+def test_campaign_builds_no_test_results(monkeypatch):
+    built = []
+    init = mutindep.mdi.TestResult.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mutindep.mdi.TestResult, "__init__", counted)
+    infer_from_model(CorrelationModel(np.eye(4), 50))
+    assert len(built) == 7  # the patch sees infer_from_model's seven tests
+    built.clear()
+    campaign = run_campaign(small_config())
+    assert len(campaign.rows) == 24 and campaign.failure_count() == 0
+    assert built == []
 
 
 def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
@@ -288,19 +346,20 @@ def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
 
 
 def test_an_internal_error_aborts_the_campaign_at_the_first_in_run_order(monkeypatch):
-    infer = mutindep.simulation.infer_from_model
+    # analyses 3 and 5 get statistics far below the clamp's slack
+    batch = mutindep._kernels.mdi_statistic_batch
     analysed = []
 
-    def breaks_third_and_fifth(model, **kwargs):
-        analysed.append(model.k)
-        if len(analysed) in (3, 5):
-            raise InternalNumericError(f"analysis {len(analysed)}")
-        return infer(model, **kwargs)
+    def breaks_third_and_fifth(lds, masks, k):
+        analysed.append(k)
+        raw = batch(lds, masks, k)
+        return raw - 1e6 if len(analysed) in (3, 5) else raw
 
-    monkeypatch.setattr(mutindep.simulation, "infer_from_model", breaks_third_and_fifth)
+    monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", breaks_third_and_fifth)
     monkeypatch.setattr(mutindep.simulation, "CHUNK_BYTES", 1 << 30)  # one chunk
     config = small_config()  # 12 runs of sizes 50 and 120
-    with pytest.raises(InternalNumericError, match="analysis 3"):
+    with pytest.raises(InternalNumericError,
+                       match="analysis of run 1 at size 50: dichotomy statistic"):
         run_campaign(config)
     # runs in order, each with its sizes in order: run 1 at size 50 raised
     assert analysed == [50, 120, 50]
