@@ -5,14 +5,16 @@ Usage: python benchmarks/bench_kernels.py [--out FILE]
 Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models) and on identity models, where
-every dichotomy survives and the meet is the cost, the scoring layers of
-one desk campaign chunk (statistics, p-values, correction and meet,
-classification, AUC), the 300-run desk
-simulation (five times, reported as the median with its quartiles), the
-rewrite of that campaign's CSV and summary onto the same two paths, as a
-campaign re-run into the same files does, the default 3000-run reference
-campaign (three times, reported like the desk one), and a `mutindep
-simulate` process re-run onto its own --csv and --summary.
+every dichotomy survives and the meet is the cost, `meet_all` alone on
+surviving dichotomies (n = 6, 12) and on many-block Partitions (n = 2000,
+5000), one desk campaign chunk (its drawing, its scoring and each step of
+the scoring: statistics, p-values, correction and meet, classification,
+AUC, negatives), the 300-run desk simulation (five times, reported as the
+median with its quartiles), the rewrite of that campaign's CSV and
+summary onto the same two paths, as a campaign re-run into the same files
+does, the default 3000-run reference campaign (three times, reported like
+the desk one), and a `mutindep simulate` process re-run onto its own
+--csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
 (the re-run processes are given that package's directory as PYTHONPATH).
@@ -36,13 +38,12 @@ import time
 import numpy as np
 
 import mutindep
-from mutindep import _kernels
-from mutindep.inference import classify_against_truth, infer_from_model, resolve_pattern
-from mutindep.linalg import CorrelationModel, sample_correlations
-from mutindep.mdi import mask_statistics, p_values
-from mutindep.partitions import bipartition_masks, entailed_masks, enumerate_bipartitions
-from mutindep.randomness import RngStream, sample_mvn, sample_wishart_correlation
-from mutindep.simulation import SimulationConfig, auc, generate_model, run_campaign
+from mutindep import _kernels, simulation
+from mutindep.inference import infer_from_model
+from mutindep.linalg import CorrelationModel
+from mutindep.partitions import Partition, enumerate_bipartitions, meet_all
+from mutindep.randomness import RngStream, sample_wishart_correlation
+from mutindep.simulation import SimulationConfig, run_campaign
 
 
 def _time(fn, min_seconds=0.2):
@@ -104,46 +105,71 @@ def bench_infer():
     return rows
 
 
-def bench_scoring():
-    """Each scoring layer of a campaign over one desk chunk: the 30 runs x 6
-    sizes that the desk campaign analyses together, from their models."""
+def bench_meet():
+    """meet_all on the inputs of an inference (Bipartitions at n = 6 and 12)
+    and on many-block Partitions (meet, is_refinement), per call."""
     print()
-    print("scoring layers of one desk chunk, 30 runs x 6 sizes (per chunk)")
-    config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
-    n, sizes = config.n, config.subset_sizes
-    masks = bipartition_masks(n)
-    bipartitions = enumerate_bipartitions(n)
-    member_sizes = [b.members.bit_count() for b in bipartitions]
-    runs = [b for b in config.block_counts for _ in range(config.runs_per_k)]
-    data, negatives = [], []
-    for run_id, blocks in enumerate(runs):
-        rng = RngStream(config.master_seed, run_id)
-        truth, sigma = generate_model(n, blocks, rng)
-        data.append(sample_mvn(sigma, config.max_samples, rng).values)
-        negatives.append(entailed_masks(masks, truth))
-    data = np.stack(data)
-    models = [m for size in sizes for m in sample_correlations(data[:, :size])]
-    flags = [negative for _ in sizes for negative in negatives]
-    stats = [mask_statistics(m, masks).tolist() for m in models]
-    pvalues = [p_values(s, member_sizes, n, m.k, config.mode)
-               for s, m in zip(stats, models)]
-    rejected = [resolve_pattern(n, bipartitions, p, config.alpha, config.correction)[0]
-                for p in pvalues]
-    layers = {
-        "statistics": lambda: [mask_statistics(m, masks) for m in models],
-        "p_values": lambda: [p_values(s, member_sizes, n, m.k, config.mode)
-                             for s, m in zip(stats, models)],
-        "correction_meet": lambda: [
-            resolve_pattern(n, bipartitions, p, config.alpha, config.correction)
-            for p in pvalues],
-        "classify": lambda: [classify_against_truth(r, f) for r, f in zip(rejected, flags)],
-        "auc": lambda: [auc(p, f) for p, f in zip(pvalues, flags)],
-    }
+    print("meet_all: surviving dichotomies, and Partitions with many blocks (per call)")
+    rng = np.random.default_rng(0)
+    fine = [Partition(rng.integers(0, 1000, size=2000)) for _ in range(2)]
+    seven = Partition([i % 7 for i in range(5000)])
+    cases = [
+        ("meet_dichotomies", 6, enumerate_bipartitions(6)[:10]),
+        ("meet_dichotomies", 12, enumerate_bipartitions(12)),
+        ("meet_partitions", 2000, fine),
+        ("meet_partitions", 5000, [Partition.singletons(5000), seven]),
+    ]
     rows = []
-    for layer, fn in layers.items():
-        t = _time(fn)
+    for bench, n, inputs in cases:
+        t = _time(lambda: meet_all(inputs))
+        print(f"  {bench:<17} n={n:<5} {len(inputs):>5} inputs {t * 1e3:>9.4f}ms")
+        rows.append(_row(bench, n, t, inputs=len(inputs)))
+    return rows
+
+
+def bench_scoring(repeats=20):
+    """The scoring of one desk chunk (30 runs x 6 sizes = 180 analyses, from
+    their drawn models) through the campaign's own _score_chunk, and the
+    time spent in each step it calls, taken by wrapping that step's name in
+    mutindep.simulation while the chunk is scored `repeats` times."""
+    print()
+    print("one desk chunk, 30 runs x 6 sizes: drawing, scoring and each "
+          "scoring step (per chunk)")
+    config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
+    runs = list(enumerate(b for b in config.block_counts for _ in range(config.runs_per_k)))
+    drawn = simulation._draw_chunk(config, runs)
+    timings = {
+        "draw": _time(lambda: simulation._draw_chunk(config, runs)),
+        "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
+    }
+    steps = {"statistics": "mask_statistics", "p_values": "p_values",
+             "correction_meet": "resolve_pattern", "classify": "classify_against_truth",
+             "auc": "auc", "negatives": "entailed_masks"}
+    spent = dict.fromkeys(steps, 0.0)
+
+    def timed(layer, fn):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[layer] += time.perf_counter() - start
+        return wrapper
+
+    originals = {name: getattr(simulation, name) for name in steps.values()}
+    try:
+        for layer, name in steps.items():
+            setattr(simulation, name, timed(layer, originals[name]))
+        for _ in range(repeats):
+            simulation._score_chunk(config, runs, *drawn)
+    finally:
+        for name, fn in originals.items():
+            setattr(simulation, name, fn)
+    timings.update((layer, t / repeats) for layer, t in spent.items())
+    rows = []
+    for layer, t in timings.items():
         print(f"  {layer:<16} {t * 1e3:>8.2f}ms")
-        rows.append(_row(f"desk_chunk_{layer}", len(models), t))
+        rows.append(_row(f"desk_chunk_{layer}", len(runs) * len(config.subset_sizes), t))
     return rows
 
 
@@ -225,8 +251,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = (bench_batch() + bench_infer() + bench_scoring() + bench_campaign()
-            + bench_reference_campaign() + bench_cli_rerun())
+    rows = (bench_batch() + bench_infer() + bench_meet() + bench_scoring()
+            + bench_campaign() + bench_reference_campaign() + bench_cli_rerun())
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

@@ -151,8 +151,8 @@ def p_values(stats, member_sizes, n, k, mode):
 
 
 def test_bipartitions(model, bipartitions, mode="central"):
-    """TestResults for a batch of bipartitions over one shared model."""
-    check_mode(mode)
+    """TestResults for a batch of bipartitions over one shared model; a bad
+    `mode` is refused by p_values."""
     bipartitions = list(bipartitions)
     stats = mdi_statistics(model, bipartitions).tolist()
     n = model.n

@@ -231,31 +231,37 @@ def meet_all(partitions):
     block iff they do in every partition.  Bipartitions may be mixed in with
     Partitions; the meet is a Partition.
 
-    The blocks of the meet are its atoms, as bitmasks: starting from the
-    whole set, each block of each input splits every atom it cuts, until
-    there are n atoms (the singletons) or the inputs run out.
+    The Partitions meet in one pass over their assignments.  The
+    Bipartitions (n <= 32) then cut the blocks of that meet as bitmasks:
+    each members block splits every block it cuts, until the blocks are the
+    n singletons or the Bipartitions run out.
     """
     partitions = list(partitions)
     if not partitions:
         raise ValueError("meet of an empty collection is undefined here")
     n = partitions[0].n
+    cuts, assignments = [], []
     for p in partitions:
         if p.n != n:
             _check_same_n(partitions[0], p)
-    atoms = [(1 << n) - 1]
-    for p in partitions:
-        cuts = (p.members,) if isinstance(p, Bipartition) else block_masks(p)
-        for cut in cuts:
-            split = []
-            for atom in atoms:
-                inside = atom & cut
-                if inside and inside != atom:
-                    split += (inside, atom ^ inside)
-                else:
-                    split.append(atom)
-            atoms = split
+        if isinstance(p, Bipartition):
+            cuts.append(p.members)
+        else:
+            assignments.append(p.assignment)
+    if not cuts:
+        return Partition(zip(*assignments))
+    atoms = block_masks(Partition(zip(*assignments))) if assignments else [(1 << n) - 1]
+    for cut in cuts:
         if len(atoms) == n:
             break
+        split = []
+        for atom in atoms:
+            inside = atom & cut
+            if inside and inside != atom:
+                split += (inside, atom ^ inside)
+            else:
+                split.append(atom)
+        atoms = split
     labels = [0] * n
     for label, atom in enumerate(atoms):
         while atom:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import check_size
-from .errors import InternalNumericError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 from .fdr import check_alpha
 from .inference import check_correction, classify_against_truth, resolve_pattern
 from .linalg import sample_correlations
@@ -178,6 +178,12 @@ def within_block_correlation(truth, matrix):
 def _execute_chunk(config, runs):
     """The rows of a chunk of (run id, block count) runs, in the chunk's
     order, with one row per subset size, in config order, for each run."""
+    return _score_chunk(config, runs, *_draw_chunk(config, runs))
+
+
+def _draw_chunk(config, runs):
+    """Each run's (truth, sigma), drawn from its own stream, and per subset
+    size (in config order) the models of the runs' sample prefixes."""
     truths = []
     data = np.empty((len(runs), config.max_samples, config.n))
     for i, (run_id, blocks) in enumerate(runs):
@@ -185,34 +191,28 @@ def _execute_chunk(config, runs):
         truths.append(generate_model(config.n, blocks, rng))
         data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
     by_size = [sample_correlations(data[:, :size]) for size in config.subset_sizes]
-    tests = _Tests(config.n)
+    return truths, by_size
+
+
+def _score_chunk(config, runs, truths, by_size):
+    """The rows of the runs from their drawn truths and models."""
+    masks = bipartition_masks(config.n)
+    bipartitions = enumerate_bipartitions(config.n)
+    member_sizes = [b.members.bit_count() for b in bipartitions]
     rows = []
     for i, ((run_id, blocks), (truth, sigma)) in enumerate(zip(runs, truths)):
         truth_text = format_partition(truth)
         rho = within_block_correlation(truth, sigma)
-        negative = entailed_masks(tests.masks, truth)
+        negative = entailed_masks(masks, truth)
         for size, models in zip(config.subset_sizes, by_size):
-            try:
-                metrics = _analyse(config, models[i], tests, truth, negative)
-            except InternalNumericError as exc:
-                raise InternalNumericError(
-                    f"analysis of run {run_id} at size {size}: {exc}") from exc
+            metrics = _analyse(config, models[i], masks, bipartitions, member_sizes,
+                               truth, negative)
             rows.append(Row(run_id, blocks, truth_text, size,
                             *(metrics or (None,) * 4), rho, metrics is None))
     return rows
 
 
-class _Tests:
-    """The dichotomies of n variables, as infer_from_model tests them: the
-    members bitmasks, the Bipartitions and the members block sizes."""
-
-    def __init__(self, n):
-        self.masks = bipartition_masks(n)
-        self.bipartitions = enumerate_bipartitions(n)
-        self.sizes = [b.members.bit_count() for b in self.bipartitions]
-
-
-def _analyse(config, model, tests, truth, negative):
+def _analyse(config, model, masks, bipartitions, member_sizes, truth, negative):
     """Sensitivity, specificity, AUC and exact recovery of one analysis; None
     for a constant column (no model) or a submatrix not positive definite.
 
@@ -222,12 +222,12 @@ def _analyse(config, model, tests, truth, negative):
     if model is None:
         return None
     try:
-        stats = mask_statistics(model, tests.masks)
+        stats = mask_statistics(model, masks)
     except NotPositiveDefiniteError:
         return None
-    p = p_values(stats.tolist(), tests.sizes, model.n, model.k, config.mode)
+    p = p_values(stats.tolist(), member_sizes, model.n, model.k, config.mode)
     rejected, mu_hat = resolve_pattern(
-        model.n, tests.bipartitions, p, config.alpha, config.correction)
+        model.n, bipartitions, p, config.alpha, config.correction)
     confusion = classify_against_truth(rejected, negative)
     return (sensitivity(confusion), specificity(confusion), auc(p, negative),
             mu_hat == truth)

@@ -197,6 +197,16 @@ def test_meet_all():
         meet_all(enumerate_bipartitions(4) + [P("12|3")])
 
 
+def test_meet_of_many_block_partitions():
+    # element i goes with i mod a and with i mod b, so with i mod lcm(a, b)
+    n = 3000
+    p, q = Partition(i % 40 for i in range(n)), Partition(i % 75 for i in range(n))
+    assert meet(p, q) == Partition(i % 600 for i in range(n))
+    assert meet_all([p, q, Partition.singletons(n)]) == Partition.singletons(n)
+    assert is_refinement(Partition.singletons(n), q)
+    assert not is_refinement(p, q)
+
+
 def test_meet_all_matches_the_oracle_on_mixed_inputs():
     rng = np.random.default_rng(20261019)
     for n in range(2, 13):
