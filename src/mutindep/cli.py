@@ -44,35 +44,54 @@ def _default_seed():
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _read_data_csv(path):
-    """Read a k x n numeric CSV; a non-numeric first row is taken as a header."""
+@contextmanager
+def _file_errors(verb, path):
+    """Report a failure to `verb` (read, write) `path` as a user-input error."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        yield
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    header = None
-    first = rows[0]
-    if not all(_is_number(cell) for cell in first):
-        header = [cell.strip() for cell in first]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path} has a header but no data rows")
-    width = len(rows[0])
-    data = []
-    for i, row in enumerate(rows, start=2 if header else 1):
-        if len(row) != width:
-            raise ValueError(
-                f"ragged CSV: line {i} has {len(row)} cells, expected {width}"
-            )
+        raise ValueError(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
+def _read_table(path, header=False):
+    """The numeric rows of the table in `path`, and its column names or None.
+
+    Blank rows are skipped. A data CSV (`header=True`) may open with a row
+    that is not all numbers: its column names. A correlation file has no
+    header, and its cells are split on whitespace as well as on commas.
+    Every error names the path, and an error in a row names the row's
+    physical line, blank lines counted.
+    """
+    rows, names = [], None
+    with _file_errors("read", path), open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            data.append([float(cell) for cell in row])
-        except ValueError:
-            bad = next(cell for cell in row if not _is_number(cell))
-            raise ValueError(f"non-numeric cell {bad!r} on line {i}")
-    return data, header
+            for cells in reader:
+                if not header:
+                    cells = [c for cell in cells for c in cell.split()]
+                if not any(c.strip() for c in cells):
+                    continue
+                if rows and len(cells) != len(rows[0]):
+                    raise ValueError(f"{path}, line {reader.line_num}: ragged row of "
+                                     f"{len(cells)} cells, expected {len(rows[0])}")
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    if header and names is None and not rows:
+                        names = [c.strip() for c in cells]
+                        continue
+                    bad = next(c for c in cells if not _is_number(c))
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     f"non-numeric cell {bad!r}")
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead, so no true line is known
+            raise ValueError(f"{path} is not UTF-8 text: {exc.reason}")
+    if not rows:
+        raise ValueError(f"{path} has a header but no data rows" if names
+                         else f"{path} is empty")
+    return rows, names
 
 
 def _is_number(cell):
@@ -81,28 +100,6 @@ def _is_number(cell):
     except ValueError:
         return False
     return True
-
-
-def _read_matrix(path):
-    """Read a numeric matrix; cells separated by commas or whitespace."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    matrix = []
-    for i, line in enumerate(lines, start=1):
-        cells = [c for c in line.replace(",", " ").split() if c]
-        try:
-            matrix.append([float(c) for c in cells])
-        except ValueError:
-            raise ValueError(f"non-numeric cell on line {i} of {path}")
-    width = len(matrix[0])
-    if any(len(row) != width for row in matrix):
-        raise ValueError(f"ragged matrix in {path}")
-    return matrix
 
 
 def _outcome_payload(outcome, n, k, columns=None):
@@ -131,18 +128,10 @@ def _outcome_payload(outcome, n, k, columns=None):
     return payload
 
 
-@contextmanager
-def _writing(path):
-    """Report a failure to write `path` as a user-input error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
-
-
 def _emit(text, output_path):
     if output_path:
-        with _writing(output_path), open_output(output_path, encoding="utf-8") as fh:
+        with _file_errors("write", output_path), \
+                open_output(output_path, encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -173,26 +162,19 @@ def _render_outcome(outcome, n, k, fmt, columns=None):
 
 
 def cmd_infer(args):
-    if args.correlation is not None:
-        if args.data is not None:
-            raise ValueError("give either a data CSV or --correlation, not both")
-        if args.samples is None:
-            raise ValueError("--correlation requires --samples")
-        model = CorrelationModel(_read_matrix(args.correlation), args.samples)
-        outcome = infer_from_model(
-            model, alpha=args.alpha, correction=args.correction, mode=args.mode
-        )
-        n, k, columns = model.n, model.k, None
+    if (args.data is None) == (args.correlation is None) or (
+            (args.samples is None) != (args.correlation is None)):
+        raise ValueError("infer takes a data CSV, or --correlation FILE with --samples K")
+    options = dict(alpha=args.alpha, correction=args.correction, mode=args.mode)
+    if args.data is not None:
+        rows, columns = _read_table(args.data, header=True)
+        source = DataMatrix(rows)
+        outcome = infer_from_data(source, **options)
     else:
-        if args.data is None:
-            raise ValueError("need a data CSV path or --correlation")
-        rows, header = _read_data_csv(args.data)
-        data = DataMatrix(rows)
-        outcome = infer_from_data(
-            data, alpha=args.alpha, correction=args.correction, mode=args.mode
-        )
-        n, k, columns = data.n, data.k, header
-    _emit(_render_outcome(outcome, n, k, args.format, columns), args.output)
+        rows, columns = _read_table(args.correlation)
+        source = CorrelationModel(rows, args.samples)
+        outcome = infer_from_model(source, **options)
+    _emit(_render_outcome(outcome, source.n, source.k, args.format, columns), args.output)
     return _EXIT_OK
 
 
@@ -256,14 +238,14 @@ def cmd_simulate(args):
     # creates a missing file but leaves an existing one as it is
     for path in (args.csv, args.summary):
         if path:
-            with _writing(path), open(path, "a", encoding="utf-8"):
+            with _file_errors("write", path), open(path, "a", encoding="utf-8"):
                 pass
     campaign = run_campaign(config)
     summary = campaign.summary()
-    with _writing(args.csv):
+    with _file_errors("write", args.csv):
         campaign.write_csv(args.csv)
     if args.summary:
-        with _writing(args.summary):
+        with _file_errors("write", args.summary):
             write_json(summary, args.summary)
     _print_campaign_table(campaign.config, summary)
     failed = campaign.failure_count()

@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .distributions import chi2_sf, noncentral_chi2_sf
 from .errors import InternalNumericError
-from .linalg import CorrelationModel
+from .linalg import CorrelationModel, check_sample_count
 from .partitions import Bipartition
 
 MODES = ("central", "noncentral")
@@ -61,8 +61,7 @@ def noncentrality(na, nc, k):
     Equals [(2n^3 + 3n^2 - n) - (2na^3 + 3na^2 - na) - (2nc^3 + 3nc^2 - nc)]
     / (12(k-1)) with n = na + nc; always nonnegative and O(1/k).
     """
-    if k < 2:
-        raise ValueError(f"need a sample count of at least 2, got {k}")
+    check_sample_count(k)
     n = na + nc
     return (_odd_cubic(n) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
 

@@ -14,9 +14,9 @@ import numpy as np
 from ._kernels import check_size
 
 # Largest n accepted by the public counting functions.  Bell/Stirling values
-# up to this point stay within the range of 64-bit consumers; Python ints are
-# exact regardless, the bound just keeps the contract portable.
-COUNT_LIMIT = 26
+# up to this point fit a signed 64-bit int (bell_number(26) does not); Python
+# ints are exact regardless, the bound just keeps the contract portable.
+COUNT_LIMIT = 25
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
@@ -54,8 +54,6 @@ class Partition:
     @classmethod
     def one_block(cls, n):
         """The coarsest partition 12...n (top of the lattice)."""
-        if n < 1:
-            raise ValueError("a partition needs a nonempty ground set")
         return cls([0] * n)
 
     @classmethod
@@ -419,11 +417,10 @@ def stirling2(n, k):
 
 @functools.lru_cache(maxsize=None)
 def _stirling2_exact(n, k):
-    # Unbounded helper (Python ints), also used by the uniform partition sampler.
+    # Unbounded helper (Python ints), also used by the uniform partition sampler;
+    # every caller, and the recursion, keeps k <= n.
     if k == 0:
         return 1 if n == 0 else 0
-    if k > n:
-        return 0
     if k == n or k == 1:
         return 1
     return k * _stirling2_exact(n - 1, k) + _stirling2_exact(n - 1, k - 1)

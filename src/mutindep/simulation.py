@@ -11,7 +11,7 @@ import json
 import os
 import stat
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -354,17 +354,7 @@ class Campaign:
             }
 
         return {
-            "config": {
-                "n": self.config.n,
-                "block_counts": list(self.config.block_counts),
-                "runs_per_k": self.config.runs_per_k,
-                "max_samples": self.config.max_samples,
-                "subset_sizes": list(self.config.subset_sizes),
-                "alpha": self.config.alpha,
-                "correction": self.config.correction,
-                "mode": self.config.mode,
-                "master_seed": self.config.master_seed,
-            },
+            "config": asdict(self.config),
             "total_runs": self.run_count(),
             "failed_analyses": self.failure_count(),
             "by_block_count": by_block,

@@ -123,6 +123,13 @@ def test_infer_bad_inputs(tmp_path, capsys):
         assert main(["infer", str(nonfinite)]) == 2, cell
         assert "non-finite" in capsys.readouterr().err, cell
 
+    # a cell past the csv module's field limit (128 KiB) is a usage error
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1,2\n\n3," + "4" * ((1 << 17) + 1) + "\n")
+    capsys.readouterr()
+    assert main(["infer", str(huge)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {huge}, line 3: field larger than")
+
     missing = tmp_path / "nope.csv"
     assert main(["infer", str(missing)]) == 2
 
@@ -166,6 +173,77 @@ def test_correlation_input_validation(tmp_path, capsys):
         np.savetxt(path, r)
         code, out = infer()
         assert code == 2 and "not positive definite" in out.err, entry
+
+    # a file that cannot be read as a table
+    missing = tmp_path / "nope.txt"
+    assert main(["infer", "--correlation", str(missing), "--samples", "50"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: No such file or directory\n")
+    assert main(["infer", "--correlation", str(tmp_path), "--samples", "50"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+    for text, message in (
+            (b"", f"{path} is empty"),
+            (b"\n  \n\t\n", f"{path} is empty"),
+            (b"1 0\n0 1 0\n", f"{path}, line 2: ragged row of 3 cells, expected 2"),
+            (b"1,0\n0,x\n", f"{path}, line 2: non-numeric cell 'x'"),
+            (b"a b\n1 0\n0 1\n", f"{path}, line 1: non-numeric cell 'a'"),  # no header
+            (b"1 0\n0 \xff\n", f"{path} is not UTF-8 text: invalid start byte")):
+        path.write_bytes(text)
+        assert infer() == (2, ("", f"error: {message}\n")), text
+
+
+@pytest.mark.parametrize("kind", ["data", "correlation"])
+def test_reader_errors_name_the_physical_line(kind, tmp_path, capsys):
+    # blank lines count: each error names the line as an editor shows it
+    path = tmp_path / "table.txt"
+    argv = (["infer", str(path)] if kind == "data"
+            else ["infer", "--correlation", str(path), "--samples", "50"])
+    head = "x,y\n\n" if kind == "data" else "\n\n"
+    for body, line, problem in (("1,0\n\n \n0\n", 6, "ragged row of 1 cells, expected 2"),
+                                ("1,0\n\n0,boom\n", 5, "non-numeric cell 'boom'")):
+        path.write_text(head + body)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}, line {line}: {problem}\n"
+    # a quoted cell may span lines: the row is named by its last line
+    path.write_text('"x\ny",z\n1,2\n3\n')
+    assert main(["infer", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}, line 4: ragged row of 1 cells, expected 2\n")
+
+
+def test_reader_takes_blank_rows_quotes_and_mixed_separators(tmp_path, capsys):
+    r = np.array([[1.0, 0.25, -0.5], [0.25, 1.0, 0.125], [-0.5, 0.125, 1.0]])
+    plain, mixed = tmp_path / "plain.txt", tmp_path / "mixed.txt"
+    np.savetxt(plain, r)
+    mixed.write_text("\n1,\t0.25  -0.5\n\n  0.25 ,1,0.125\r\n-0.5\t0.125,,1\n\n")
+    outputs = []
+    for path in (plain, mixed):
+        assert main(["infer", "--correlation", str(path), "--samples", "40"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+    data = sample_mvn(np.eye(2), 50, RngStream(20260844)).values
+    path = tmp_path / "quoted.csv"
+    path.write_text('"first, x"," y"\n\n'
+                    + "".join(f'"{a!r}",{b!r}\n\n' for a, b in data.tolist()))
+    assert main(["infer", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["columns"] == ["first, x", "y"] and payload["k"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["{data}", "--samples", "7"],
+    ["{data}", "--correlation", "{corr}", "--samples", "7"],
+    ["--correlation", "{corr}"],
+    ["--samples", "7"],
+    [],
+], ids=["data-samples", "both", "correlation-alone", "samples-alone", "neither"])
+def test_infer_takes_samples_only_with_correlation(argv, two_column_csv, hiv_matrix_file,
+                                                   capsys):
+    argv = [a.format(data=two_column_csv, corr=hiv_matrix_file) for a in argv]
+    assert main(["infer", *argv]) == 2
+    assert capsys.readouterr() == (
+        "", "error: infer takes a data CSV, or --correlation FILE with --samples K\n")
 
 
 def test_infer_over_the_size_limit_is_a_usage_error(tmp_path, capsys):
@@ -298,6 +376,11 @@ def test_simulate_seed_env_override(tmp_path, capsys, monkeypatch):
     assert main(args + ["--csv", str(from_env)]) == 0
     capsys.readouterr()
     assert explicit.read_bytes() == from_env.read_bytes()
+    monkeypatch.setenv("MUTINDEP_SEED", "abc")
+    malformed = tmp_path / "malformed.csv"
+    assert main(args + ["--csv", str(malformed)]) == 2
+    assert capsys.readouterr().err == "error: MUTINDEP_SEED must be an integer, got 'abc'\n"
+    assert not malformed.exists()
 
 
 def test_simulate_total_failure_exits_nonzero(tmp_path, capsys, monkeypatch):

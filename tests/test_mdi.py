@@ -89,8 +89,11 @@ def test_noncentrality_scaling():
     assert noncentrality(2, 4, 13) / noncentrality(2, 4, 25) == pytest.approx(
         2.0, rel=1e-14)
     assert noncentrality(2, 4, 10_000_000) < 1e-4
-    with pytest.raises(ValueError):
-        noncentrality(2, 4, 1)
+    # the sample-count rule of every model: k >= 3
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=f"at least 3, got {k}"):
+            noncentrality(2, 4, k)
+    assert noncentrality(2, 4, 3) > 0
 
 
 def test_noncentrality_nonnegative_everywhere():

@@ -51,8 +51,10 @@ def test_blocks_ordered_by_least_element():
 
 
 def test_empty_ground_set_rejected():
-    with pytest.raises(ValueError):
-        Partition([])
+    for empty in (lambda: Partition([]), lambda: Partition.one_block(0),
+                  lambda: Partition.singletons(0)):
+        with pytest.raises(ValueError, match="a partition needs a nonempty ground set"):
+            empty()
 
 
 # --- parse / format --------------------------------------------------------
@@ -481,6 +483,13 @@ def test_stirling_numbers():
 
 
 def test_counting_guard():
+    # COUNT_LIMIT = 25 is the last n at which every count fits a signed
+    # 64-bit int
+    assert bell_number(25) == 4_638_590_332_229_999_353 < 2**63
+    assert max(stirling2(25, k) for k in range(26)) < 2**63
+    for too_many in (lambda: bell_number(26), lambda: stirling2(26, 13)):
+        with pytest.raises(ValueError, match="limited to n <= 25"):
+            too_many()
     with pytest.raises(ValueError):
         bell_number(27)
     with pytest.raises(ValueError):
