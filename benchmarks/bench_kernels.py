@@ -8,13 +8,13 @@ noncentral mode (on the same models) and on identity models, where
 every dichotomy survives and the meet is the cost, `meet_all` alone on
 surviving dichotomies (n = 6, 12) and on many-block Partitions (n = 2000,
 5000), one desk campaign chunk (its drawing, its scoring and each step of
-the scoring: statistics, p-values, correction and meet, classification,
-AUC, negatives), the 300-run desk simulation (five times, reported as the
-median with its quartiles), the rewrite of that campaign's CSV and
-summary onto the same two paths, as a campaign re-run into the same files
-does, the default 3000-run reference campaign (three times, reported like
-the desk one), and a `mutindep simulate` process re-run onto its own
---csv and --summary.
+the scoring: statistics, p-values, correction, classification, AUC, exact
+recovery, negatives), the 300-run desk simulation (five times, reported as
+the median with its quartiles), that campaign's summary, the rewrite of
+its CSV and summary onto the same two paths, as a campaign re-run into the
+same files does, the default 3000-run reference campaign (three times,
+reported like the desk one), and a `mutindep simulate` process re-run onto
+its own --csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
 (the re-run processes are given that package's directory as PYTHONPATH).
@@ -130,8 +130,9 @@ def bench_meet():
 def bench_scoring(repeats=20):
     """The scoring of one desk chunk (30 runs x 6 sizes = 180 analyses, from
     their drawn models) through the campaign's own _score_chunk, and the
-    time spent in each step it calls, taken by wrapping that step's name in
-    mutindep.simulation while the chunk is scored `repeats` times."""
+    time spent in each step it calls, taken by wrapping the name it calls the
+    step by (in mutindep.simulation, or the correction's entry of
+    simulation.CORRECTIONS) while the chunk is scored `repeats` times."""
     print()
     print("one desk chunk, 30 runs x 6 sizes: drawing, scoring and each "
           "scoring step (per chunk)")
@@ -142,9 +143,11 @@ def bench_scoring(repeats=20):
         "draw": _time(lambda: simulation._draw_chunk(config, runs)),
         "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
     }
-    steps = {"statistics": "mask_statistics", "p_values": "p_values",
-             "correction_meet": "resolve_pattern", "classify": "classify_against_truth",
-             "auc": "auc", "negatives": "entailed_masks"}
+    module = vars(simulation)
+    steps = {"statistics": (module, "mask_statistics"), "p_values": (module, "p_values"),
+             "correction": (simulation.CORRECTIONS, config.correction),
+             "classify": (module, "classify_against_truth"), "auc": (module, "auc"),
+             "recovery": (module, "_recovered"), "negatives": (module, "entailed_masks")}
     spent = dict.fromkeys(steps, 0.0)
 
     def timed(layer, fn):
@@ -156,15 +159,15 @@ def bench_scoring(repeats=20):
                 spent[layer] += time.perf_counter() - start
         return wrapper
 
-    originals = {name: getattr(simulation, name) for name in steps.values()}
+    originals = {layer: names[key] for layer, (names, key) in steps.items()}
     try:
-        for layer, name in steps.items():
-            setattr(simulation, name, timed(layer, originals[name]))
+        for layer, (names, key) in steps.items():
+            names[key] = timed(layer, originals[layer])
         for _ in range(repeats):
             simulation._score_chunk(config, runs, *drawn)
     finally:
-        for name, fn in originals.items():
-            setattr(simulation, name, fn)
+        for layer, (names, key) in steps.items():
+            names[key] = originals[layer]
     timings.update((layer, t / repeats) for layer, t in spent.items())
     rows = []
     for layer, t in timings.items():
@@ -196,6 +199,12 @@ def bench_campaign(repeats=5):
     campaign, row = _time_campaign("desk simulation (300 runs x 6 sizes)",
                                    "desk_campaign", config, repeats)
     rows = [row]
+
+    print()
+    print("desk campaign summary (per call)")
+    t = _time(campaign.summary)
+    print(f"  {t * 1e3:.2f}ms")
+    rows.append(_row("desk_summary", 300, t))
 
     print()
     print("desk campaign CSV + summary, rewritten onto the same paths (per rewrite)")

@@ -57,8 +57,9 @@ def _read_table(path, header=False):
     """The numeric rows of the table in `path`, and its column names or None.
 
     Blank rows are skipped. A data CSV (`header=True`) may open with a row
-    that is not all numbers: its column names. A correlation file has no
-    header, and its cells are split on whitespace as well as on commas.
+    that is not all numbers: its column names, one per column of the data
+    rows. A correlation file has no header, and its cells are split on
+    whitespace as well as on commas.
     Every error names the path, and an error in a row names the row's
     physical line, blank lines counted.
     """
@@ -78,11 +79,14 @@ def _read_table(path, header=False):
                     rows.append([float(c) for c in cells])
                 except ValueError:
                     if header and names is None and not rows:
-                        names = [c.strip() for c in cells]
+                        names, names_line = [c.strip() for c in cells], reader.line_num
                         continue
                     bad = next(c for c in cells if not _is_number(c))
                     raise ValueError(f"{path}, line {reader.line_num}: "
                                      f"non-numeric cell {bad!r}")
+                if names and len(rows) == 1 and len(names) != len(cells):
+                    raise ValueError(f"{path}, line {names_line}: ragged row of "
+                                     f"{len(names)} cells, expected {len(cells)}")
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:

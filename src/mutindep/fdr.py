@@ -1,6 +1,8 @@
 """Multiple-comparison corrections over simultaneous dichotomy tests.
 
 Each returns a boolean array of rejection flags aligned with the p-values.
+A 2-D `(rows, tests)` array holds one family of tests per row, and each
+row is corrected on its own; 1-D input is one row.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ def check_alpha(alpha):
 
 
 def _validated(pvalues, alpha):
-    p = np.asarray(list(pvalues), dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("need a nonempty sequence of p-values")
+    if not isinstance(pvalues, np.ndarray):
+        pvalues = list(pvalues)
+    p = np.asarray(pvalues, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] == 0:
+        raise ValueError("need a nonempty sequence of p-values, or rows of them")
     if not np.isfinite(p).all() or (p < 0).any() or (p > 1).any():
         raise ValueError("p-values must lie in [0, 1]")
     check_alpha(alpha)
@@ -30,13 +34,14 @@ def bh_fdr(pvalues, alpha):
     step-up rule applies to values, so a tie can never straddle the cut).
     """
     p = _validated(pvalues, alpha)
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    passing = np.flatnonzero(p[order] <= alpha * np.arange(1, m + 1) / m)
-    m_thres = int(passing[-1] + 1) if passing.size else 0
-    rejected = np.zeros(m, dtype=bool)
-    rejected[order[:m_thres]] = True
-    return rejected
+    m = p.shape[-1]
+    ascending = np.sort(p, axis=-1)
+    passing = ascending <= alpha * np.arange(1, m + 1) / m
+    # the cut is the largest passing p-value of each row (-1 when none
+    # passes); a tie with it passes too, so the rejected are those at or
+    # below it
+    cut = np.where(passing, ascending, -1.0).max(axis=-1, keepdims=True)
+    return p <= cut
 
 
 def bonferroni(pvalues, alpha):
@@ -46,4 +51,4 @@ def bonferroni(pvalues, alpha):
     alpha, so this is the more conservative of the two corrections.
     """
     p = _validated(pvalues, alpha)
-    return p <= alpha / p.size
+    return p <= alpha / p.shape[-1]

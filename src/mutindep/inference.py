@@ -60,7 +60,8 @@ class InferenceOutcome:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Bipartition-level confusion counts against a ground-truth pattern."""
+    """Bipartition-level confusion counts against a ground-truth pattern:
+    ints, or int arrays with one entry per analysis."""
 
     tp: int
     fn: int
@@ -127,16 +128,19 @@ def classify_against_truth(rejected, negative):
     `rejected`), and `negative` flags, per test, the dichotomies entailed
     by the truth (the null hypothesis holds): `entailed_masks(
     bipartition_masks(n), truth)`.  All other bipartitions are positives.  A
-    test is "detected positive" when it was rejected.
+    test is "detected positive" when it was rejected.  For `(rows, tests)`
+    flags, one analysis per row, each count is an int array with one entry
+    per row.
     """
     rejected = np.asarray(rejected, dtype=bool)
     negative = np.asarray(negative, dtype=bool)
     if negative.shape != rejected.shape:
-        raise ValueError(f"need one negative flag per test: {rejected.size} tests, "
-                         f"{negative.size} flags")
+        raise ValueError(f"need one negative flag per test: rejected has shape "
+                         f"{rejected.shape}, negative {negative.shape}")
 
     def count(flags):
-        return int(np.count_nonzero(flags))
+        counts = np.count_nonzero(flags, axis=-1)
+        return int(counts) if flags.ndim == 1 else counts
 
     return ConfusionCounts(
         tp=count(rejected & ~negative),

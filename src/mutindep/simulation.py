@@ -18,15 +18,10 @@ import numpy as np
 from ._kernels import check_size
 from .errors import NotPositiveDefiniteError
 from .fdr import check_alpha
-from .inference import check_correction, classify_against_truth, resolve_pattern
+from .inference import CORRECTIONS, check_correction, classify_against_truth
 from .linalg import sample_correlations
 from .mdi import check_mode, mask_statistics, p_values
-from .partitions import (
-    bipartition_masks,
-    entailed_masks,
-    enumerate_bipartitions,
-    format_partition,
-)
+from .partitions import bipartition_masks, entailed_masks, format_partition
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
@@ -53,10 +48,17 @@ Row = namedtuple("Row", CSV_COLUMNS)
 
 _DECILE_EDGES = [i / 10.0 for i in range(11)]
 
-# Runs are drawn and analysed in chunks of at most CHUNK_BYTES of data
-# (max_samples x n floats per run) and subset tables (2^n floats per run and
-# size): 30 runs at the desk size of n = 6, 300 samples and 6 sizes.
-CHUNK_BYTES = 1 << 19
+# the metrics whose quartiles a campaign summary gives per cell
+_QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
+
+# Runs are drawn and analysed in chunks of at most CHUNK_BYTES, counted by
+# run_campaign: per run, its data (max_samples x n floats) and the two lists
+# of Python floats (32 bytes a test each) that carry one size's statistics
+# through the tails; per run and subset size, its subset table (2^n floats),
+# its statistics and p-values (two floats a test) and three flags a test
+# (negative, rejected, survived).  That is 45 runs at the desk size of n = 6,
+# 300 samples and 6 sizes, so a 30-run campaign is one chunk.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,35 +122,49 @@ def auc(pvalues, negative):
     `negative` flags, per p-value, the dichotomies entailed by the truth:
     `entailed_masks(bipartition_masks(n), truth)`.  The others are the
     positives, whose dichotomic independence fails.  None when either side
-    is empty (e.g. a 1-block or all-singleton truth).
+    is empty (e.g. a 1-block or all-singleton truth).  For `(rows, tests)`
+    arrays, one analysis per row, a list with one value per row.
     """
     p = np.asarray(pvalues, dtype=np.float64)
     negative = np.asarray(negative, dtype=bool)
-    if p.shape != negative.shape:
+    if p.shape != negative.shape or p.ndim not in (1, 2):
         raise ValueError("need one p-value per bipartition")
-    pos = p[~negative]
-    neg = np.sort(p[negative])
-    if pos.size == 0 or neg.size == 0:
-        return None
-    # rank-sum (Mann-Whitney) count: for each positive, the negatives below,
-    # tied with and above its p-value, from the sorted negatives
-    below = np.searchsorted(neg, pos, side="left")
-    not_above = np.searchsorted(neg, pos, side="right")
-    wins = int(pos.size * neg.size - not_above.sum())
-    ties = int((not_above - below).sum())
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
+    stacked = p.ndim == 2
+    p, negative = p.reshape(-1, p.shape[-1]), negative.reshape(-1, p.shape[-1])
+    # rank-sum (Mann-Whitney) count over each row sorted by p-value: a tie
+    # group of equal p-values starts where the value changes, and the
+    # elements before its start are the ones strictly below it
+    order = np.argsort(p, axis=1, kind="stable")
+    ascending = np.take_along_axis(p, order, axis=1)
+    negative = np.take_along_axis(negative, order, axis=1)
+    starts = np.ones(p.shape, dtype=bool)
+    starts[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    start = np.maximum.accumulate(np.where(starts, np.arange(p.shape[1]), 0), axis=1)
+    neg_below = np.take_along_axis(np.cumsum(negative, axis=1) - negative, start, axis=1)
+    pos_below = start - neg_below
+    neg_count = np.count_nonzero(negative, axis=1)
+    pos_count = p.shape[1] - neg_count
+    wins = (pos_below * negative).sum(axis=1)  # positive below negative
+    losses = (neg_below * ~negative).sum(axis=1)  # negative below positive
+    ties = pos_count * neg_count - wins - losses
+    values = [float((w + 0.5 * t) / (pos * neg)) if pos and neg else None
+              for w, t, pos, neg in zip(wins.tolist(), ties.tolist(),
+                                        pos_count.tolist(), neg_count.tolist())]
+    return values if stacked else values[0]
+
+
+def _rate(hits, total):
+    return hits / total if total else None
 
 
 def sensitivity(confusion):
     """TP / (TP + FN); None when the truth has no positive case."""
-    denom = confusion.tp + confusion.fn
-    return confusion.tp / denom if denom else None
+    return _rate(confusion.tp, confusion.tp + confusion.fn)
 
 
 def specificity(confusion):
     """TN / (TN + FP); None when the truth has no negative case."""
-    denom = confusion.tn + confusion.fp
-    return confusion.tn / denom if denom else None
+    return _rate(confusion.tn, confusion.tn + confusion.fp)
 
 
 def correct_ratio(flags):
@@ -195,42 +211,77 @@ def _draw_chunk(config, runs):
 
 
 def _score_chunk(config, runs, truths, by_size):
-    """The rows of the runs from their drawn truths and models."""
-    masks = bipartition_masks(config.n)
-    bipartitions = enumerate_bipartitions(config.n)
-    member_sizes = [b.members.bit_count() for b in bipartitions]
+    """The rows of the runs from their drawn truths and models.
+
+    Each analysis (a run at a subset size) has its statistics read off its
+    model, in run order, so an InternalNumericError stops the campaign at the
+    first analysis that meets it.  A constant column (no model) or a
+    submatrix not positive definite fails that analysis alone.  The others
+    are scored together as (analyses, tests) arrays: their p-values, the
+    correction of each row, its confusion counts, AUC and exact recovery.
+    """
+    n, sizes = config.n, config.subset_sizes
+    masks = bipartition_masks(n)
+    member_sizes = [m.bit_count() for m in masks.tolist()]
+    # analysis a is run a // len(sizes) at size a % len(sizes)
+    stats = np.empty((len(runs) * len(sizes), masks.size))
+    scored = np.zeros(len(stats), dtype=bool)
+    for i in range(len(runs)):
+        for s, models in enumerate(by_size):
+            if models[i] is None:
+                continue
+            try:
+                stats[i * len(sizes) + s] = mask_statistics(models[i], masks)
+            except NotPositiveDefiniteError:
+                continue
+            scored[i * len(sizes) + s] = True
+    # the tails of each size's analyses in one call, as their models share k
+    p = np.empty_like(stats)
+    for s, size in enumerate(sizes):
+        at = np.flatnonzero(scored[s::len(sizes)]) * len(sizes) + s
+        tails = p_values(stats[at].ravel().tolist(), member_sizes * at.size, n, size,
+                         config.mode)
+        p[at] = np.reshape(tails, (at.size, masks.size))
+    p = p[scored]
+    negative = np.repeat([entailed_masks(masks, truth) for truth, _ in truths],
+                         len(sizes), axis=0)[scored]
+    truth_blocks = np.repeat([truth.block_count for truth, _ in truths], len(sizes))[scored]
+    rejected = CORRECTIONS[config.correction](p, config.alpha)
+    counts = classify_against_truth(rejected, negative)
+    tp, fn, tn, fp = (c.tolist() for c in (counts.tp, counts.fn, counts.tn, counts.fp))
+    metrics = zip([_rate(hits, hits + misses) for hits, misses in zip(tp, fn)],
+                  [_rate(hits, hits + misses) for hits, misses in zip(tn, fp)],
+                  auc(p, negative),
+                  _recovered(masks, n, ~rejected, negative, truth_blocks).tolist())
     rows = []
     for i, ((run_id, blocks), (truth, sigma)) in enumerate(zip(runs, truths)):
         truth_text = format_partition(truth)
         rho = within_block_correlation(truth, sigma)
-        negative = entailed_masks(masks, truth)
-        for size, models in zip(config.subset_sizes, by_size):
-            metrics = _analyse(config, models[i], masks, bipartitions, member_sizes,
-                               truth, negative)
+        for s, size in enumerate(sizes):
+            failed = not scored[i * len(sizes) + s]
             rows.append(Row(run_id, blocks, truth_text, size,
-                            *(metrics or (None,) * 4), rho, metrics is None))
+                            *((None,) * 4 if failed else next(metrics)), rho, failed))
     return rows
 
 
-def _analyse(config, model, masks, bipartitions, member_sizes, truth, negative):
-    """Sensitivity, specificity, AUC and exact recovery of one analysis; None
-    for a constant column (no model) or a submatrix not positive definite.
+def _recovered(masks, n, survived, negative, blocks):
+    """Per row of `survived`, whether the meet of the dichotomies (members
+    bitmasks `masks` of n variables) it flags is the truth: the truth whose
+    entailed dichotomies `negative` flags and whose block count is `blocks`.
 
-    The steps of infer_from_model, without its per-test objects: the
-    statistics, their p-values, the correction and the meet.
+    The meet is the truth exactly when no survivor splits a truth block (each
+    survivor is a negative, so the meet is the truth or coarser) and the meet
+    has as many blocks as the truth.  Two elements share a block of the meet
+    when they lie on the same side of every survivor, so its blocks are the
+    distinct signatures: each element's side of every survivor, as packed bit
+    columns.  With no survivor the meet is the one block.
     """
-    if model is None:
-        return None
-    try:
-        stats = mask_statistics(model, masks)
-    except NotPositiveDefiniteError:
-        return None
-    p = p_values(stats.tolist(), member_sizes, model.n, model.k, config.mode)
-    rejected, mu_hat = resolve_pattern(
-        model.n, bipartitions, p, config.alpha, config.correction)
-    confusion = classify_against_truth(rejected, negative)
-    return (sensitivity(confusion), specificity(confusion), auc(p, negative),
-            mu_hat == truth)
+    sides = np.array([np.packbits(masks & np.uint64(1 << e) != 0) for e in range(n)])
+    signatures = sides & np.packbits(survived, axis=-1)[:, None, :]
+    keys = signatures.view(f"V{sides.shape[1]}")[..., 0]
+    keys.sort(axis=1)
+    meet_blocks = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+    return ~(survived & ~negative).any(axis=1) & (meet_blocks == blocks)
 
 
 def run_campaign(config):
@@ -243,8 +294,9 @@ def run_campaign(config):
     """
     runs = list(enumerate(
         b for b in config.block_counts for _ in range(config.runs_per_k)))
-    per_run = 8 * (config.max_samples * config.n
-                   + len(config.subset_sizes) * 2**config.n)
+    tests = 2 ** (config.n - 1) - 1
+    per_run = (8 * config.max_samples * config.n + 64 * tests
+               + len(config.subset_sizes) * (8 * 2**config.n + 19 * tests))
     step = max(1, CHUNK_BYTES // per_run)
     rows = [row for start in range(0, len(runs), step)
             for row in _execute_chunk(config, runs[start:start + step])]
@@ -328,26 +380,19 @@ class Campaign:
             if row.failed:
                 cell["failed"] += 1
                 continue
-            for metric in ("auc", "sensitivity", "specificity"):
+            for metric in _QUARTILE_METRICS:
                 value = getattr(row, metric)
                 if value is not None:
                     cell[metric].append(value)
             cell["correct"].append(row.correct)
 
-        def quartiles(values):
-            if not values:
-                return None
-            q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-            return {"q25": float(q25), "median": float(med), "q75": float(q75),
-                    "count": len(values)}
-
+        quartiles = self._quartiles(by_cell)
         by_block = {}
         for (blocks, size), cell in sorted(by_cell.items()):
             target = by_block.setdefault(str(blocks), {})
             target[str(size)] = {
-                "auc": quartiles(cell["auc"]),
-                "sensitivity": quartiles(cell["sensitivity"]),
-                "specificity": quartiles(cell["specificity"]),
+                **{metric: quartiles.get((blocks, size, metric))
+                   for metric in _QUARTILE_METRICS},
                 "correct_ratio": correct_ratio(cell["correct"]),
                 "failed": cell["failed"],
                 "runs": cell["runs"],
@@ -360,6 +405,23 @@ class Campaign:
             "by_block_count": by_block,
             "auc_by_within_block_correlation": self._correlation_auc_bins(),
         }
+
+    @staticmethod
+    def _quartiles(by_cell):
+        # {(blocks, size, metric): quartiles} of each nonempty value list,
+        # from one percentile call per list length
+        by_length = {}
+        for (blocks, size), cell in by_cell.items():
+            for metric in _QUARTILE_METRICS:
+                if cell[metric]:
+                    by_length.setdefault(len(cell[metric]), []).append(
+                        ((blocks, size, metric), cell[metric]))
+        out = {}
+        for length, lists in by_length.items():
+            q = np.percentile([values for _, values in lists], [25.0, 50.0, 75.0], axis=1)
+            for (key, _), (q25, med, q75) in zip(lists, q.T.tolist()):
+                out[key] = {"q25": q25, "median": med, "q75": q75, "count": length}
+        return out
 
     def _correlation_auc_bins(self):
         # Deciles of mean |rho| within blocks vs AUC, pooled over subset

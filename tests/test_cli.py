@@ -211,6 +211,20 @@ def test_reader_errors_name_the_physical_line(kind, tmp_path, capsys):
         f"error: {path}, line 4: ragged row of 1 cells, expected 2\n")
 
 
+def test_a_header_of_another_width_than_the_data_is_refused(tmp_path, capsys):
+    # the header is named as a ragged row, by its physical line
+    path = tmp_path / "data.csv"
+    rows = "".join(f"{i},{i * i % 7}\n" for i in range(6))
+    for head, line, width in (("a,b,c\n", 1, 3), ("\nx\n", 2, 1)):
+        path.write_text(head + rows)
+        assert main(["infer", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}, line {line}: ragged row of {width} cells, expected 2\n")
+    path.write_text("a,b\n" + rows)
+    assert main(["infer", str(path)]) == 0
+    assert '"columns": [\n    "a",\n    "b"\n  ]' in capsys.readouterr().out
+
+
 def test_reader_takes_blank_rows_quotes_and_mixed_separators(tmp_path, capsys):
     r = np.array([[1.0, 0.25, -0.5], [0.25, 1.0, 0.125], [-0.5, 0.125, 1.0]])
     plain, mixed = tmp_path / "plain.txt", tmp_path / "mixed.txt"

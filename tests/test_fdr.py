@@ -27,6 +27,16 @@ def test_bh_ties_share_the_verdict():
         rejected = bh_fdr(pvals, 0.1)
         verdicts = {r for p, r in zip(pvals, rejected.tolist()) if p == min(pvals)}
         assert len(verdicts) == 1
+    # each row of (rows, tests) input is corrected on its own: the tie at
+    # 0.06 passes in the second row and fails in the third
+    rows = np.array([[0.04, 0.04, 0.9, 0.04], [0.9, 0.06, 0.06, 0.01],
+                     [0.06, 0.9, 0.9, 0.06], [0.1, 0.1, 0.1, 0.1]])
+    assert bh_fdr(rows, 0.1).tolist() == [[True, True, False, True], [False, True, True, True],
+                                          [False] * 4, [True] * 4]
+    assert bonferroni(rows, 0.1).tolist() == [[False] * 4, [False, False, False, True],
+                                              [False] * 4, [False] * 4]
+    for rule in (bh_fdr, bonferroni):
+        assert rule(rows, 0.1).tolist() == [rule(row, 0.1).tolist() for row in rows]
 
 
 def test_bonferroni_worked_example():
@@ -45,6 +55,13 @@ def test_validation():
     for rule in (bh_fdr, bonferroni):
         with pytest.raises(ValueError):
             rule([], 0.1)
+        with pytest.raises(ValueError):
+            rule(np.zeros((2, 0)), 0.1)
+        with pytest.raises(ValueError):
+            rule(np.zeros((2, 2, 2)), 0.1)
+        with pytest.raises(ValueError):
+            rule([[0.5, 0.5], [0.5, np.nan]], 0.1)
+        assert rule(np.zeros((0, 3)), 0.1).shape == (0, 3)
         with pytest.raises(ValueError):
             rule([0.5, 1.5], 0.1)
         with pytest.raises(ValueError):
@@ -70,9 +87,15 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(20260825)
     p = rng.random(15)
     base = bh_fdr(p, 0.1)
-    for _ in range(20):
-        perm = rng.permutation(15)
+    perms = [rng.permutation(15) for _ in range(20)]
+    for perm in perms:
         assert (bh_fdr(p[perm], 0.1) == base[perm]).all()
+    # the permuted rows stacked: one call corrects each row as its 1-D call
+    for rule in (bh_fdr, bonferroni):
+        rows = rule(p[perms], 0.1)
+        assert rows.shape == (20, 15)
+        for row, perm in zip(rows, perms):
+            assert (row == rule(p, 0.1)[perm]).all()
 
 
 def test_bh_monotone_in_single_pvalue():

@@ -246,6 +246,14 @@ def test_classify_against_truth_reads_the_rejection_flags():
     flags = (True, True, False, False, True, False, False)
     conf = classify_against_truth(flags, negatives(parse_partition("12|3|4")))
     assert (conf.tp, conf.fn, conf.tn, conf.fp) == (2, 2, 2, 1)
+    # (rows, tests) flags, one analysis per row, give one count per row
+    rows = np.array([flags, [True] * 7, [False] * 7])
+    truths = np.array([negatives(parse_partition(t)) for t in ("12|3|4", "12|3|4", "1|2|3|4")])
+    conf = classify_against_truth(rows, truths)
+    assert [c.tolist() for c in (conf.tp, conf.fn, conf.tn, conf.fp)] == [
+        [2, 4, 0], [2, 0, 0], [2, 0, 7], [1, 3, 0]]
+    with pytest.raises(ValueError, match="one negative flag per test"):
+        classify_against_truth(rows, truths[:2])
 
 
 def test_rejected_is_a_tuple_of_python_bools():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import mutindep._kernels
+import mutindep.inference
 import mutindep.mdi
+import mutindep.partitions
 import mutindep.simulation
 from mutindep._kernels import MAX_VARIABLES
 from mutindep.errors import (
@@ -25,9 +27,10 @@ from mutindep.partitions import (
     entailed_dichotomies,
     entailed_masks,
     enumerate_bipartitions,
+    meet_all,
     parse_partition,
 )
-from mutindep.randomness import RngStream, sample_mvn
+from mutindep.randomness import RngStream, random_partition_with_k_blocks, sample_mvn
 from mutindep.simulation import (
     SimulationConfig,
     auc,
@@ -101,6 +104,11 @@ def test_auc_hand_example_via_oracle():
 def test_auc_undefined_cases():
     assert auc([0.5] * 31, negatives(Partition.one_block(6))) is None
     assert auc([0.5] * 31, negatives(Partition.singletons(6))) is None
+    # (rows, tests) input: one value per row, None where a side is empty
+    truths = [Partition.one_block(6), parse_partition("12|3456"), Partition.singletons(6)]
+    rows = np.array([negatives(truth) for truth in truths])
+    assert auc(np.where(rows, 0.9, 0.1), rows) == [None, 1.0, None]
+    assert auc(np.zeros((0, 31)), np.zeros((0, 31), dtype=bool)) == []
 
 
 def test_auc_matches_threshold_sweep_oracle():
@@ -123,14 +131,48 @@ def test_auc_equals_the_pairwise_count_bit_for_bit():
     truth = parse_partition("12|34|5|6")
     entailed = set(entailed_dichotomies(truth))
     negative = np.array([b in entailed for b in enumerate_bipartitions(6)])
+    trials, expected = [], []
     for trial in range(200):
         # coarse p-values tie often, fine ones rarely
         pvals = rng.integers(0, 6 if trial % 2 else 10**6, size=31) / 5.0
         pos, neg = pvals[~negative], pvals[negative]
         wins = np.count_nonzero(pos[:, None] < neg[None, :])
         ties = np.count_nonzero(pos[:, None] == neg[None, :])
-        expected = float((wins + 0.5 * ties) / (pos.size * neg.size))
-        assert auc(pvals, negative) == expected
+        expected.append(float((wins + 0.5 * ties) / (pos.size * neg.size)))
+        assert auc(pvals, negative) == expected[-1]
+        trials.append(pvals)
+    # the trials stacked as (rows, tests): one call, the same values
+    assert auc(np.array(trials), np.tile(negative, (200, 1))) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_exact_recovery_equals_the_meet_of_the_survivors(n):
+    # survivor sets around planted truths of every block count: none, all,
+    # exactly the truth's negatives, some of them dropped, a positive or
+    # two added, the negatives of another pattern with as many blocks, and
+    # a random set
+    rng = np.random.default_rng(20261020 + n)
+    masks = bipartition_masks(n)
+    bipartitions = enumerate_bipartitions(n)
+    survived, negative, blocks, expected = [], [], [], []
+    for k in range(1, n + 1):
+        stream = RngStream(20261020, 100 * n + k)
+        truth, other = (random_partition_with_k_blocks(n, k, stream) for _ in range(2))
+        entailed = entailed_masks(masks, truth)
+        for keep in (np.zeros(masks.size, dtype=bool), np.ones(masks.size, dtype=bool),
+                     entailed, entailed & (rng.random(masks.size) < 0.5),
+                     entailed | (rng.random(masks.size) < 2 / masks.size),
+                     entailed_masks(masks, other), rng.random(masks.size) < 0.3):
+            kept = [b for b, flag in zip(bipartitions, keep) if flag]
+            meet = meet_all(kept) if kept else Partition.one_block(n)
+            survived.append(keep)
+            negative.append(entailed)
+            blocks.append(k)
+            expected.append(meet == truth)
+    got = mutindep.simulation._recovered(masks, n, np.array(survived), np.array(negative),
+                                         np.array(blocks))
+    assert got.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 def test_sensitivity_specificity_undefined_flags():
@@ -286,20 +328,33 @@ def test_campaign_scores_equal_infer_from_model(monkeypatch, mode, correction):
 
 
 def test_campaign_builds_no_test_results(monkeypatch):
-    built = []
+    built, met = [], []
     init = mutindep.mdi.TestResult.__init__
 
     def counted(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def noted(name, fn):
+        def wrapper(*args, **kwargs):
+            met.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(mutindep.mdi.TestResult, "__init__", counted)
+    # the meet and the pattern step, under every name a caller may use
+    for module in (mutindep.partitions, mutindep.inference, mutindep.simulation):
+        for name in ("meet_all", "resolve_pattern"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, noted(name, getattr(module, name)))
     infer_from_model(CorrelationModel(np.eye(4), 50))
     assert len(built) == 7  # the patch sees infer_from_model's seven tests
+    assert "resolve_pattern" in met and "meet_all" in met
     built.clear()
+    met.clear()
     campaign = run_campaign(small_config())
     assert len(campaign.rows) == 24 and campaign.failure_count() == 0
-    assert built == []
+    assert built == [] and met == []
 
 
 def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
@@ -343,6 +398,22 @@ def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
     for line in lines[2::2]:
         # sensitivity, specificity, auc and correct are empty cells
         assert line.split(",")[4:8] == [""] * 4 and line.endswith(",1")
+
+
+def test_a_chunk_whose_analyses_all_fail_has_only_failed_rows(monkeypatch):
+    draw = mutindep.simulation.sample_mvn
+
+    def constant_column(sigma, k, rng):
+        data = draw(sigma, k, rng).values.copy()
+        data[:, 1] = 0.5
+        return DataMatrix(data)
+
+    monkeypatch.setattr(mutindep.simulation, "sample_mvn", constant_column)
+    campaign = run_campaign(small_config())
+    assert len(campaign.rows) == 24 and campaign.failure_count() == 24
+    for row in campaign.rows:
+        assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
+    assert campaign.summary()["by_block_count"]["3"]["50"]["auc"] is None
 
 
 def test_an_internal_error_aborts_the_campaign_at_the_first_in_run_order(monkeypatch):
