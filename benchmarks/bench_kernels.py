@@ -8,9 +8,10 @@ noncentral mode (on the same models) and on identity models, where
 every dichotomy survives and the meet is the cost, `meet_all` alone on
 surviving dichotomies (n = 6, 12) and on many-block Partitions (n = 2000,
 5000), one desk campaign chunk (its drawing, its scoring and each step of
-the scoring: statistics, p-values, correction, classification, AUC, exact
-recovery, negatives), the 300-run desk simulation (five times, reported as
-the median with its quartiles), that campaign's summary, the rewrite of
+the scoring: subset tables, statistics, clamp, p-values, correction,
+classification, AUC, exact recovery, negatives), the 300-run desk
+simulation (five times, reported as the median with its quartiles), that
+campaign's summary, the rewrite of
 its CSV and summary onto the same two paths, as a campaign re-run into the
 same files does, the default 3000-run reference campaign (three times,
 reported like the desk one), and a `mutindep simulate` process re-run onto
@@ -129,9 +130,10 @@ def bench_meet():
 
 def bench_scoring(repeats=20):
     """The scoring of one desk chunk (30 runs x 6 sizes = 180 analyses, from
-    their drawn models) through the campaign's own _score_chunk, and the
-    time spent in each step it calls, taken by wrapping the name it calls the
-    step by (in mutindep.simulation, or the correction's entry of
+    their drawn correlations) through the campaign's own _score_chunk, and
+    the time spent in each step it calls, taken by wrapping the name it calls
+    the step by (in mutindep.simulation, in mutindep._kernels for the subset
+    tables and the statistic batch, or the correction's entry of
     simulation.CORRECTIONS) while the chunk is scored `repeats` times."""
     print()
     print("one desk chunk, 30 runs x 6 sizes: drawing, scoring and each "
@@ -143,8 +145,10 @@ def bench_scoring(repeats=20):
         "draw": _time(lambda: simulation._draw_chunk(config, runs)),
         "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
     }
-    module = vars(simulation)
-    steps = {"statistics": (module, "mask_statistics"), "p_values": (module, "p_values"),
+    module, kernels = vars(simulation), vars(_kernels)
+    steps = {"tables": (kernels, "_subset_logdets"),
+             "statistics": (kernels, "mdi_statistic_batch"),
+             "clamp": (module, "_clamped"), "p_values": (module, "p_values"),
              "correction": (simulation.CORRECTIONS, config.correction),
              "classify": (module, "classify_against_truth"), "auc": (module, "auc"),
              "recovery": (module, "_recovered"), "negatives": (module, "entailed_masks")}

@@ -6,13 +6,13 @@ where c is the complement of a.  Statistics are returned raw (no clamping);
 callers own the nonnegativity policy.
 
 The batch reads every log-determinant off one table over all subsets of
-the variables, built by rank-1 Schur-complement updates.  A subset fails,
-with NotPositiveDefiniteError naming it, when a pivot drops to or below
-1e-12 * dim * max(diagonal): the rule of an in-order Cholesky
-factorization.  The reference for that rule, the one-matrix factorization
-the table is tested against, is chol_logdet in tests/oracles.py.  The table
-agrees with it to about 1e-13 relative, not bit for bit: the summation
-order differs.
+the variables, built by rank-1 Schur-complement updates.  A subset fails
+when a pivot drops to or below 1e-12 * dim * max(diagonal): the rule of an
+in-order Cholesky factorization.  The table marks a failed subset NaN, and
+so is every statistic that needs it; first_failure names the failure.  The
+reference for that rule, the one-matrix factorization the table is tested
+against, is chol_logdet in tests/oracles.py.  The table agrees with it to
+about 1e-13 relative, not bit for bit: the summation order differs.
 """
 
 import numpy as np
@@ -79,27 +79,42 @@ def _subset_logdets(r):
 
 def mdi_statistic_batch(lds, masks, k):
     """Raw dichotomy statistics for every members bitmask in `masks`, read
-    off `lds`, the subset table of a matrix with sample count k.
+    off `lds`: the subset table of a matrix with sample count k, or a stack
+    of tables (..., 2^n) with k one count for all or one per table.
 
-    No Python loop runs per test.  The full matrix is checked first; after
-    it, the first mask in input order whose members or (then) complement
-    submatrix fails the pivot rule is reported.
+    No Python loop runs per test or per table.  A statistic is NaN where the
+    full matrix, its members or its complement submatrix fails the pivot
+    rule.
+    """
+    n = lds.shape[-1].bit_length() - 1
+    masks = np.ascontiguousarray(masks, dtype=np.uint64)
+    everything = np.uint64((1 << n) - 1)
+    # k - 1 is taken before the conversion to float, which rounds past 2^53
+    scale = np.asarray(np.subtract(k, 1) if np.ndim(k) else k - 1, dtype=np.float64)
+    raw = lds[..., masks & everything]
+    raw += lds[..., ~masks & everything]
+    raw -= lds[..., -1:]
+    raw *= scale[..., None]
+    return raw
+
+
+def first_failure(lds, masks):
+    """The NotPositiveDefiniteError for the first failure among the
+    statistics of `masks` off the one table `lds`, or None.
+
+    The full matrix is checked first; after it, the first mask in input
+    order whose members or (then) complement submatrix fails.
     """
     n = lds.size.bit_length() - 1
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    ld_full = lds[-1]
-    if np.isnan(ld_full):
-        raise not_pd_submatrix("full")
+    if np.isnan(lds[-1]):
+        return not_pd_submatrix("full")
     everything = np.uint64((1 << n) - 1)
-    ld_members = lds[masks & everything]
-    ld_complement = lds[~masks & everything]
-    failed = np.isnan(ld_members) | np.isnan(ld_complement)
-    if failed.any():
-        j = int(np.flatnonzero(failed)[0])
-        mask = int(masks[j])
-        members = [i + 1 for i in range(n) if (mask >> i) & 1]
-        if np.isnan(ld_members[j]):
-            raise not_pd_submatrix("members", members)
-        complement = [i for i in range(1, n + 1) if i not in members]
-        raise not_pd_submatrix("complement", complement)
-    return float(k - 1) * (ld_members + ld_complement - ld_full)
+    masks = np.asarray(masks, dtype=np.uint64) & everything
+    failed = np.isnan(lds[masks]) | np.isnan(lds[~masks & everything])
+    if not failed.any():
+        return None
+    mask = int(masks[np.argmax(failed)])
+    members = [i + 1 for i in range(n) if (mask >> i) & 1]
+    if np.isnan(lds[mask]):
+        return not_pd_submatrix("members", members)
+    return not_pd_submatrix("complement", [i for i in range(1, n + 1) if i not in members])

@@ -109,22 +109,6 @@ def sample_correlation(data):
     return CorrelationModel(r, data.k)
 
 
-def sample_correlations(stack):
-    """The sample_correlation models of a stack of data sets (sets, k, n), in
-    order, with None for a set that has a constant column.  The models'
-    subset tables are built in one pass over the stack."""
-    check_sample_count(stack.shape[-2])
-    r, constant = _correlations(stack)
-    tables = _kernels._subset_logdets(r)
-    tables.setflags(write=False)
-    models = [None if dead.any() else CorrelationModel(m, stack.shape[-2])
-              for m, dead in zip(r, constant)]
-    for model, table in zip(models, tables):
-        if model is not None:
-            model._logdets = table
-    return models
-
-
 def _correlations(x):
     """The correlation matrix of each data set of a stack (..., k, n), and
     which of its columns are constant (those make the matrix meaningless)."""

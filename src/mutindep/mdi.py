@@ -73,32 +73,36 @@ def _check_model(model, n):
         raise ValueError(f"dimension mismatch: model has n={model.n}, test has n={n}")
 
 
-def _clamped(raw, model):
-    """Clamp rounding-sized negatives of the raw statistics of `model` to 0,
-    or raise.
+def _clamped(raw, r, k):
+    """Clamp rounding-sized negatives of raw statistics to 0, or raise.
 
-    The rounding bound costs an eigenvalue solve, so it is computed only for
-    a statistic below -_ABSOLUTE_SLACK.
+    `raw` has one row (..., tests) per correlation matrix of `r` (..., n, n),
+    with sample count k: one for all rows or one per row.  The rounding bound
+    costs an eigenvalue solve, so it is computed only for a row with a
+    statistic below -_ABSOLUTE_SLACK; the first row in C order past its
+    bound raises.
     """
-    low = raw.min(initial=0.0)
-    if low < -_ABSOLUTE_SLACK:
-        slack = max(_ABSOLUTE_SLACK, _rounding_bound(model))
-        if low < -slack:
+    low = np.asarray(raw.min(axis=-1, initial=0.0))
+    r, k = np.broadcast_to(r, low.shape + r.shape[-2:]), np.broadcast_to(k, low.shape)
+    for at in map(tuple, np.argwhere(low < -_ABSOLUTE_SLACK)):
+        # k as a Python int, so (k - 1) * n cannot overflow
+        slack = max(_ABSOLUTE_SLACK, _rounding_bound(r[at], int(k[at])))
+        if low[at] < -slack:
             raise InternalNumericError(
-                f"dichotomy statistic came out at {low}, below the -{slack:.3g} "
+                f"dichotomy statistic came out at {low[at]}, below the -{slack:.3g} "
                 "slack; the determinant computation is inconsistent"
             )
     return np.maximum(raw, 0.0)
 
 
-def _rounding_bound(model):
-    n, eps = model.n, np.finfo(np.float64).eps
+def _rounding_bound(r, k):
+    n, eps = r.shape[0], np.finfo(np.float64).eps
     # a matrix whose Cholesky pivots all passed can still be singular to
     # working precision, where eigvalsh may return a value <= 0
-    eigenvalues = np.maximum(np.linalg.eigvalsh(model.r), eps)
+    eigenvalues = np.maximum(np.linalg.eigvalsh(r), eps)
     ld_full = float(np.log(eigenvalues).sum())
     lambda_min = float(eigenvalues[0])
-    return (model.k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
+    return (k - 1) * n * eps * (2.0 * abs(ld_full) + 3.0 * (n + 1) / lambda_min)
 
 
 def mdi_statistics(model, bipartitions):
@@ -116,10 +120,14 @@ def mdi_statistics(model, bipartitions):
 
 def mask_statistics(model, masks):
     """Statistics for the members bitmasks `masks` over `model`, read off
-    its subset table and clamped as mdi_statistics' are."""
+    its subset table and clamped as mdi_statistics' are; a failed
+    submatrix raises, named by _kernels.first_failure."""
     masks = np.asarray(masks, dtype=np.uint64)
-    raw = _kernels.mdi_statistic_batch(model.logdets, masks, model.k)
-    return _clamped(raw, model)
+    lds = model.logdets
+    raw = _kernels.mdi_statistic_batch(lds, masks, model.k)
+    if np.isnan(lds[-1]) or np.isnan(raw).any():
+        raise _kernels.first_failure(lds, masks)
+    return _clamped(raw, model.r, model.k)
 
 
 def _degrees_of_freedom(n):

@@ -229,10 +229,8 @@ def meet_all(partitions):
     block iff they do in every partition.  Bipartitions may be mixed in with
     Partitions; the meet is a Partition.
 
-    The Partitions meet in one pass over their assignments.  The
-    Bipartitions (n <= 32) then cut the blocks of that meet as bitmasks:
-    each members block splits every block it cuts, until the blocks are the
-    n singletons or the Bipartitions run out.
+    One pass over the assignments: the Partitions' labels, and for the
+    Bipartitions (n <= 32) each element's side_columns.
     """
     partitions = list(partitions)
     if not partitions:
@@ -246,27 +244,19 @@ def meet_all(partitions):
             cuts.append(p.members)
         else:
             assignments.append(p.assignment)
-    if not cuts:
-        return Partition(zip(*assignments))
-    atoms = block_masks(Partition(zip(*assignments))) if assignments else [(1 << n) - 1]
-    for cut in cuts:
-        if len(atoms) == n:
-            break
-        split = []
-        for atom in atoms:
-            inside = atom & cut
-            if inside and inside != atom:
-                split += (inside, atom ^ inside)
-            else:
-                split.append(atom)
-        atoms = split
-    labels = [0] * n
-    for label, atom in enumerate(atoms):
-        while atom:
-            low = atom & -atom
-            labels[low.bit_length() - 1] = label
-            atom ^= low
-    return Partition(labels)
+    if cuts:
+        assignments.append([side.tobytes() for side in side_columns(cuts, n)])
+    return Partition(zip(*assignments))
+
+
+def side_columns(masks, n):
+    """Each element's side of every dichotomy in `masks` (members bitmasks
+    of n variables), packed eight dichotomies to a byte: row e - 1 for
+    element e.  Two elements share a block of the meet of the dichotomies
+    exactly when their rows are equal."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)[:, None]
+    return np.packbits(masks & bits != 0, axis=-1)
 
 
 def bipartition_masks(n):

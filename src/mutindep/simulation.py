@@ -15,13 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import check_size
-from .errors import NotPositiveDefiniteError
 from .fdr import check_alpha
 from .inference import CORRECTIONS, check_correction, classify_against_truth
-from .linalg import sample_correlations
-from .mdi import check_mode, mask_statistics, p_values
-from .partitions import bipartition_masks, entailed_masks, format_partition
+from .linalg import _correlations
+from .mdi import _clamped, check_mode, p_values
+from .partitions import bipartition_masks, entailed_masks, format_partition, side_columns
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
@@ -60,6 +60,10 @@ _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 # 300 samples and 6 sizes, so a 30-run campaign is one chunk.
 CHUNK_BYTES = 1 << 20
 
+# A run draws max_samples x n floats at once; past this many (128 MiB) a
+# campaign is refused rather than left to exhaust memory.
+MAX_RUN_VALUES = 1 << 24
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -86,6 +90,11 @@ class SimulationConfig:
                 raise ValueError(f"block count {blocks} outside 1..{self.n}")
         if self.runs_per_k < 1:
             raise ValueError("need at least one run per block count")
+        if self.max_samples * self.n > MAX_RUN_VALUES:
+            raise ValueError(
+                f"max_samples x n = {self.max_samples} x {self.n} values a run: the "
+                f"limit is {MAX_RUN_VALUES} (128 MiB of floats)"
+            )
         if not self.subset_sizes:
             raise ValueError("need at least one subset size")
         for size in self.subset_sizes:
@@ -198,54 +207,48 @@ def _execute_chunk(config, runs):
 
 
 def _draw_chunk(config, runs):
-    """Each run's (truth, sigma), drawn from its own stream, and per subset
-    size (in config order) the models of the runs' sample prefixes."""
+    """Each run's (truth, sigma), drawn from its own stream; the correlations
+    of the runs' sample prefixes, (runs, sizes, n, n) with the subset sizes
+    in config order; and which of those prefixes have a constant column."""
     truths = []
     data = np.empty((len(runs), config.max_samples, config.n))
     for i, (run_id, blocks) in enumerate(runs):
         rng = RngStream(config.master_seed, run_id)
         truths.append(generate_model(config.n, blocks, rng))
         data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
-    by_size = [sample_correlations(data[:, :size]) for size in config.subset_sizes]
-    return truths, by_size
+    r, constant = zip(*(_correlations(data[:, :size]) for size in config.subset_sizes))
+    return truths, np.stack(r, axis=1), np.stack(constant, axis=1).any(axis=-1)
 
 
-def _score_chunk(config, runs, truths, by_size):
-    """The rows of the runs from their drawn truths and models.
+def _score_chunk(config, runs, truths, r, constant):
+    """The rows of the runs from their drawn truths and correlations.
 
-    Each analysis (a run at a subset size) has its statistics read off its
-    model, in run order, so an InternalNumericError stops the campaign at the
-    first analysis that meets it.  A constant column (no model) or a
-    submatrix not positive definite fails that analysis alone.  The others
-    are scored together as (analyses, tests) arrays: their p-values, the
-    correction of each row, its confusion counts, AUC and exact recovery.
+    Every analysis (a run at a subset size) has its statistics read off the
+    chunk's subset tables in one kernel call.  A constant column, or a NaN
+    statistic (a submatrix not positive definite), fails that analysis
+    alone.  The others are clamped in run order, so an InternalNumericError
+    stops the campaign at the first analysis that meets it, and are scored
+    together as (analyses, tests) arrays: their p-values, the correction of
+    each row, its confusion counts, AUC and exact recovery.
     """
     n, sizes = config.n, config.subset_sizes
     masks = bipartition_masks(n)
     member_sizes = [m.bit_count() for m in masks.tolist()]
-    # analysis a is run a // len(sizes) at size a % len(sizes)
-    stats = np.empty((len(runs) * len(sizes), masks.size))
-    scored = np.zeros(len(stats), dtype=bool)
-    for i in range(len(runs)):
-        for s, models in enumerate(by_size):
-            if models[i] is None:
-                continue
-            try:
-                stats[i * len(sizes) + s] = mask_statistics(models[i], masks)
-            except NotPositiveDefiniteError:
-                continue
-            scored[i * len(sizes) + s] = True
-    # the tails of each size's analyses in one call, as their models share k
+    ks = np.array(sizes)
+    stats = _kernels.mdi_statistic_batch(_kernels._subset_logdets(r), masks, ks)
+    # analysis (i, s) is run i at size s; the scored ones stay, in run order
+    scored = ~(constant | np.isnan(stats).any(axis=-1))
+    run_at, size_at = np.nonzero(scored)
+    stats = _clamped(stats[scored], r[scored], ks[size_at])
+    # the tails of each size's analyses in one call, as they share k
     p = np.empty_like(stats)
     for s, size in enumerate(sizes):
-        at = np.flatnonzero(scored[s::len(sizes)]) * len(sizes) + s
-        tails = p_values(stats[at].ravel().tolist(), member_sizes * at.size, n, size,
+        at = size_at == s
+        tails = p_values(stats[at].ravel().tolist(), member_sizes * int(at.sum()), n, size,
                          config.mode)
-        p[at] = np.reshape(tails, (at.size, masks.size))
-    p = p[scored]
-    negative = np.repeat([entailed_masks(masks, truth) for truth, _ in truths],
-                         len(sizes), axis=0)[scored]
-    truth_blocks = np.repeat([truth.block_count for truth, _ in truths], len(sizes))[scored]
+        p[at] = np.reshape(tails, (-1, masks.size))
+    negative = np.array([entailed_masks(masks, truth) for truth, _ in truths])[run_at]
+    truth_blocks = np.array([truth.block_count for truth, _ in truths])[run_at]
     rejected = CORRECTIONS[config.correction](p, config.alpha)
     counts = classify_against_truth(rejected, negative)
     tp, fn, tn, fp = (c.tolist() for c in (counts.tp, counts.fn, counts.tn, counts.fp))
@@ -258,7 +261,7 @@ def _score_chunk(config, runs, truths, by_size):
         truth_text = format_partition(truth)
         rho = within_block_correlation(truth, sigma)
         for s, size in enumerate(sizes):
-            failed = not scored[i * len(sizes) + s]
+            failed = not scored[i, s]
             rows.append(Row(run_id, blocks, truth_text, size,
                             *((None,) * 4 if failed else next(metrics)), rho, failed))
     return rows
@@ -271,12 +274,11 @@ def _recovered(masks, n, survived, negative, blocks):
 
     The meet is the truth exactly when no survivor splits a truth block (each
     survivor is a negative, so the meet is the truth or coarser) and the meet
-    has as many blocks as the truth.  Two elements share a block of the meet
-    when they lie on the same side of every survivor, so its blocks are the
-    distinct signatures: each element's side of every survivor, as packed bit
-    columns.  With no survivor the meet is the one block.
+    has as many blocks as the truth.  Its blocks are the distinct signatures:
+    each element's side_columns, kept for the survivors only.  With no
+    survivor the meet is the one block.
     """
-    sides = np.array([np.packbits(masks & np.uint64(1 << e) != 0) for e in range(n)])
+    sides = side_columns(masks, n)
     signatures = sides & np.packbits(survived, axis=-1)[:, None, :]
     keys = signatures.view(f"V{sides.shape[1]}")[..., 0]
     keys.sort(axis=1)

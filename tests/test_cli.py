@@ -450,6 +450,27 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists(), value
 
 
+def test_simulate_refuses_a_run_past_the_data_limit(tmp_path, capsys, monkeypatch):
+    # a run draws max_samples x n floats at once: past MAX_RUN_VALUES the
+    # campaign is refused with the limit named (exit 2, not an out-of-memory
+    # traceback), before the output file or any run's data is made
+    from mutindep.simulation import MAX_RUN_VALUES, SimulationConfig
+
+    monkeypatch.setattr(mutindep.cli, "run_campaign",
+                        lambda config: pytest.fail("the campaign ran"))
+    argv = ["simulate", "--n", "6", "--blocks", "1", "--runs", "1", "--samples",
+            str(10**12), "--sizes", "50", "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: max_samples x n = 1000000000000 x 6 values a run: the limit is "
+        "16777216 (128 MiB of floats)\n")
+    assert not (tmp_path / "x.csv").exists()
+    assert MAX_RUN_VALUES == 1 << 24
+    SimulationConfig(n=16, max_samples=MAX_RUN_VALUES // 16, subset_sizes=(50,))
+    with pytest.raises(ValueError, match="limit is 16777216"):
+        SimulationConfig(n=16, max_samples=MAX_RUN_VALUES // 16 + 1, subset_sizes=(50,))
+
+
 def test_simulate_rerun_onto_the_same_paths(tmp_path, capsys):
     def simulate(name):
         paths = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"

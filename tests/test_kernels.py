@@ -8,6 +8,9 @@ import pytest
 
 from mutindep import _kernels as kernels
 from mutindep.errors import NotPositiveDefiniteError
+from mutindep.linalg import CorrelationModel
+from mutindep.mdi import mask_statistics
+from mutindep.partitions import bipartition_masks
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
@@ -31,13 +34,14 @@ def test_logdet_parity_random_matrices():
 def test_non_pd_parity():
     assert oracles.chol_logdet([[1.0, 1.0], [1.0, 1.0]]) is None
 
-    # a singular principal block makes the whole matrix singular, so the
-    # batch fails on the full factorization
+    # a singular principal block makes the whole matrix singular, so every
+    # statistic is NaN and the failure is named as the full factorization
     r = np.eye(4)
     r[0, 1] = r[1, 0] = 1.0
     masks = np.array([0b0011], dtype=np.uint64)
+    assert np.isnan(_batch(r, masks, 10)).all()
     with pytest.raises(NotPositiveDefiniteError) as err:
-        _batch(r, masks, 10)
+        mask_statistics(CorrelationModel(r, 10), masks)
     assert err.value.part == "full"
 
 
@@ -161,22 +165,26 @@ def test_first_failing_mask_in_input_order_is_named():
     r[0, 1] = r[1, 0] = r[2, 3] = r[3, 2] = 1.0
     # a full matrix that passes the pivot rule has only passing principal
     # submatrices in exact arithmetic, so let the full matrix's entry of the
-    # table pass to reach the per-mask reporting
+    # table pass to reach the per-mask naming
     lds = kernels._subset_logdets(r)
     lds[-1] = 0.0
     passes = 0b0101  # 13 | 24
     fails_in_complement = 0b0100  # 3 | 124
     fails_in_both = 0b0011  # 12 | 34
-    ok = kernels.mdi_statistic_batch(lds, np.array([passes], dtype=np.uint64), 10)
-    assert np.isfinite(ok).all()
+    ok = np.array([passes], dtype=np.uint64)
+    assert np.isfinite(kernels.mdi_statistic_batch(lds, ok, 10)).all()
+    assert kernels.first_failure(lds, ok) is None
     for masks, part, elements in (
         ([passes, fails_in_complement, fails_in_both], "complement", (1, 2, 4)),
         ([passes, fails_in_both, fails_in_complement], "members", (1, 2)),
     ):
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            kernels.mdi_statistic_batch(lds, np.array(masks, dtype=np.uint64), 10)
-        assert err.value.part == part
-        assert err.value.elements == elements
+        masks = np.array(masks, dtype=np.uint64)
+        stats = kernels.mdi_statistic_batch(lds, masks, 10)
+        assert np.isnan(stats).tolist() == [False, True, True]
+        err = kernels.first_failure(lds, masks)
+        assert isinstance(err, NotPositiveDefiniteError)
+        assert err.part == part
+        assert err.elements == elements
 
 
 def test_statistics_are_invariant_under_relabelling():
@@ -221,3 +229,36 @@ def test_a_stacked_table_is_the_per_matrix_tables_bit_for_bit():
     # any leading axes, and a stack of one
     assert kernels._subset_logdets(stack.reshape(3, 3, n, n)).tobytes() == tables.tobytes()
     assert kernels._subset_logdets(stack[:1]).tobytes() == tables[:1].tobytes()
+
+
+def _mask_statistics_raise(r, k, masks):
+    try:
+        mask_statistics(CorrelationModel(r, k), masks)
+    except NotPositiveDefiniteError:
+        return True
+    return False
+
+
+def test_a_stacked_batch_is_the_per_table_batches_bit_for_bit():
+    rng = RngStream(20260845)
+    n = 6
+    stack = np.array([sample_wishart_correlation(n, rng) for _ in range(6)])
+    # variables 2 and 5 identical; variables 1 and 3 at 1 - 1e-14
+    stack[1, 4], stack[1, :, 4] = stack[1, 1], stack[1, :, 1]
+    stack[4] = np.eye(n)
+    stack[4, 0, 2] = stack[4, 2, 0] = 1.0 - 1e-14
+    stack = stack.reshape(2, 3, n, n)
+    tables = kernels._subset_logdets(stack)
+    masks = bipartition_masks(n)
+    ks = np.array([10, 300, 10**6])  # one count per column of tables
+    got = kernels.mdi_statistic_batch(tables, masks, ks)
+    common = kernels.mdi_statistic_batch(tables, masks, 300)
+    assert got.shape == common.shape == (2, 3, masks.size)
+    for i, j in np.ndindex(2, 3):
+        r = stack[i, j]
+        assert got[i, j].tobytes() == _batch(r, masks, int(ks[j])).tobytes()
+        assert common[i, j].tobytes() == _batch(r, masks, 300).tobytes()
+        # NaN rows are the analyses that mask_statistics refuses
+        failed = np.isnan(got[i, j])
+        assert failed.any() == _mask_statistics_raise(r, int(ks[j]), masks)
+        assert failed.any() == ((i, j) in ((0, 1), (1, 1)))

@@ -8,9 +8,10 @@ from mutindep.errors import DegenerateDataError, NotPositiveDefiniteError
 from mutindep.linalg import (
     CorrelationModel,
     DataMatrix,
+    _correlations,
     sample_correlation,
-    sample_correlations,
 )
+from mutindep.mdi import mask_statistics
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
@@ -37,9 +38,11 @@ def test_logdet_singular_raises():
     one_split = np.array([1], dtype=np.uint64)
     for m in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
         lds = _kernels._subset_logdets(np.array(m))
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            _kernels.mdi_statistic_batch(lds, one_split, 10)
-        assert err.value.part == "full"
+        assert np.isnan(_kernels.mdi_statistic_batch(lds, one_split, 10)).all()
+        assert _kernels.first_failure(lds, one_split).part == "full"
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        mask_statistics(CorrelationModel([[1.0, 1.0], [1.0, 1.0]], 10), one_split)
+    assert err.value.part == "full"
 
 
 def test_logdet_matches_cofactor_oracle():
@@ -129,20 +132,21 @@ def test_stacked_correlations_are_the_single_matrix_ones_bit_for_bit():
             stack[: len(scales)] *= np.array(scales)[:, None, None]
             # per-column scales, one of each per column in turn
             stack[len(scales):] *= np.resize(scales, n)
-            models = sample_correlations(stack)
-            for x, model in zip(stack, models):
+            r, constant = _correlations(stack)
+            assert not constant.any()
+            tables = _kernels._subset_logdets(r)
+            for x, matrix, table in zip(stack, r, tables):
                 single = sample_correlation(DataMatrix(x))
-                assert model.r.tobytes() == single.r.tobytes()
-                assert model.k == single.k == k
+                assert matrix.tobytes() == single.r.tobytes()
                 # the table built with the stack is the one a model builds
-                assert model.logdets.tobytes() == single.logdets.tobytes()
-    # a constant column flags its own data set only
+                assert table.tobytes() == single.logdets.tobytes()
+    # a constant column flags its own data set and column only
     stack = rng.generator.standard_normal((4, 30, 3))
     stack[2, :, 1] = 0.1
-    models = sample_correlations(stack)
-    assert models[2] is None
+    r, constant = _correlations(stack)
+    assert constant.tolist() == [[False] * 3] * 2 + [[False, True, False], [False] * 3]
     for i in (0, 1, 3):
-        assert models[i].r.tobytes() == sample_correlation(stack[i]).r.tobytes()
+        assert r[i].tobytes() == sample_correlation(stack[i]).r.tobytes()
     with pytest.raises(DegenerateDataError, match=r"column\(s\) 2 are constant"):
         sample_correlation(stack[2])
 

@@ -219,11 +219,28 @@ def test_clamp_policy():
     from mutindep.mdi import _clamped
 
     # a well-conditioned model's rounding bound is below the 1e-9 floor
-    model = CorrelationModel(np.eye(3), 10)
-    out = _clamped(np.array([3.0, -5e-10, 0.0]), model)
+    out = _clamped(np.array([3.0, -5e-10, 0.0]), np.eye(3), 10)
     assert out.tolist() == [3.0, 0.0, 0.0]
-    with pytest.raises(InternalNumericError):
-        _clamped(np.array([3.0, -1e-8]), model)
+    with pytest.raises(InternalNumericError, match="came out at -1e-08,"):
+        _clamped(np.array([3.0, -1e-8]), np.eye(3), 10)
+    # stacked rows, each with its own matrix and k: at k = 10^9 the rounding
+    # bound of eye(3) is about 8e-6, so -1e-6 is clamped there and nowhere
+    # else; the first row past its bound in C order raises
+    r = np.broadcast_to(np.eye(3), (2, 2, 3, 3))
+    k = np.array([[10, 10**9], [10, 10]])
+    raw = np.array([[[3.0, -5e-10, 0.0], [1.0, -1e-6, 2.0]],
+                    [[0.0, 0.0, 0.0], [2.0, -1e-6, 0.0]]])
+    out = _clamped(raw[:, :1], r[:, :1], k[:, :1])
+    assert out.tolist() == [[[3.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]
+    assert _clamped(raw[0], r[0], k[0]).tolist() == [[3.0, 0.0, 0.0], [1.0, 0.0, 2.0]]
+    with pytest.raises(InternalNumericError, match="came out at -1e-06,"):
+        _clamped(raw, r, k)
+    raw[1, 0, 2] = -2e-6
+    with pytest.raises(InternalNumericError, match="came out at -2e-06,"):
+        _clamped(raw, r, k)
+    # one k for every row
+    with pytest.raises(InternalNumericError, match="came out at -1e-06,"):
+        _clamped(raw[0], r[0], 10)
 
 
 def _ill_conditioned_two_blocks(seed):

@@ -402,37 +402,107 @@ def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
 
 def test_a_chunk_whose_analyses_all_fail_has_only_failed_rows(monkeypatch):
     draw = mutindep.simulation.sample_mvn
+    # the mean of a column of 0.1s rounds away from 0.1, so its correlations
+    # come out finite: only the constant-column flag fails those analyses
+    for value in (0.5, 0.1):
+        def constant_column(sigma, k, rng):
+            data = draw(sigma, k, rng).values.copy()
+            data[:, 1] = value
+            return DataMatrix(data)
 
-    def constant_column(sigma, k, rng):
-        data = draw(sigma, k, rng).values.copy()
-        data[:, 1] = 0.5
-        return DataMatrix(data)
-
-    monkeypatch.setattr(mutindep.simulation, "sample_mvn", constant_column)
-    campaign = run_campaign(small_config())
-    assert len(campaign.rows) == 24 and campaign.failure_count() == 24
-    for row in campaign.rows:
-        assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
-    assert campaign.summary()["by_block_count"]["3"]["50"]["auc"] is None
+        monkeypatch.setattr(mutindep.simulation, "sample_mvn", constant_column)
+        campaign = run_campaign(small_config())
+        assert len(campaign.rows) == 24 and campaign.failure_count() == 24
+        for row in campaign.rows:
+            assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
+        assert campaign.summary()["by_block_count"]["3"]["50"]["auc"] is None
 
 
 def test_an_internal_error_aborts_the_campaign_at_the_first_in_run_order(monkeypatch):
-    # analyses 3 and 5 get statistics far below the clamp's slack
+    # analyses 3 and 5 (runs 1 and 2 at size 50) each get one statistic far
+    # below the clamp's slack, by different margins
     batch = mutindep._kernels.mdi_statistic_batch
-    analysed = []
+    shapes = []
 
     def breaks_third_and_fifth(lds, masks, k):
-        analysed.append(k)
+        shapes.append(lds.shape)
         raw = batch(lds, masks, k)
-        return raw - 1e6 if len(analysed) in (3, 5) else raw
+        rows = raw.reshape(-1, raw.shape[-1])
+        rows[2, -1], rows[4, -1] = -1e6, -2e6
+        return raw
 
     monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", breaks_third_and_fifth)
     monkeypatch.setattr(mutindep.simulation, "CHUNK_BYTES", 1 << 30)  # one chunk
     config = small_config()  # 12 runs of sizes 50 and 120
-    with pytest.raises(InternalNumericError, match="dichotomy statistic"):
+    with pytest.raises(InternalNumericError, match=r"came out at -1000000\.0,"):
         run_campaign(config)
-    # runs in order, each with its sizes in order: run 1 at size 50 raised
-    assert analysed == [50, 120, 50]
+    # the chunk's 12 x 2 analyses are read in one stacked call
+    assert shapes == [(12, 2, 2**config.n)]
+
+
+def test_each_analysis_is_clamped_with_its_own_sample_count(monkeypatch):
+    # the run's columns 1 and 2 nearly equal, so its rounding bound passes the
+    # 1e-9 floor and grows with k: a statistic between the bounds at sizes 50
+    # and 120 raises at size 50 and is clamped at size 120
+    draw, batch = mutindep.simulation.sample_mvn, mutindep._kernels.mdi_statistic_batch
+
+    def collinear(sigma, k, rng):
+        data = draw(sigma, k, rng).values.copy()
+        data[:, 1] = data[:, 0] + 1e-4 * data[:, 1]
+        return DataMatrix(data)
+
+    monkeypatch.setattr(mutindep.simulation, "sample_mvn", collinear)
+    config = small_config(block_counts=(2,), runs_per_k=1)
+    _, r, _ = mutindep.simulation._draw_chunk(config, [(0, 2)])
+    for s in (0, 1):
+        low, high = (mutindep.mdi._rounding_bound(r[0, s], k) for k in config.subset_sizes)
+        assert 1e-9 < low < high
+        value = -(low * high) ** 0.5
+
+        def injected(lds, masks, k, s=s, value=value):
+            raw = batch(lds, masks, k)
+            raw[0, s, -1] = value
+            return raw
+
+        monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", injected)
+        if s == 0:
+            with pytest.raises(InternalNumericError, match=f"came out at {value},"):
+                run_campaign(config)
+        else:
+            assert run_campaign(config).failure_count() == 0
+
+
+def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypatch):
+    built, called, shapes = [], [], []
+    init = CorrelationModel.__init__
+    statistics = mutindep.mdi.mask_statistics
+    batch = mutindep._kernels.mdi_statistic_batch
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def noted(*args, **kwargs):
+        called.append(1)
+        return statistics(*args, **kwargs)
+
+    def stacked(lds, masks, k):
+        shapes.append(lds.shape)
+        return batch(lds, masks, k)
+
+    monkeypatch.setattr(CorrelationModel, "__init__", counted)
+    monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", stacked)
+    for module in (mutindep.mdi, mutindep.inference, mutindep.simulation):
+        if hasattr(module, "mask_statistics"):
+            monkeypatch.setattr(module, "mask_statistics", noted)
+    infer_from_model(CorrelationModel(np.eye(4), 50))  # the one model built
+    assert built == [1] and called == [1] and shapes == [(16,)]
+    built.clear(), called.clear(), shapes.clear()
+    campaign = run_campaign(small_config())
+    assert len(campaign.rows) == 24 and campaign.failure_count() == 0
+    assert built == [] and called == []
+    # one call per chunk (12 runs x 2 sizes fit one), with every analysis
+    assert shapes == [(12, 2, 64)]
 
 
 def test_campaign_finds_each_runs_negatives_once(monkeypatch):
