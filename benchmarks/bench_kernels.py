@@ -139,7 +139,7 @@ def bench_scoring(repeats=20):
     print("one desk chunk, 30 runs x 6 sizes: drawing, scoring and each "
           "scoring step (per chunk)")
     config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
-    runs = list(enumerate(b for b in config.block_counts for _ in range(config.runs_per_k)))
+    runs = range(len(config.block_counts) * config.runs_per_k)
     drawn = simulation._draw_chunk(config, runs)
     timings = {
         "draw": _time(lambda: simulation._draw_chunk(config, runs)),

@@ -66,13 +66,6 @@ def noncentrality(na, nc, k):
     return (_odd_cubic(n) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
 
 
-def _check_model(model, n):
-    if not isinstance(model, CorrelationModel):
-        raise TypeError("expected a CorrelationModel")
-    if model.n != n:
-        raise ValueError(f"dimension mismatch: model has n={model.n}, test has n={n}")
-
-
 def _clamped(raw, r, k):
     """Clamp rounding-sized negatives of raw statistics to 0, or raise.
 
@@ -106,23 +99,17 @@ def _rounding_bound(r, k):
 
 
 def mdi_statistics(model, bipartitions):
-    """Statistics for a batch of bipartitions over one shared model.
-
-    The full-matrix determinant is factored once; a positive-definiteness
-    failure in any submatrix aborts the whole batch, naming the variables of
-    the failing block.
-    """
-    bipartitions = list(bipartitions)
-    for n in dict.fromkeys(b.n for b in bipartitions):
-        _check_model(model, n)
-    return mask_statistics(model, [b.members for b in bipartitions])
-
-
-def mask_statistics(model, masks):
-    """Statistics for the members bitmasks `masks` over `model`, read off
-    its subset table and clamped as mdi_statistics' are; a failed
-    submatrix raises, named by _kernels.first_failure."""
-    masks = np.asarray(masks, dtype=np.uint64)
+    """Statistics for a batch of bipartitions over one shared model, read
+    off its subset table and clamped; a submatrix that is not positive
+    definite aborts the batch, named by _kernels.first_failure."""
+    if not isinstance(model, CorrelationModel):
+        raise TypeError("expected a CorrelationModel")
+    n, masks = model.n, []
+    for b in bipartitions:
+        if b.n != n:
+            raise ValueError(f"dimension mismatch: model has n={n}, test has n={b.n}")
+        masks.append(b.members)
+    masks = np.array(masks, dtype=np.uint64)
     lds = model.logdets
     raw = _kernels.mdi_statistic_batch(lds, masks, model.k)
     if np.isnan(lds[-1]) or np.isnan(raw).any():

@@ -279,8 +279,8 @@ def enumerate_bipartitions(n):
     return list(_bipartitions(n))
 
 
-# one entry: a campaign or a batch of analyses keeps to one n, and at
-# n = MAX_VARIABLES (20) the entry holds about 42 MiB
+# one entry: `infer` tests the dichotomies of one n (a campaign builds no
+# Bipartition), and at n = MAX_VARIABLES (20) the entry holds about 42 MiB
 @functools.lru_cache(maxsize=1, typed=True)
 def _bipartitions(n):
     return tuple(Bipartition(n, members) for members in bipartition_masks(n).tolist())

@@ -60,9 +60,13 @@ _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 # 300 samples and 6 sizes, so a 30-run campaign is one chunk.
 CHUNK_BYTES = 1 << 20
 
-# A run draws max_samples x n floats at once; past this many (128 MiB) a
-# campaign is refused rather than left to exhaust memory.
+# Past these limits a campaign is refused rather than left to exhaust
+# memory.  A run draws max_samples x n floats at once (2^24 are 128 MiB).  A
+# campaign keeps one Row per (run, subset size), 210-250 bytes each
+# (tracemalloc, on SimulationConfig() and a one-size campaign), so 2^21
+# rows are about 0.5 GiB.
 MAX_RUN_VALUES = 1 << 24
+MAX_CAMPAIGN_ROWS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,10 @@ class SimulationConfig:
                     f"{self.max_samples}: the correlation of at most n={self.n} "
                     "rows is singular"
                 )
+        rows = len(self.block_counts) * self.runs_per_k * len(self.subset_sizes)
+        if rows > MAX_CAMPAIGN_ROWS:
+            raise ValueError(f"block counts x runs x subset sizes = {rows} rows: the "
+                             f"limit is {MAX_CAMPAIGN_ROWS} (about 0.5 GiB of rows)")
         check_alpha(self.alpha)
         check_correction(self.correction)
         check_mode(self.mode)
@@ -200,27 +208,29 @@ def within_block_correlation(truth, matrix):
     return float(np.mean(values))
 
 
-def _execute_chunk(config, runs):
-    """The rows of a chunk of (run id, block count) runs, in the chunk's
-    order, with one row per subset size, in config order, for each run."""
-    return _score_chunk(config, runs, *_draw_chunk(config, runs))
+def _execute_chunk(config, run_ids):
+    """The rows of a chunk of runs, given by their ids, in the chunk's order,
+    with one row per subset size, in config order, for each run."""
+    return _score_chunk(config, run_ids, *_draw_chunk(config, run_ids))
 
 
-def _draw_chunk(config, runs):
-    """Each run's (truth, sigma), drawn from its own stream; the correlations
+def _draw_chunk(config, run_ids):
+    """Each run's (truth, sigma), drawn from its own stream with the block
+    count config.block_counts[run_id // config.runs_per_k]; the correlations
     of the runs' sample prefixes, (runs, sizes, n, n) with the subset sizes
     in config order; and which of those prefixes have a constant column."""
     truths = []
-    data = np.empty((len(runs), config.max_samples, config.n))
-    for i, (run_id, blocks) in enumerate(runs):
+    data = np.empty((len(run_ids), config.max_samples, config.n))
+    for i, run_id in enumerate(run_ids):
         rng = RngStream(config.master_seed, run_id)
+        blocks = config.block_counts[run_id // config.runs_per_k]
         truths.append(generate_model(config.n, blocks, rng))
         data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
     r, constant = zip(*(_correlations(data[:, :size]) for size in config.subset_sizes))
     return truths, np.stack(r, axis=1), np.stack(constant, axis=1).any(axis=-1)
 
 
-def _score_chunk(config, runs, truths, r, constant):
+def _score_chunk(config, run_ids, truths, r, constant):
     """The rows of the runs from their drawn truths and correlations.
 
     Every analysis (a run at a subset size) has its statistics read off the
@@ -257,12 +267,12 @@ def _score_chunk(config, runs, truths, r, constant):
                   auc(p, negative),
                   _recovered(masks, n, ~rejected, negative, truth_blocks).tolist())
     rows = []
-    for i, ((run_id, blocks), (truth, sigma)) in enumerate(zip(runs, truths)):
+    for i, (run_id, (truth, sigma)) in enumerate(zip(run_ids, truths)):
         truth_text = format_partition(truth)
         rho = within_block_correlation(truth, sigma)
         for s, size in enumerate(sizes):
             failed = not scored[i, s]
-            rows.append(Row(run_id, blocks, truth_text, size,
+            rows.append(Row(run_id, truth.block_count, truth_text, size,
                             *((None,) * 4 if failed else next(metrics)), rho, failed))
     return rows
 
@@ -289,19 +299,18 @@ def _recovered(masks, n, survived, negative, blocks):
 def run_campaign(config):
     """Execute the whole campaign; deterministic given config.master_seed.
 
-    Runs execute in order on the calling thread, in chunks.  Each run draws
-    from a private (master_seed, run id) stream, so a run's rows depend on
-    nothing but the config and its id, not on its chunk.  An inference
-    failure is recorded as a row with a failure flag instead of aborting.
+    Runs execute in order on the calling thread, in chunks of consecutive
+    ids.  Each run draws from a private (master_seed, run id) stream, so a
+    run's rows depend on nothing but the config and its id, not on its
+    chunk.  An analysis that fails is a row with a failure flag.
     """
-    runs = list(enumerate(
-        b for b in config.block_counts for _ in range(config.runs_per_k)))
+    run_ids = range(len(config.block_counts) * config.runs_per_k)
     tests = 2 ** (config.n - 1) - 1
     per_run = (8 * config.max_samples * config.n + 64 * tests
                + len(config.subset_sizes) * (8 * 2**config.n + 19 * tests))
     step = max(1, CHUNK_BYTES // per_run)
-    rows = [row for start in range(0, len(runs), step)
-            for row in _execute_chunk(config, runs[start:start + step])]
+    rows = [row for start in range(0, len(run_ids), step)
+            for row in _execute_chunk(config, run_ids[start:start + step])]
     return Campaign(config, tuple(rows))
 
 

@@ -273,12 +273,10 @@ def test_criterion_10_campaign_determinism(tmp_path):
         campaign.write_csv(path)
         paths.append(path.read_bytes())
     # a run must depend on (master_seed, run_id) alone: executing the same
-    # jobs last to first, one chunk each or as one chunk, and restoring run
-    # order gives the same bytes; so do chunks of 1 run, 3 runs and the
+    # run ids last to first, one chunk each or as one chunk, and restoring
+    # run order gives the same bytes; so do chunks of 1 run, 3 runs and the
     # whole campaign
-    jobs = list(enumerate(
-        blocks for blocks in config.block_counts for _ in range(config.runs_per_k)
-    ))
+    jobs = list(range(len(config.block_counts) * config.runs_per_k))
     orders = {
         "reversed": [[job] for job in reversed(jobs)],
         "reversed-chunk": [jobs[::-1]],

@@ -471,6 +471,19 @@ def test_simulate_refuses_a_run_past_the_data_limit(tmp_path, capsys, monkeypatc
         SimulationConfig(n=16, max_samples=MAX_RUN_VALUES // 16 + 1, subset_sizes=(50,))
 
 
+def test_simulate_refuses_a_campaign_past_the_row_cap(tmp_path, capsys, monkeypatch):
+    # 6 block counts x 10^8 runs x 6 sizes rows: refused with the limit named
+    # (exit 2, not an out-of-memory kill), before the output file is made
+    monkeypatch.setattr(mutindep.cli, "run_campaign",
+                        lambda config: pytest.fail("the campaign ran"))
+    path = tmp_path / "x.csv"
+    assert main(["simulate", "--runs", "100000000", "--csv", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: block counts x runs x subset sizes = 3600000000 rows: the limit is "
+        "2097152 (about 0.5 GiB of rows)\n")
+    assert not path.exists()
+
+
 def test_simulate_rerun_onto_the_same_paths(tmp_path, capsys):
     def simulate(name):
         paths = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"

@@ -9,8 +9,8 @@ import pytest
 from mutindep import _kernels as kernels
 from mutindep.errors import NotPositiveDefiniteError
 from mutindep.linalg import CorrelationModel
-from mutindep.mdi import mask_statistics
-from mutindep.partitions import bipartition_masks
+from mutindep.mdi import mdi_statistics
+from mutindep.partitions import Bipartition, bipartition_masks
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
@@ -41,7 +41,7 @@ def test_non_pd_parity():
     masks = np.array([0b0011], dtype=np.uint64)
     assert np.isnan(_batch(r, masks, 10)).all()
     with pytest.raises(NotPositiveDefiniteError) as err:
-        mask_statistics(CorrelationModel(r, 10), masks)
+        mdi_statistics(CorrelationModel(r, 10), _bipartitions(4, masks))
     assert err.value.part == "full"
 
 
@@ -231,9 +231,14 @@ def test_a_stacked_table_is_the_per_matrix_tables_bit_for_bit():
     assert kernels._subset_logdets(stack[:1]).tobytes() == tables[:1].tobytes()
 
 
-def _mask_statistics_raise(r, k, masks):
+def _bipartitions(n, masks):
+    """The Bipartitions of n variables whose members bitmasks are `masks`."""
+    return [Bipartition(n, mask) for mask in masks.tolist()]
+
+
+def _mdi_statistics_raise(r, k, masks):
     try:
-        mask_statistics(CorrelationModel(r, k), masks)
+        mdi_statistics(CorrelationModel(r, k), _bipartitions(len(r), masks))
     except NotPositiveDefiniteError:
         return True
     return False
@@ -258,7 +263,7 @@ def test_a_stacked_batch_is_the_per_table_batches_bit_for_bit():
         r = stack[i, j]
         assert got[i, j].tobytes() == _batch(r, masks, int(ks[j])).tobytes()
         assert common[i, j].tobytes() == _batch(r, masks, 300).tobytes()
-        # NaN rows are the analyses that mask_statistics refuses
+        # NaN rows are the analyses that mdi_statistics refuses
         failed = np.isnan(got[i, j])
-        assert failed.any() == _mask_statistics_raise(r, int(ks[j]), masks)
+        assert failed.any() == _mdi_statistics_raise(r, int(ks[j]), masks)
         assert failed.any() == ((i, j) in ((0, 1), (1, 1)))

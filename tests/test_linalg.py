@@ -11,7 +11,8 @@ from mutindep.linalg import (
     _correlations,
     sample_correlation,
 )
-from mutindep.mdi import mask_statistics
+from mutindep.mdi import mdi_statistics
+from mutindep.partitions import Bipartition
 from mutindep.randomness import RngStream, sample_wishart_correlation
 
 import oracles
@@ -41,7 +42,7 @@ def test_logdet_singular_raises():
         assert np.isnan(_kernels.mdi_statistic_batch(lds, one_split, 10)).all()
         assert _kernels.first_failure(lds, one_split).part == "full"
     with pytest.raises(NotPositiveDefiniteError) as err:
-        mask_statistics(CorrelationModel([[1.0, 1.0], [1.0, 1.0]], 10), one_split)
+        mdi_statistics(CorrelationModel([[1.0, 1.0], [1.0, 1.0]], 10), [Bipartition(2, 1)])
     assert err.value.part == "full"
 
 

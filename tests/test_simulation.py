@@ -242,6 +242,20 @@ def test_config_validation():
         SimulationConfig(n=1, block_counts=(1,))
     with pytest.raises(ValueError, match=f"n <= {MAX_VARIABLES}"):
         SimulationConfig(n=MAX_VARIABLES + 1, block_counts=(1,))
+    # a campaign keeps block counts x runs x subset sizes rows: a config at
+    # MAX_CAMPAIGN_ROWS is accepted (constructed only, not run), and one row
+    # more is refused with the count and the limit named
+    cap = mutindep.simulation.MAX_CAMPAIGN_ROWS
+    assert cap == 1 << 21
+    SimulationConfig(block_counts=(1,), runs_per_k=cap, subset_sizes=(50,))
+    SimulationConfig(block_counts=(1, 2), runs_per_k=cap // 4, subset_sizes=(50, 100))
+    with pytest.raises(ValueError) as err:
+        SimulationConfig(block_counts=(1,), runs_per_k=cap + 1, subset_sizes=(50,))
+    assert str(err.value) == ("block counts x runs x subset sizes = 2097153 rows: the "
+                              "limit is 2097152 (about 0.5 GiB of rows)")
+    with pytest.raises(ValueError, match="= 2097156 rows: the limit is 2097152 "):
+        SimulationConfig(block_counts=(1, 2), runs_per_k=cap // 4 + 1,
+                         subset_sizes=(50, 100))
 
 
 def test_campaign_shape_and_determinism(tmp_path):
@@ -453,7 +467,7 @@ def test_each_analysis_is_clamped_with_its_own_sample_count(monkeypatch):
 
     monkeypatch.setattr(mutindep.simulation, "sample_mvn", collinear)
     config = small_config(block_counts=(2,), runs_per_k=1)
-    _, r, _ = mutindep.simulation._draw_chunk(config, [(0, 2)])
+    _, r, _ = mutindep.simulation._draw_chunk(config, [0])
     for s in (0, 1):
         low, high = (mutindep.mdi._rounding_bound(r[0, s], k) for k in config.subset_sizes)
         assert 1e-9 < low < high
@@ -475,7 +489,7 @@ def test_each_analysis_is_clamped_with_its_own_sample_count(monkeypatch):
 def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypatch):
     built, called, shapes = [], [], []
     init = CorrelationModel.__init__
-    statistics = mutindep.mdi.mask_statistics
+    statistics = mutindep.mdi.mdi_statistics
     batch = mutindep._kernels.mdi_statistic_batch
 
     def counted(self, *args, **kwargs):
@@ -493,8 +507,8 @@ def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypat
     monkeypatch.setattr(CorrelationModel, "__init__", counted)
     monkeypatch.setattr(mutindep._kernels, "mdi_statistic_batch", stacked)
     for module in (mutindep.mdi, mutindep.inference, mutindep.simulation):
-        if hasattr(module, "mask_statistics"):
-            monkeypatch.setattr(module, "mask_statistics", noted)
+        if hasattr(module, "mdi_statistics"):
+            monkeypatch.setattr(module, "mdi_statistics", noted)
     infer_from_model(CorrelationModel(np.eye(4), 50))  # the one model built
     assert built == [1] and called == [1] and shapes == [(16,)]
     built.clear(), called.clear(), shapes.clear()
