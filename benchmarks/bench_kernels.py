@@ -6,10 +6,11 @@ Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models) and on identity models, where
 every dichotomy survives and the meet is the cost, `meet_all` alone on
-surviving dichotomies (n = 6, 12) and on many-block Partitions (n = 2000,
+surviving dichotomies (n = 6, 12, and all of them at n = 20, where the
+meet's temporaries are largest) and on many-block Partitions (n = 2000,
 5000), one desk campaign chunk (its drawing, its scoring and each step of
 the scoring: subset tables, statistics, clamp, p-values, correction,
-classification, AUC, exact recovery, negatives), the 300-run desk
+classification, AUC, the meets of exact recovery, negatives), the 300-run desk
 simulation (five times, reported as the median with its quartiles), that
 campaign's summary, the rewrite of
 its CSV and summary onto the same two paths, as a campaign re-run into the
@@ -107,8 +108,8 @@ def bench_infer():
 
 
 def bench_meet():
-    """meet_all on the inputs of an inference (Bipartitions at n = 6 and 12)
-    and on many-block Partitions (meet, is_refinement), per call."""
+    """meet_all on the inputs of an inference (Bipartitions at n = 6, 12 and
+    20) and on many-block Partitions (meet, is_refinement), per call."""
     print()
     print("meet_all: surviving dichotomies, and Partitions with many blocks (per call)")
     rng = np.random.default_rng(0)
@@ -117,6 +118,7 @@ def bench_meet():
     cases = [
         ("meet_dichotomies", 6, enumerate_bipartitions(6)[:10]),
         ("meet_dichotomies", 12, enumerate_bipartitions(12)),
+        ("meet_dichotomies", 20, enumerate_bipartitions(20)),
         ("meet_partitions", 2000, fine),
         ("meet_partitions", 5000, [Partition.singletons(5000), seven]),
     ]
@@ -151,7 +153,7 @@ def bench_scoring(repeats=20):
              "clamp": (module, "_clamped"), "p_values": (module, "p_values"),
              "correction": (simulation.CORRECTIONS, config.correction),
              "classify": (module, "classify_against_truth"), "auc": (module, "auc"),
-             "recovery": (module, "_recovered"), "negatives": (module, "entailed_masks")}
+             "recovery": (module, "meet_labels"), "negatives": (module, "entailed_masks")}
     spent = dict.fromkeys(steps, 0.0)
 
     def timed(layer, fn):

@@ -1,5 +1,7 @@
 """Data matrices, correlation models, and the sample correlation."""
 
+import sys
+
 import numpy as np
 
 from . import _kernels
@@ -9,10 +11,12 @@ _MODEL_TOL = 1e-12
 
 
 def check_sample_count(k):
-    """Refuse fewer than 3 samples: two rows correlate at +-1, so no test
-    can use fewer."""
+    """Refuse fewer than 3 samples, as two rows correlate at +-1, and more
+    than the largest float, so that k - 1 is a finite float."""
     if k < 3:
         raise ValueError(f"need a sample count of at least 3, got {k}")
+    if k > sys.float_info.max:
+        raise ValueError(f"need a sample count of at most {sys.float_info.max!r}")
 
 
 class DataMatrix:

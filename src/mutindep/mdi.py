@@ -123,35 +123,40 @@ def _degrees_of_freedom(n):
 
 
 def p_values(stats, member_sizes, n, k, mode):
-    """The tail probability of each statistic, as a list: a test whose
-    members block has na of the n variables is chi-squared with na*(n-na)
-    df (central mode) or noncentral chi-squared with noncentrality(na,
-    n-na, k) (noncentral mode).
+    """The tail probability of each statistic of `stats` (..., tests), one
+    analysis per row with sample count k (one for all rows or one per row),
+    as an array: a test whose members block has na of the n variables
+    (`member_sizes`, one per test) is chi-squared with na*(n-na) df
+    (central mode) or noncentral chi-squared with noncentrality(na, n-na, k)
+    (noncentral mode).
 
-    df and the noncentrality depend only on na (the model fixes n and k), so
-    each is computed once per size.
+    The rows are walked one at a time, so one row at a time is held as
+    Python floats; df and the noncentrality are reused across tests and rows.
     """
     check_mode(mode)
-    dfs = _degrees_of_freedom(n)
-    if mode == "central":
-        return [chi2_sf(stat, dfs[na]) for stat, na in zip(stats, member_sizes)]
-    lams = {}
-    out = []
-    for stat, na in zip(stats, member_sizes):
-        if na not in lams:
-            lams[na] = noncentrality(na, n - na, k)
-        out.append(noncentral_chi2_sf(stat, dfs[na], lams[na]))
-    return out
+    stats = np.asarray(stats, dtype=np.float64)
+    # k as Python ints, as noncentrality takes them
+    ks = np.broadcast_to(k, stats.shape[:-1]).ravel().tolist()
+    rows = stats.reshape(len(ks), stats.shape[-1])
+    dfs, lams, out = _degrees_of_freedom(n), {}, np.empty(rows.shape)
+    for row, k, tails in zip(rows, ks, out):
+        if mode == "central":
+            tails[:] = [chi2_sf(stat, dfs[na]) for stat, na in zip(row.tolist(), member_sizes)]
+            continue
+        if k not in lams:
+            lams[k] = {na: noncentrality(na, n - na, k) for na in set(member_sizes)}
+        tails[:] = [noncentral_chi2_sf(stat, dfs[na], lams[k][na])
+                    for stat, na in zip(row.tolist(), member_sizes)]
+    return out.reshape(stats.shape)
 
 
 def test_bipartitions(model, bipartitions, mode="central"):
     """TestResults for a batch of bipartitions over one shared model; a bad
     `mode` is refused by p_values."""
     bipartitions = list(bipartitions)
-    stats = mdi_statistics(model, bipartitions).tolist()
-    n = model.n
+    stats = mdi_statistics(model, bipartitions)
     sizes = [b.members.bit_count() for b in bipartitions]
-    pvalues = p_values(stats, sizes, n, model.k, mode)
-    dfs = _degrees_of_freedom(n)
+    pvalues = p_values(stats, sizes, model.n, model.k, mode).tolist()
+    dfs = _degrees_of_freedom(model.n)
     return [TestResult(b, stat, dfs[na], p)
-            for b, stat, na, p in zip(bipartitions, stats, sizes, pvalues)]
+            for b, stat, na, p in zip(bipartitions, stats.tolist(), sizes, pvalues)]

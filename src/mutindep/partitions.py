@@ -230,7 +230,7 @@ def meet_all(partitions):
     Partitions; the meet is a Partition.
 
     One pass over the assignments: the Partitions' labels, and for the
-    Bipartitions (n <= 32) each element's side_columns.
+    Bipartitions (n <= 32) their meet_labels.
     """
     partitions = list(partitions)
     if not partitions:
@@ -245,18 +245,31 @@ def meet_all(partitions):
         else:
             assignments.append(p.assignment)
     if cuts:
-        assignments.append([side.tobytes() for side in side_columns(cuts, n)])
+        assignments.append(meet_labels(cuts, n, np.ones(len(cuts), dtype=bool)).tolist())
     return Partition(zip(*assignments))
 
 
-def side_columns(masks, n):
-    """Each element's side of every dichotomy in `masks` (members bitmasks
-    of n variables), packed eight dichotomies to a byte: row e - 1 for
-    element e.  Two elements share a block of the meet of the dichotomies
-    exactly when their rows are equal."""
+def meet_labels(masks, n, kept):
+    """The meet of the dichotomies that `(..., tests)` flags `kept` pick
+    from `masks` (members bitmasks of n variables), as `(..., n)` labels:
+    each element's block is named by its least element, 0-based.  With
+    none kept, the meet is the one block.
+
+    Two elements share a block when they lie on the same side of every kept
+    dichotomy.  The sides are packed eight dichotomies to a byte, masked by
+    the packed `kept`, and compared one element at a time, so past the one
+    unpacked `(n, tests)` side table no temporary outgrows the signatures.
+    """
     masks = np.asarray(masks, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)[:, None]
-    return np.packbits(masks & bits != 0, axis=-1)
+    signatures = (np.packbits(masks & bits != 0, axis=-1)
+                  & np.packbits(kept, axis=-1)[..., None, :])
+    labels = np.zeros(signatures.shape[:-1], dtype=np.intp)
+    # from the last element down, so the least element of a block labels it last
+    for e in reversed(range(n)):
+        same = (signatures[..., e:, :] == signatures[..., e, None, :]).all(axis=-1)
+        labels[..., e:][same] = e
+    return labels
 
 
 def bipartition_masks(n):

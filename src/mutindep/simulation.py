@@ -21,7 +21,7 @@ from .fdr import check_alpha
 from .inference import CORRECTIONS, check_correction, classify_against_truth
 from .linalg import _correlations
 from .mdi import _clamped, check_mode, p_values
-from .partitions import bipartition_masks, entailed_masks, format_partition, side_columns
+from .partitions import bipartition_masks, entailed_masks, format_partition, meet_labels
 from .randomness import (
     RngStream,
     random_partition_with_k_blocks,
@@ -52,12 +52,13 @@ _DECILE_EDGES = [i / 10.0 for i in range(11)]
 _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 
 # Runs are drawn and analysed in chunks of at most CHUNK_BYTES, counted by
-# run_campaign: per run, its data (max_samples x n floats) and the two lists
-# of Python floats (32 bytes a test each) that carry one size's statistics
-# through the tails; per run and subset size, its subset table (2^n floats),
-# its statistics and p-values (two floats a test) and three flags a test
-# (negative, rejected, survived).  That is 45 runs at the desk size of n = 6,
-# 300 samples and 6 sizes, so a 30-run campaign is one chunk.
+# run_campaign: per run, its data (max_samples x n floats); per run and
+# subset size, its subset table (2^n floats), its statistics and p-values
+# (two floats a test) and three flags a test (negative, rejected,
+# survived).  The tails take one analysis at a time, so their two lists of
+# Python floats (32 bytes a test each) hold one row, whatever the chunk.
+# That is 49 runs at the desk size of n = 6, 300 samples and 6 sizes, so a
+# 30-run campaign is one chunk.
 CHUNK_BYTES = 1 << 20
 
 # Past these limits a campaign is refused rather than left to exhaust
@@ -239,7 +240,8 @@ def _score_chunk(config, run_ids, truths, r, constant):
     alone.  The others are clamped in run order, so an InternalNumericError
     stops the campaign at the first analysis that meets it, and are scored
     together as (analyses, tests) arrays: their p-values, the correction of
-    each row, its confusion counts, AUC and exact recovery.
+    each row, its confusion counts, AUC and exact recovery: the meet of the
+    survivors equals the meet of the dichotomies the truth entails, the truth.
     """
     n, sizes = config.n, config.subset_sizes
     masks = bipartition_masks(n)
@@ -250,22 +252,16 @@ def _score_chunk(config, run_ids, truths, r, constant):
     scored = ~(constant | np.isnan(stats).any(axis=-1))
     run_at, size_at = np.nonzero(scored)
     stats = _clamped(stats[scored], r[scored], ks[size_at])
-    # the tails of each size's analyses in one call, as they share k
-    p = np.empty_like(stats)
-    for s, size in enumerate(sizes):
-        at = size_at == s
-        tails = p_values(stats[at].ravel().tolist(), member_sizes * int(at.sum()), n, size,
-                         config.mode)
-        p[at] = np.reshape(tails, (-1, masks.size))
+    p = p_values(stats, member_sizes, n, ks[size_at], config.mode)
     negative = np.array([entailed_masks(masks, truth) for truth, _ in truths])[run_at]
-    truth_blocks = np.array([truth.block_count for truth, _ in truths])[run_at]
     rejected = CORRECTIONS[config.correction](p, config.alpha)
     counts = classify_against_truth(rejected, negative)
     tp, fn, tn, fp = (c.tolist() for c in (counts.tp, counts.fn, counts.tn, counts.fp))
     metrics = zip([_rate(hits, hits + misses) for hits, misses in zip(tp, fn)],
                   [_rate(hits, hits + misses) for hits, misses in zip(tn, fp)],
                   auc(p, negative),
-                  _recovered(masks, n, ~rejected, negative, truth_blocks).tolist())
+                  (meet_labels(masks, n, ~rejected)
+                   == meet_labels(masks, n, negative)).all(axis=-1).tolist())
     rows = []
     for i, (run_id, (truth, sigma)) in enumerate(zip(run_ids, truths)):
         truth_text = format_partition(truth)
@@ -275,25 +271,6 @@ def _score_chunk(config, run_ids, truths, r, constant):
             rows.append(Row(run_id, truth.block_count, truth_text, size,
                             *((None,) * 4 if failed else next(metrics)), rho, failed))
     return rows
-
-
-def _recovered(masks, n, survived, negative, blocks):
-    """Per row of `survived`, whether the meet of the dichotomies (members
-    bitmasks `masks` of n variables) it flags is the truth: the truth whose
-    entailed dichotomies `negative` flags and whose block count is `blocks`.
-
-    The meet is the truth exactly when no survivor splits a truth block (each
-    survivor is a negative, so the meet is the truth or coarser) and the meet
-    has as many blocks as the truth.  Its blocks are the distinct signatures:
-    each element's side_columns, kept for the survivors only.  With no
-    survivor the meet is the one block.
-    """
-    sides = side_columns(masks, n)
-    signatures = sides & np.packbits(survived, axis=-1)[:, None, :]
-    keys = signatures.view(f"V{sides.shape[1]}")[..., 0]
-    keys.sort(axis=1)
-    meet_blocks = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
-    return ~(survived & ~negative).any(axis=1) & (meet_blocks == blocks)
 
 
 def run_campaign(config):
@@ -306,7 +283,7 @@ def run_campaign(config):
     """
     run_ids = range(len(config.block_counts) * config.runs_per_k)
     tests = 2 ** (config.n - 1) - 1
-    per_run = (8 * config.max_samples * config.n + 64 * tests
+    per_run = (8 * config.max_samples * config.n
                + len(config.subset_sizes) * (8 * 2**config.n + 19 * tests))
     step = max(1, CHUNK_BYTES // per_run)
     rows = [row for start in range(0, len(run_ids), step)

@@ -162,9 +162,14 @@ def test_correlation_input_validation(tmp_path, capsys):
                               "got shape (2, 3)\n"))
     np.savetxt(path, np.eye(3))
     assert infer("2") == (2, ("", "error: need a sample count of at least 3, got 2\n"))
-    # a sample count past any machine integer is taken as it is
-    code, out = infer(str(2**64 + 1))
-    assert code == 0 and "finest pattern: 1|2|3" in out.out
+    # a sample count past any machine integer is taken as it is, up to the
+    # largest float
+    largest = int(sys.float_info.max)
+    for samples in (2**64 + 1, largest):
+        code, out = infer(str(samples))
+        assert code == 0 and "finest pattern: 1|2|3" in out.out
+    assert infer(str(largest + 1)) == (2, ("", "error: need a sample count of at most "
+                                              "1.7976931348623157e+308\n"))
     # an entry just past or just inside +-1 passes the range check, and the
     # pivot rule refuses the matrix
     for entry in (1 + 1e-12, 1 - 1e-12, -1 - 1e-12):
@@ -190,6 +195,20 @@ def test_correlation_input_validation(tmp_path, capsys):
             (b"1 0\n0 \xff\n", f"{path} is not UTF-8 text: invalid start byte")):
         path.write_bytes(text)
         assert infer() == (2, ("", f"error: {message}\n")), text
+
+
+@pytest.mark.parametrize("mode", ["central", "noncentral"])
+def test_infer_refuses_a_sample_count_past_the_largest_float(mode, tmp_path, capsys):
+    # k - 1 scales every statistic as a float, so k must not exceed the
+    # largest one; 2**1023 is below it and runs
+    path = tmp_path / "r.csv"
+    path.write_text("1,0.3,0\n0.3,1,0.2\n0,0.2,1\n")
+    argv = ["infer", "--correlation", str(path), "--mode", mode, "--samples"]
+    assert main(argv + [str(2**1023)]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(2**1024)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: need a sample count of at most 1.7976931348623157e+308\n")
 
 
 @pytest.mark.parametrize("kind", ["data", "correlation"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +83,10 @@ def test_correlation_model_validation():
     # two rows correlate at +-1, so no model has fewer than 3
     with pytest.raises(ValueError, match="sample count of at least 3, got 2"):
         CorrelationModel(np.eye(3), 2)
+    # k - 1 must be a finite float: the largest float is the last count
+    assert CorrelationModel(np.eye(3), int(sys.float_info.max)).k == int(sys.float_info.max)
+    with pytest.raises(ValueError, match=r"at most 1\.7976931348623157e\+308$"):
+        CorrelationModel(np.eye(3), int(sys.float_info.max) + 1)
     with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
         CorrelationModel(np.eye(3)[:2], 10)
     model = CorrelationModel(np.eye(3), 5)

@@ -11,7 +11,7 @@ from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
 # aliased: the package names start with "test_", which pytest would collect
 from mutindep.mdi import test_bipartitions as run_tests
-from mutindep.mdi import mdi_statistics, noncentrality
+from mutindep.mdi import MODES, mdi_statistics, noncentrality, p_values
 from mutindep.partitions import (
     Bipartition,
     Partition,
@@ -148,6 +148,38 @@ def test_batch_constants_match_per_test_calls():
             assert c.p_value == chi2_sf(stat, df)
             assert nc.p_value == noncentral_chi2_sf(stat, df,
                                                     noncentrality(na, n - na, model.k))
+
+
+def test_p_values_of_stacked_rows_are_the_per_row_calls_bit_for_bit():
+    # one analysis per row, each with its own sample count (one past any
+    # machine integer), as one call and as one call per row
+    rng = RngStream(20261021)
+    n = 5
+    bips = enumerate_bipartitions(n)
+    sizes = [b.members.bit_count() for b in bips]
+    ks = [10, 40, 40, 300, 10**9, 2**70]
+    stats = np.array([mdi_statistics(CorrelationModel(sample_wishart_correlation(n, rng), k),
+                                     bips) for k in ks])
+    stats[1, :3] = 0.0
+    for mode in MODES:
+        rows = [p_values(row, sizes, n, k, mode) for row, k in zip(stats, ks)]
+        for row, k, got in zip(stats, ks, rows):
+            lams = [noncentrality(na, n - na, k) for na in sizes]
+            assert got.tolist() == [
+                chi2_sf(stat, df_of(b)) if mode == "central"
+                else noncentral_chi2_sf(stat, df_of(b), lam)
+                for stat, b, lam in zip(row.tolist(), bips, lams)]
+        stacked = p_values(stats, sizes, n, np.array(ks, dtype=object), mode)
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        deeper = p_values(stats.reshape(2, 3, -1), sizes, n,
+                          np.array(ks, dtype=object).reshape(2, 3), mode)
+        assert deeper.tobytes() == stacked.tobytes() and deeper.shape == (2, 3, len(bips))
+        # one k for every row is that k in each row's call
+        common = p_values(stats, sizes, n, 40, mode)
+        assert common.tobytes() == np.array([p_values(row, sizes, n, 40, mode)
+                                             for row in stats]).tobytes()
+        assert p_values(stats[:0], sizes, n, np.array([], dtype=int), mode).shape == (0, len(bips))
+        assert p_values(stats[0, :0], [], n, 40, mode).shape == (0,)
 
 
 def test_dimension_and_sample_guards():

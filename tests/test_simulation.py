@@ -27,7 +27,7 @@ from mutindep.partitions import (
     entailed_dichotomies,
     entailed_masks,
     enumerate_bipartitions,
-    meet_all,
+    meet_labels,
     parse_partition,
 )
 from mutindep.randomness import RngStream, random_partition_with_k_blocks, sample_mvn
@@ -150,11 +150,15 @@ def test_exact_recovery_equals_the_meet_of_the_survivors(n):
     # survivor sets around planted truths of every block count: none, all,
     # exactly the truth's negatives, some of them dropped, a positive or
     # two added, the negatives of another pattern with as many blocks, and
-    # a random set
+    # a random set; meet_labels gives the brute-force meet of each, named
+    # by least elements, and exact recovery (the survivors' meet has the
+    # labels of the meet of the truth's negatives) is the meet being the truth
     rng = np.random.default_rng(20261020 + n)
     masks = bipartition_masks(n)
-    bipartitions = enumerate_bipartitions(n)
-    survived, negative, blocks, expected = [], [], [], []
+    everything = frozenset(range(1, n + 1))
+    sides = [frozenset(e for e in everything if mask >> (e - 1) & 1)
+             for mask in masks.tolist()]
+    survived, negative, truths = [], [], []
     for k in range(1, n + 1):
         stream = RngStream(20261020, 100 * n + k)
         truth, other = (random_partition_with_k_blocks(n, k, stream) for _ in range(2))
@@ -163,16 +167,30 @@ def test_exact_recovery_equals_the_meet_of_the_survivors(n):
                      entailed, entailed & (rng.random(masks.size) < 0.5),
                      entailed | (rng.random(masks.size) < 2 / masks.size),
                      entailed_masks(masks, other), rng.random(masks.size) < 0.3):
-            kept = [b for b, flag in zip(bipartitions, keep) if flag]
-            meet = meet_all(kept) if kept else Partition.one_block(n)
             survived.append(keep)
             negative.append(entailed)
-            blocks.append(k)
-            expected.append(meet == truth)
-    got = mutindep.simulation._recovered(masks, n, np.array(survived), np.array(negative),
-                                         np.array(blocks))
-    assert got.tolist() == expected
-    assert 0 < sum(expected) < len(expected)
+            truths.append(truth)
+    survived, negative = np.array(survived), np.array(negative)
+    labels = meet_labels(masks, n, survived)
+    assert labels.shape == (len(truths), n)
+    recovered = (labels == meet_labels(masks, n, negative)).all(axis=-1)
+    for keep, row, truth, exact in zip(survived, labels.tolist(), truths, recovered.tolist()):
+        expected = frozenset([everything])
+        for members in (m for m, flag in zip(sides, keep) if flag):
+            expected = oracles.meet_blocks(expected, {members, everything - members})
+        blocks = {}
+        for e, label in enumerate(row, start=1):
+            blocks.setdefault(label, set()).add(e)
+        assert all(label == min(block) - 1 for label, block in blocks.items())
+        assert frozenset(map(frozenset, blocks.values())) == expected
+        assert exact == (expected == oracles.as_block_sets(truth))
+        assert meet_labels(masks, n, keep).tolist() == row
+    assert 0 < recovered.sum() < len(truths)
+    # stacked rows give the labels of the flat ones, and zero rows none
+    stacked = meet_labels(masks, n, survived.reshape(n, -1, masks.size))
+    assert (stacked == labels.reshape(n, -1, n)).all()
+    assert meet_labels(masks, n, survived[:0]).shape == (0, n)
+    assert meet_labels(masks, n, survived.reshape(n, -1, masks.size)[:, :0]).shape == (n, 0, n)
 
 
 def test_sensitivity_specificity_undefined_flags():
