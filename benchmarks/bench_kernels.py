@@ -15,8 +15,9 @@ simulation (five times, reported as the median with its quartiles), that
 campaign's summary, the rewrite of
 its CSV and summary onto the same two paths, as a campaign re-run into the
 same files does, the default 3000-run reference campaign (three times,
-reported like the desk one), and a `mutindep simulate` process re-run onto
-its own --csv and --summary.
+reported like the desk one), a 2-run n = 18 campaign (131,071 tests an
+analysis, three times, reported like the desk one), and a `mutindep
+simulate` process re-run onto its own --csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
 (the re-run processes are given that package's directory as PYTHONPATH).
@@ -235,6 +236,13 @@ def bench_reference_campaign(repeats=3):
     return [row]
 
 
+def bench_campaign_n18(repeats=3):
+    config = SimulationConfig(n=18, block_counts=(3,), runs_per_k=2, master_seed=3)
+    _, row = _time_campaign("n = 18 simulation (2 runs x 6 sizes)", "campaign_n18",
+                            config, repeats)
+    return [row]
+
+
 def bench_cli_rerun(repeats=7):
     print()
     print("mutindep simulate of a 30-run desk campaign, second run onto the same"
@@ -267,7 +275,8 @@ def main(argv=None):
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
     rows = (bench_batch() + bench_infer() + bench_meet() + bench_scoring()
-            + bench_campaign() + bench_reference_campaign() + bench_cli_rerun())
+            + bench_campaign() + bench_reference_campaign() + bench_campaign_n18()
+            + bench_cli_rerun())
     if args.out:
         result = {
             "backend": mutindep.kernel_backend,

@@ -8,6 +8,8 @@ cancels, and it matches the regularized incomplete gamma to about 1e-13.
 import functools
 import math
 
+import numpy as np
+
 # Truncation point for the noncentral mixture: stop once the remaining
 # Poisson mass is below this.
 _MIXTURE_TAIL = 1e-12
@@ -52,6 +54,45 @@ def chi2_sf(x, df):
     if total:
         tail += math.exp(math.log(total) + log_scale - h)
     return min(tail, 1.0)
+
+
+def _each(fn, values):
+    """fn of each element of the 1-D float array `values`, as an array."""
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=values.size)
+
+
+def chi2_sf_array(x, df):
+    """chi2_sf of each statistic of the array `x`, for one integer df, as an
+    array of x's shape, bit for bit.
+
+    The same recurrence, rescale and clamp run over the elements at once:
+    +, *, / and sqrt round in numpy as they do on Python floats, and erfc,
+    log and exp are math's, mapped over the elements (numpy's exp and log
+    are not correctly rounded and differ from math's on some inputs).  The
+    statistics chi2_sf refuses are refused, the first of them named.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    refused = x[~((x >= 0.0) & (x < math.inf))]
+    _check_args(refused[0] if refused.size else 0.0, df)
+    h = x.ravel() / 2.0
+    if df % 2:
+        tail, term, a = _each(math.erfc, np.sqrt(h)), 2.0 * np.sqrt(h / math.pi), 1.5
+    else:
+        tail, term, a = np.zeros(h.shape), np.ones(h.shape), 1.0
+    total, log_scale = np.zeros(h.shape), np.zeros(h.shape)
+    cap = _RESCALE / np.maximum(h, 1.0)
+    for i in range(df // 2):
+        # the scalar while loop, run by each element that is still over
+        while (over := term > cap).any():
+            total[over] /= _RESCALE
+            term[over] /= _RESCALE
+            log_scale[over] += _LOG_RESCALE
+        total += term
+        term *= h / (a + i)
+    summed = total != 0.0
+    exponent = _each(math.log, total[summed]) + log_scale[summed] - h[summed]
+    tail[summed] += _each(math.exp, exponent)
+    return np.minimum(tail, 1.0).reshape(x.shape)
 
 
 def noncentral_chi2_sf(x, df, lam):

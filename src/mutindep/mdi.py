@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import chi2_sf, noncentral_chi2_sf
+from .distributions import chi2_sf, chi2_sf_array, noncentral_chi2_sf
 from .errors import InternalNumericError
 from .linalg import CorrelationModel, check_sample_count
 from .partitions import Bipartition
@@ -38,6 +38,9 @@ def check_mode(mode):
 # means a broken determinant.  ld_full (the sum of the logs of R's
 # eigenvalues) and lambda_min both come from one eigenvalue solve.
 _ABSOLUTE_SLACK = 1e-9
+
+# p_values takes central tails over at most this many statistics at a time
+_TAIL_SLICE = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,19 +133,32 @@ def p_values(stats, member_sizes, n, k, mode):
     (central mode) or noncentral chi-squared with noncentrality(na, n-na, k)
     (noncentral mode).
 
-    The rows are walked one at a time, so one row at a time is held as
-    Python floats; df and the noncentrality are reused across tests and rows.
+    Central tails are taken by chi2_sf_array, bit for bit chi2_sf, over the
+    flattened statistics in slices of at most _TAIL_SLICE, one call per df
+    class in a slice, so their temporaries are bounded whatever the number
+    of rows.  Noncentral rows are walked one at a time as Python floats;
+    the noncentrality is reused across tests and rows.
     """
     check_mode(mode)
     stats = np.asarray(stats, dtype=np.float64)
     # k as Python ints, as noncentrality takes them
     ks = np.broadcast_to(k, stats.shape[:-1]).ravel().tolist()
     rows = stats.reshape(len(ks), stats.shape[-1])
-    dfs, lams, out = _degrees_of_freedom(n), {}, np.empty(rows.shape)
+    dfs, out = _degrees_of_freedom(n), np.empty(rows.shape)
+    if mode == "central":
+        test_dfs = np.array([dfs[na] for na in member_sizes], dtype=np.intp)
+        classes = sorted({dfs[na] for na in member_sizes})
+        flat, tails = rows.ravel(), out.ravel()
+        for start in range(0, flat.size, _TAIL_SLICE):
+            at = slice(start, min(start + _TAIL_SLICE, flat.size))
+            # the df of each statistic of the slice, by its test
+            slice_dfs = test_dfs[np.arange(at.start, at.stop) % test_dfs.size]
+            for df in classes:
+                pick = slice_dfs == df
+                tails[at][pick] = chi2_sf_array(flat[at][pick], df)
+        return out.reshape(stats.shape)
+    lams = {}
     for row, k, tails in zip(rows, ks, out):
-        if mode == "central":
-            tails[:] = [chi2_sf(stat, dfs[na]) for stat, na in zip(row.tolist(), member_sizes)]
-            continue
         if k not in lams:
             lams[k] = {na: noncentrality(na, n - na, k) for na in set(member_sizes)}
         tails[:] = [noncentral_chi2_sf(stat, dfs[na], lams[k][na])
@@ -156,7 +172,12 @@ def test_bipartitions(model, bipartitions, mode="central"):
     bipartitions = list(bipartitions)
     stats = mdi_statistics(model, bipartitions)
     sizes = [b.members.bit_count() for b in bipartitions]
-    pvalues = p_values(stats, sizes, model.n, model.k, mode).tolist()
     dfs = _degrees_of_freedom(model.n)
+    values = stats.tolist()
+    if mode == "central":
+        # one scalar chi2_sf per test: perfbench/tests pin that call count (ROADMAP item 1)
+        pvalues = [chi2_sf(stat, dfs[na]) for stat, na in zip(values, sizes)]
+    else:
+        pvalues = p_values(stats, sizes, model.n, model.k, mode).tolist()
     return [TestResult(b, stat, dfs[na], p)
-            for b, stat, na, p in zip(bipartitions, stats.tolist(), sizes, pvalues)]
+            for b, stat, na, p in zip(bipartitions, values, sizes, pvalues)]

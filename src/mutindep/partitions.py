@@ -256,14 +256,17 @@ def meet_labels(masks, n, kept):
     none kept, the meet is the one block.
 
     Two elements share a block when they lie on the same side of every kept
-    dichotomy.  The sides are packed eight dichotomies to a byte, masked by
-    the packed `kept`, and compared one element at a time, so past the one
-    unpacked `(n, tests)` side table no temporary outgrows the signatures.
+    dichotomy.  Each element's sides are read from its bit of the masks'
+    little-endian bytes and packed eight dichotomies to a byte, masked by
+    the packed `kept`; the signatures are compared one element at a time,
+    so no temporary outgrows one byte a dichotomy or the signatures.
     """
-    masks = np.asarray(masks, dtype=np.uint64)
-    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)[:, None]
-    signatures = (np.packbits(masks & bits != 0, axis=-1)
-                  & np.packbits(kept, axis=-1)[..., None, :])
+    # byte j of mask m holds elements 8j+1..8j+8, bit e % 8 for element e+1
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8).T
+    sides = np.empty((n, (octets.shape[1] + 7) // 8), dtype=np.uint8)
+    for e in range(n):
+        sides[e] = np.packbits(octets[e // 8] & (1 << e % 8))
+    signatures = sides & np.packbits(kept, axis=-1)[..., None, :]
     labels = np.zeros(signatures.shape[:-1], dtype=np.intp)
     # from the last element down, so the least element of a block labels it last
     for e in reversed(range(n)):

@@ -55,10 +55,14 @@ _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 # run_campaign: per run, its data (max_samples x n floats); per run and
 # subset size, its subset table (2^n floats), its statistics and p-values
 # (two floats a test) and three flags a test (negative, rejected,
-# survived).  The tails take one analysis at a time, so their two lists of
-# Python floats (32 bytes a test each) hold one row, whatever the chunk.
-# That is 49 runs at the desk size of n = 6, 300 samples and 6 sizes, so a
-# 30-run campaign is one chunk.
+# survived).  That is 49 runs at the desk size of n = 6, 300 samples and 6
+# sizes, so a 30-run campaign is one chunk.  The tails are not counted:
+# central ones take at most mdi._TAIL_SLICE statistics at a time (about
+# 106 bytes of temporaries each, 7 MB at most) and noncentral ones one
+# analysis at a time as Python floats, whatever the chunk.  Nor are other
+# temporaries: tracemalloc puts a chunk's peak at 1.5-2.3 times the count
+# (1.6 MB for a 49-run desk chunk; 63 MB for one n = 18 run, where the
+# subset-table build and auc set it).
 CHUNK_BYTES = 1 << 20
 
 # Past these limits a campaign is refused rather than left to exhaust

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mutindep import distributions
-from mutindep.distributions import chi2_sf, noncentral_chi2_sf
+from mutindep.distributions import chi2_sf, chi2_sf_array, noncentral_chi2_sf
 
 import oracles
 
@@ -57,6 +57,33 @@ def test_invalid_arguments():
             chi2_sf(x, 4)
     with pytest.raises(ValueError):
         noncentral_chi2_sf(1.0, 3, -0.1)
+
+
+def test_array_tails_are_chi2_sf_bit_for_bit():
+    # every df a test of n <= 20 variables has, at 0 and subnormal x, around
+    # df and up to 1e300, where the sum is rescaled and the tail underflows;
+    # past df 700 or so the sum is rescaled at x around df too
+    rng = np.random.default_rng(20261020)
+    for df in list(range(1, 101)) + [401, 1000, 2001]:
+        xs = np.concatenate([[0.0, 5e-324, 1e-320, 1e-300], df * rng.uniform(0.0, 3.0, 40),
+                             np.linspace(df - 3.0, df + 3.0, 14).clip(0.0),
+                             np.geomspace(1e-3, 1e300, 60)])
+        expected = np.array([chi2_sf(x, df) for x in xs.tolist()])
+        got = chi2_sf_array(xs.reshape(2, -1), df)
+        assert got.shape == (2, xs.size // 2)
+        assert got.tobytes() == expected.tobytes()
+        assert expected[0] == 1.0 and expected[-1] == 0.0
+    assert chi2_sf_array(3.0, 4).shape == () and chi2_sf_array(3.0, 4) == chi2_sf(3.0, 4)
+    assert chi2_sf_array([], 5).shape == (0,)
+
+
+def test_array_tails_refuse_what_chi2_sf_refuses():
+    for x, df in ((1.0, 0), (-0.5, 3), (1.0, 2.5), (math.inf, 4), (math.nan, 4)):
+        with pytest.raises(ValueError) as scalar:
+            chi2_sf(x, df)
+        with pytest.raises(ValueError) as array:
+            chi2_sf_array([[0.5, 2.0], [x, -1.0]], df)
+        assert str(array.value) == str(scalar.value)
 
 
 def test_noncentral_reduces_to_central_at_zero():

@@ -152,12 +152,17 @@ def test_batch_constants_match_per_test_calls():
 
 def test_p_values_of_stacked_rows_are_the_per_row_calls_bit_for_bit():
     # one analysis per row, each with its own sample count (one past any
-    # machine integer), as one call and as one call per row
-    rng = RngStream(20261021)
-    n = 5
+    # machine integer), as one call and as one call per row; at n = 12 the
+    # 36 rows hold 73,692 statistics, so the central tails take two slices
+    # and the first slice ends inside a row
+    for n, ks in ((5, [10, 40, 40, 300, 10**9, 2**70]),
+                  (12, [10, 40, 300, 10**9, 2**70, 41] * 6)):
+        _check_stacked_p_values(n, ks, RngStream(20261021))
+
+
+def _check_stacked_p_values(n, ks, rng):
     bips = enumerate_bipartitions(n)
     sizes = [b.members.bit_count() for b in bips]
-    ks = [10, 40, 40, 300, 10**9, 2**70]
     stats = np.array([mdi_statistics(CorrelationModel(sample_wishart_correlation(n, rng), k),
                                      bips) for k in ks])
     stats[1, :3] = 0.0
@@ -171,9 +176,10 @@ def test_p_values_of_stacked_rows_are_the_per_row_calls_bit_for_bit():
                 for stat, b, lam in zip(row.tolist(), bips, lams)]
         stacked = p_values(stats, sizes, n, np.array(ks, dtype=object), mode)
         assert stacked.tobytes() == np.array(rows).tobytes()
-        deeper = p_values(stats.reshape(2, 3, -1), sizes, n,
-                          np.array(ks, dtype=object).reshape(2, 3), mode)
-        assert deeper.tobytes() == stacked.tobytes() and deeper.shape == (2, 3, len(bips))
+        deeper = p_values(stats.reshape(2, 3, -1, len(bips)), sizes, n,
+                          np.array(ks, dtype=object).reshape(2, 3, -1), mode)
+        assert deeper.tobytes() == stacked.tobytes()
+        assert deeper.shape == (2, 3, len(ks) // 6, len(bips))
         # one k for every row is that k in each row's call
         common = p_values(stats, sizes, n, 40, mode)
         assert common.tobytes() == np.array([p_values(row, sizes, n, 40, mode)

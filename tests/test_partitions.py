@@ -17,9 +17,11 @@ from mutindep.partitions import (
     join,
     meet,
     meet_all,
+    meet_labels,
     parse_partition,
     stirling2,
 )
+from mutindep.randomness import RngStream, random_partition_with_k_blocks
 
 import oracles
 
@@ -226,6 +228,33 @@ def test_meet_all_matches_the_oracle_on_mixed_inputs():
                 expected = oracles.meet_blocks(expected, oracles.as_block_sets(p))
             assert oracles.as_block_sets(meet_all(inputs)) == expected
         assert meet_all(bipartitions) == Partition.singletons(n)
+
+
+def test_meet_labels_of_all_twenty_variable_dichotomies_match_the_oracle():
+    # planted truths of 1, 3 and 6 blocks: their negatives, some of those
+    # dropped, and a few positives added, as one stacked call over all
+    # 524,287 dichotomies; then none and all of them kept
+    n = 20
+    rng = np.random.default_rng(20261020)
+    masks = bipartition_masks(n)
+    everything = frozenset(range(1, n + 1))
+    kept = []
+    for blocks in (1, 3, 6):
+        truth = random_partition_with_k_blocks(n, blocks, RngStream(20261020, blocks))
+        entailed = entailed_masks(masks, truth)
+        added = np.zeros(masks.size, dtype=bool)
+        added[rng.integers(masks.size, size=3)] = True
+        kept += [entailed, entailed & (rng.random(masks.size) < 0.5), entailed | added]
+    labels = meet_labels(masks, n, np.array(kept))
+    for keep, row in zip(kept, labels.tolist()):
+        expected = frozenset([everything])
+        for members in masks[keep].tolist():
+            side = frozenset(e for e in everything if members >> (e - 1) & 1)
+            expected = oracles.meet_blocks(expected, {side, everything - side})
+        assert oracles.as_block_sets(Partition(row)) == expected
+        assert all(label == row.index(label) for label in row)
+    assert meet_labels(masks, n, np.zeros(masks.size, dtype=bool)).tolist() == [0] * n
+    assert meet_labels(masks, n, np.ones(masks.size, dtype=bool)).tolist() == list(range(n))
 
 
 def test_enumerations_refuse_more_than_max_variables():
