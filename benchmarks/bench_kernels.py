@@ -5,19 +5,20 @@ Usage: python benchmarks/bench_kernels.py [--out FILE]
 Times the all-dichotomies statistic batch on correlation matrices of
 growing size, then `infer_from_model` end to end in central and in
 noncentral mode (on the same models) and on identity models, where
-every dichotomy survives and the meet is the cost, `meet_all` alone on
+every dichotomy survives and the meet is the cost, `mdi.p_values` of one
+analysis in each mode (n = 12, 18), `meet_all` alone on
 surviving dichotomies (n = 6, 12, and all of them at n = 20, where the
 meet's temporaries are largest) and on many-block Partitions (n = 2000,
 5000), one desk campaign chunk (its drawing, its scoring and each step of
 the scoring: subset tables, statistics, clamp, p-values, correction,
 classification, AUC, the meets of exact recovery, negatives), the 300-run desk
-simulation (five times, reported as the median with its quartiles), that
-campaign's summary, the rewrite of
-its CSV and summary onto the same two paths, as a campaign re-run into the
-same files does, the default 3000-run reference campaign (three times,
-reported like the desk one), a 2-run n = 18 campaign (131,071 tests an
-analysis, three times, reported like the desk one), and a `mutindep
-simulate` process re-run onto its own --csv and --summary.
+simulation in central and in noncentral mode (five times each, reported as
+the median with its quartiles), that central campaign's summary, the
+rewrite of its CSV and summary onto the same two paths, as a campaign
+re-run into the same files does, the default 3000-run reference campaign
+(three times, reported like the desk one), a 2-run n = 18 campaign in each
+mode (131,071 tests an analysis, three times, reported like the desk one),
+and a `mutindep simulate` process re-run onto its own --csv and --summary.
 The package measured is the one `import mutindep` finds, so running with
 PYTHONPATH pointing at another checkout's `src` measures that checkout
 (the re-run processes are given that package's directory as PYTHONPATH).
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,6 +46,7 @@ import mutindep
 from mutindep import _kernels, simulation
 from mutindep.inference import infer_from_model
 from mutindep.linalg import CorrelationModel
+from mutindep.mdi import mdi_statistics, p_values
 from mutindep.partitions import Partition, enumerate_bipartitions, meet_all
 from mutindep.randomness import RngStream, sample_wishart_correlation
 from mutindep.simulation import SimulationConfig, run_campaign
@@ -105,6 +108,25 @@ def bench_infer():
         t = _time(lambda: infer_from_model(model, alpha=0.1))
         print(f"{n:>5} {2**(n - 1) - 1:>6} {t * 1e3:>10.2f}ms")
         rows.append(_row("infer_from_model_identity", n, t))
+    return rows
+
+
+def bench_p_values():
+    """mdi.p_values of one analysis over all dichotomies, per call, in
+    each mode: at n = 12 and 18 on one Wishart model with 300 samples."""
+    rows = []
+    for mode, bench in (("central", "p_values"), ("noncentral", "p_values_noncentral")):
+        print()
+        print(f"mdi.p_values, {mode}, one analysis (per call)")
+        rng = RngStream(3)
+        for n in (12, 18):
+            model = CorrelationModel(sample_wishart_correlation(n, rng), 300)
+            bips = enumerate_bipartitions(n)
+            stats = mdi_statistics(model, bips)
+            sizes = [b.members.bit_count() for b in bips]
+            t = _time(lambda: p_values(stats, sizes, n, model.k, mode))
+            print(f"{n:>5} {len(bips):>6} {t * 1e3:>10.2f}ms")
+            rows.append(_row(bench, n, t))
     return rows
 
 
@@ -205,7 +227,10 @@ def bench_campaign(repeats=5):
                               master_seed=3)
     campaign, row = _time_campaign("desk simulation (300 runs x 6 sizes)",
                                    "desk_campaign", config, repeats)
-    rows = [row]
+    _, noncentral = _time_campaign("desk simulation, noncentral (300 runs x 6 sizes)",
+                                   "desk_campaign_noncentral",
+                                   replace(config, mode="noncentral"), repeats)
+    rows = [row, noncentral]
 
     print()
     print("desk campaign summary (per call)")
@@ -240,7 +265,10 @@ def bench_campaign_n18(repeats=3):
     config = SimulationConfig(n=18, block_counts=(3,), runs_per_k=2, master_seed=3)
     _, row = _time_campaign("n = 18 simulation (2 runs x 6 sizes)", "campaign_n18",
                             config, repeats)
-    return [row]
+    _, noncentral = _time_campaign("n = 18 simulation, noncentral (2 runs x 6 sizes)",
+                                   "campaign_n18_noncentral",
+                                   replace(config, mode="noncentral"), repeats)
+    return [row, noncentral]
 
 
 def bench_cli_rerun(repeats=7):
@@ -274,7 +302,7 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE",
                         help="also write the rows and the environment as JSON")
     args = parser.parse_args(argv)
-    rows = (bench_batch() + bench_infer() + bench_meet() + bench_scoring()
+    rows = (bench_batch() + bench_infer() + bench_p_values() + bench_meet() + bench_scoring()
             + bench_campaign() + bench_reference_campaign() + bench_campaign_n18()
             + bench_cli_rerun())
     if args.out:

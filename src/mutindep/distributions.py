@@ -6,6 +6,7 @@ cancels, and it matches the regularized incomplete gamma to about 1e-13.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,15 @@ def _each(fn, values):
     return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=values.size)
 
 
+def _statistics(x, df):
+    """x as a float64 array, once df and every statistic pass chi2_sf's
+    checks; the first statistic refused is named."""
+    x = np.asarray(x, dtype=np.float64)
+    refused = x[~((x >= 0.0) & (x < math.inf))]
+    _check_args(refused[0] if refused.size else 0.0, df)
+    return x
+
+
 def chi2_sf_array(x, df):
     """chi2_sf of each statistic of the array `x`, for one integer df, as an
     array of x's shape, bit for bit.
@@ -71,9 +81,7 @@ def chi2_sf_array(x, df):
     are not correctly rounded and differ from math's on some inputs).  The
     statistics chi2_sf refuses are refused, the first of them named.
     """
-    x = np.asarray(x, dtype=np.float64)
-    refused = x[~((x >= 0.0) & (x < math.inf))]
-    _check_args(refused[0] if refused.size else 0.0, df)
+    x = _statistics(x, df)
     h = x.ravel() / 2.0
     if df % 2:
         tail, term, a = _each(math.erfc, np.sqrt(h)), 2.0 * np.sqrt(h / math.pi), 1.5
@@ -95,31 +103,49 @@ def chi2_sf_array(x, df):
     return np.minimum(tail, 1.0).reshape(x.shape)
 
 
-def noncentral_chi2_sf(x, df, lam):
-    """Upper tail of the noncentral chi-squared distribution.
+def noncentral_chi2_sf_array(x, df, lam):
+    """Upper tail of the noncentral chi-squared distribution with integer df
+    and noncentrality lam, at each statistic of the array `x`, as an array
+    of x's shape.
 
     The Poisson(lam/2)-weighted mixture of the central tails Q(df), Q(df+2),
-    ..., truncated once the residual mixture mass drops below 1e-12.  Q(df) is
-    one chi2_sf call, and Q(df+2) = Q(df) + e^-h h^(df/2) / Gamma(df/2+1) with
-    h = x/2.  At lam == 0 this reduces exactly to chi2_sf.
+    ..., truncated once the residual mixture mass drops below 1e-12.  Q(df)
+    is one chi2_sf call per statistic, and Q(df+2) = Q(df) + e^-h h^(df/2) /
+    Gamma(df/2+1) with h = x/2.  The ladder steps every statistic at once,
+    each in the order of a loop over that statistic alone: +, * and - round
+    in numpy as on Python floats, and log and exp are math's, mapped over
+    the elements, so no value depends on the others in the array.  At
+    lam == 0 this is chi2_sf exactly.  The statistics chi2_sf refuses are
+    refused, the first of them named, and so is a negative or non-finite
+    lam.
     """
-    _check_args(x, df)
-    if lam < 0:
-        raise ValueError(f"the noncentrality must be nonnegative, got {lam}")
-    sf = chi2_sf(x, df)
+    x = _statistics(x, df)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"the noncentrality must be finite and nonnegative, got {lam}")
+    h = x.ravel() / 2.0
+    # Q(df) by scalar calls, not chi2_sf_array: perfbench/tests count these
+    # calls on a noncentral infer (ROADMAP item 1a)
+    sf = np.fromiter(map(chi2_sf, x.ravel().tolist(), itertools.repeat(df)),
+                     dtype=np.float64, count=h.size)
     if lam == 0.0:
-        return sf
+        return sf.reshape(x.shape)
     weights = _poisson_weights(lam)
     log_gamma, log_a = _log_ladder(df, len(weights))
-    h = x / 2.0
-    log_h = math.log(h) if h > 0.0 else -math.inf
+    log_h = np.full(h.shape, -math.inf)
+    positive = h > 0.0
+    log_h[positive] = _each(math.log, h[positive])
     log_step = df / 2.0 * log_h - h - log_gamma
-    acc = 0.0
+    acc = np.zeros(h.shape)
     for weight, log_next in zip(weights, log_a):
         acc += weight * sf
-        sf += math.exp(log_step)
+        sf += _each(math.exp, log_step)
         log_step += log_h - log_next
-    return min(acc, 1.0)
+    return np.minimum(acc, 1.0).reshape(x.shape)
+
+
+def noncentral_chi2_sf(x, df, lam):
+    """noncentral_chi2_sf_array of the one statistic x, as a float."""
+    return float(noncentral_chi2_sf_array(x, df, lam))
 
 
 @functools.lru_cache(maxsize=256)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import chi2_sf, chi2_sf_array, noncentral_chi2_sf
+from .distributions import chi2_sf, chi2_sf_array, noncentral_chi2_sf_array
 from .errors import InternalNumericError
 from .linalg import CorrelationModel, check_sample_count
 from .partitions import Bipartition
@@ -39,7 +39,7 @@ def check_mode(mode):
 # eigenvalues) and lambda_min both come from one eigenvalue solve.
 _ABSOLUTE_SLACK = 1e-9
 
-# p_values takes central tails over at most this many statistics at a time
+# p_values takes tails over at most this many statistics at a time
 _TAIL_SLICE = 1 << 16
 
 
@@ -133,36 +133,46 @@ def p_values(stats, member_sizes, n, k, mode):
     (central mode) or noncentral chi-squared with noncentrality(na, n-na, k)
     (noncentral mode).
 
-    Central tails are taken by chi2_sf_array, bit for bit chi2_sf, over the
-    flattened statistics in slices of at most _TAIL_SLICE, one call per df
-    class in a slice, so their temporaries are bounded whatever the number
-    of rows.  Noncentral rows are walked one at a time as Python floats;
-    the noncentrality is reused across tests and rows.
+    The statistics are flattened and taken in slices of at most _TAIL_SLICE,
+    one array call per tail class in a slice: a class is one df (central
+    mode, chi2_sf_array) or one df and one k (noncentral mode,
+    noncentral_chi2_sf_array), so every tail is bit for bit the scalar
+    chi2_sf or noncentral_chi2_sf of its statistic, and the temporaries are
+    bounded whatever the number of rows.
     """
     check_mode(mode)
     stats = np.asarray(stats, dtype=np.float64)
     # k as Python ints, as noncentrality takes them
     ks = np.broadcast_to(k, stats.shape[:-1]).ravel().tolist()
-    rows = stats.reshape(len(ks), stats.shape[-1])
-    dfs, out = _degrees_of_freedom(n), np.empty(rows.shape)
+    dfs = _degrees_of_freedom(n)
+    test_dfs = np.array([dfs[na] for na in member_sizes], dtype=np.intp)
+    size_of = {dfs[na]: na for na in member_sizes}  # na and n-na share df and lambda
+    # the rows share one tail class per df in central mode, and those of
+    # one k share one per df in noncentral mode
     if mode == "central":
-        test_dfs = np.array([dfs[na] for na in member_sizes], dtype=np.intp)
-        classes = sorted({dfs[na] for na in member_sizes})
-        flat, tails = rows.ravel(), out.ravel()
-        for start in range(0, flat.size, _TAIL_SLICE):
-            at = slice(start, min(start + _TAIL_SLICE, flat.size))
-            # the df of each statistic of the slice, by its test
-            slice_dfs = test_dfs[np.arange(at.start, at.stop) % test_dfs.size]
-            for df in classes:
-                pick = slice_dfs == df
-                tails[at][pick] = chi2_sf_array(flat[at][pick], df)
-        return out.reshape(stats.shape)
-    lams = {}
-    for row, k, tails in zip(rows, ks, out):
-        if k not in lams:
-            lams[k] = {na: noncentrality(na, n - na, k) for na in set(member_sizes)}
-        tails[:] = [noncentral_chi2_sf(stat, dfs[na], lams[k][na])
-                    for stat, na in zip(row.tolist(), member_sizes)]
+        groups, row_groups = [None], np.zeros(len(ks), dtype=np.intp)
+    else:
+        group_of = {k: g for g, k in enumerate(dict.fromkeys(ks))}
+        groups = list(group_of)
+        row_groups = np.array([group_of[k] for k in ks], dtype=np.intp)
+
+    def tails(x, df, k):
+        if k is None:
+            return chi2_sf_array(x, df)
+        na = size_of[df]
+        return noncentral_chi2_sf_array(x, df, noncentrality(na, n - na, k))
+
+    flat, out = stats.ravel(), np.empty(stats.size)
+    tests, width = stats.shape[-1], max(dfs) + 1
+    for start in range(0, flat.size, _TAIL_SLICE):
+        at = slice(start, min(start + _TAIL_SLICE, flat.size))
+        index = np.arange(at.start, at.stop)
+        # the class of each statistic of the slice, by its test and its row
+        codes = row_groups[index // tests] * width + test_dfs[index % tests]
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            group, df = divmod(code, width)
+            pick = codes == code
+            out[at][pick] = tails(flat[at][pick], df, groups[group])
     return out.reshape(stats.shape)
 
 

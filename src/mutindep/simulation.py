@@ -57,12 +57,14 @@ _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 # (two floats a test) and three flags a test (negative, rejected,
 # survived).  That is 49 runs at the desk size of n = 6, 300 samples and 6
 # sizes, so a 30-run campaign is one chunk.  The tails are not counted:
-# central ones take at most mdi._TAIL_SLICE statistics at a time (about
-# 106 bytes of temporaries each, 7 MB at most) and noncentral ones one
-# analysis at a time as Python floats, whatever the chunk.  Nor are other
-# temporaries: tracemalloc puts a chunk's peak at 1.5-2.3 times the count
-# (1.6 MB for a 49-run desk chunk; 63 MB for one n = 18 run, where the
-# subset-table build and auc set it).
+# they take at most mdi._TAIL_SLICE statistics at a time, one array call
+# per tail class, so their temporaries are bounded whatever the chunk:
+# tracemalloc puts p_values at 140-190 bytes a statistic of a slice that
+# is one class (12 MB at most), of which the tail call itself takes 106
+# (central) or 81 (noncentral).  Nor are other temporaries: tracemalloc
+# puts a chunk's peak at 1.5-2.3 times the count (1.6 MB for a 49-run desk
+# chunk; 63 MB for one n = 18 run, where the subset-table build and auc
+# set it).
 CHUNK_BYTES = 1 << 20
 
 # Past these limits a campaign is refused rather than left to exhaust

@@ -4,12 +4,16 @@ Everything here is deliberately written from scratch with different
 algorithms than the package (set algebra instead of label arrays, cofactor
 expansion and a one-matrix Cholesky instead of the subset table of Schur
 complements, series/continued fractions instead of closed-form sums), so
-agreement is meaningful.
+agreement is meaningful.  The one exception is `noncentral_recurrence`: the
+package's noncentral recurrence as a plain scalar loop, the bit-for-bit
+reference of its array form.
 """
 
 import math
 
 import numpy as np
+
+from mutindep.distributions import chi2_sf
 
 # --- regularized incomplete gamma (series + continued fraction) ----------
 
@@ -62,6 +66,40 @@ def reg_gamma_upper(a, x):
 
 def chi2_sf_oracle(x, df):
     return reg_gamma_upper(df / 2.0, x / 2.0)
+
+
+# --- the noncentral mixture recurrence, one statistic, nothing cached ------
+
+
+def noncentral_recurrence(x, df, lam):
+    """The package's noncentral chi-squared recurrence for one statistic, as
+    a plain loop with every Poisson weight, lgamma and log taken afresh.
+
+    Not an independent algorithm: it is the bit-for-bit reference of the
+    array form, whose weights and logs are cached and whose ladder steps
+    many statistics at once.  Q(df) is the scalar chi2_sf, checked above
+    against the incomplete gamma.
+    """
+    if lam == 0.0:
+        return chi2_sf(x, df)
+    q = lam / 2.0
+    log_q = math.log(q)
+    weights = []
+    total = 0.0
+    while total < 1.0 - 1e-12:
+        weights.append(math.exp(-q + len(weights) * log_q - math.lgamma(len(weights) + 1)))
+        total += weights[-1]
+    sf = chi2_sf(x, df)
+    h, a = x / 2.0, df / 2.0
+    log_h = math.log(h) if h > 0.0 else -math.inf
+    log_step = a * log_h - h - math.lgamma(a + 1.0)
+    acc = 0.0
+    for weight in weights:
+        acc += weight * sf
+        sf += math.exp(log_step)
+        a += 1.0
+        log_step += log_h - math.log(a)
+    return min(acc, 1.0)
 
 
 # --- determinants by cofactor expansion ----------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mutindep import distributions
-from mutindep.distributions import chi2_sf, chi2_sf_array, noncentral_chi2_sf
+from mutindep.distributions import (chi2_sf, chi2_sf_array, noncentral_chi2_sf,
+                                    noncentral_chi2_sf_array)
+from mutindep.mdi import noncentrality
 
 import oracles
 
@@ -55,8 +57,11 @@ def test_invalid_arguments():
     for x in (math.inf, math.nan):
         with pytest.raises(ValueError):
             chi2_sf(x, 4)
-    with pytest.raises(ValueError):
-        noncentral_chi2_sf(1.0, 3, -0.1)
+    for lam in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noncentrality must be finite and nonnegative"):
+            noncentral_chi2_sf(3.0, 3, lam)
+        with pytest.raises(ValueError, match="noncentrality must be finite and nonnegative"):
+            noncentral_chi2_sf_array([3.0, 1.0], 3, lam)
 
 
 def test_array_tails_are_chi2_sf_bit_for_bit():
@@ -84,6 +89,9 @@ def test_array_tails_refuse_what_chi2_sf_refuses():
         with pytest.raises(ValueError) as array:
             chi2_sf_array([[0.5, 2.0], [x, -1.0]], df)
         assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError) as noncentral:
+            noncentral_chi2_sf_array([[0.5, 2.0], [x, -1.0]], df, 0.3)
+        assert str(noncentral.value) == str(scalar.value)
 
 
 def test_noncentral_reduces_to_central_at_zero():
@@ -149,29 +157,6 @@ def test_cached_weights_give_the_loop_bit_for_bit():
         assert [noncentral_chi2_sf(*case) for case in cases] == first
 
 
-def _uncached_recurrence(x, df, lam):
-    """noncentral_chi2_sf's recurrence with every weight, lgamma and log
-    taken afresh in the loop."""
-    q = lam / 2.0
-    log_q = math.log(q)
-    weights = []
-    total = 0.0
-    while total < 1.0 - 1e-12:
-        weights.append(math.exp(-q + len(weights) * log_q - math.lgamma(len(weights) + 1)))
-        total += weights[-1]
-    sf = chi2_sf(x, df)
-    h, a = x / 2.0, df / 2.0
-    log_h = math.log(h) if h > 0.0 else -math.inf
-    log_step = a * log_h - h - math.lgamma(a + 1.0)
-    acc = 0.0
-    for weight in weights:
-        acc += weight * sf
-        sf += math.exp(log_step)
-        a += 1.0
-        log_step += log_h - math.log(a)
-    return min(acc, 1.0)
-
-
 def test_log_ladder_cache_gives_the_uncached_recurrence():
     # a short mixture first, then a long one at the same df: a ladder cached
     # for the first must not cut the second short
@@ -179,7 +164,7 @@ def test_log_ladder_cache_gives_the_uncached_recurrence():
     for df in (1, 6, 35):
         for lam in (0.01, 40.0, 0.01, 3.0):
             for x in (0.0, 0.7 * df, 3.0 * df):
-                assert noncentral_chi2_sf(x, df, lam) == _uncached_recurrence(x, df, lam)
+                assert noncentral_chi2_sf(x, df, lam) == oracles.noncentral_recurrence(x, df, lam)
 
 
 def test_noncentral_computes_one_central_tail(monkeypatch):
@@ -194,3 +179,41 @@ def test_noncentral_computes_one_central_tail(monkeypatch):
         calls.clear()
         noncentral_chi2_sf(7.5, 9, lam)
         assert calls == [9]
+
+
+def test_noncentral_array_is_the_recurrence_bit_for_bit():
+    # every members size of n <= 20 variables, at the noncentrality of the
+    # smallest, a small, the usual and a huge sample count; from 0 and
+    # subnormal statistics through ones around df + lambda to 1e300, where
+    # every step of the ladder underflows
+    rng = np.random.default_rng(20261022)
+    for n in range(2, 21):
+        for na in range(1, n):
+            df = na * (n - na)
+            for k in (n + 1, 50, 300, 10**6):
+                lam = noncentrality(na, n - na, k)
+                xs = np.concatenate([[0.0, 5e-324, 1e-300], (df + lam) * rng.uniform(0.0, 3.0, 6),
+                                     [1e3, 1e300]])
+                expected = [oracles.noncentral_recurrence(x, df, lam) for x in xs.tolist()]
+                got = noncentral_chi2_sf_array(xs, df, lam)
+                assert got.tobytes() == np.array(expected).tobytes(), (n, na, k)
+    # statistics whose halves numpy's log rounds otherwise than math's does
+    h = rng.uniform(0.0, 50.0, 200_000)
+    xs = 2.0 * h[np.log(h) != np.array([math.log(v) for v in h.tolist()])]
+    for df in (4, 9):
+        expected = [oracles.noncentral_recurrence(x, df, 0.7) for x in xs.tolist()]
+        assert noncentral_chi2_sf_array(xs, df, 0.7).tobytes() == np.array(expected).tobytes()
+
+
+def test_noncentral_array_keeps_the_shape_and_is_central_at_zero():
+    xs = np.array([[0.0, 5e-324, 2.5], [9.0, 40.0, 1e300]])
+    got = noncentral_chi2_sf_array(xs, 9, 0.7)
+    assert got.shape == (2, 3)
+    assert got.tobytes() == np.array(
+        [oracles.noncentral_recurrence(x, 9, 0.7) for x in xs.ravel().tolist()]).tobytes()
+    assert noncentral_chi2_sf_array(2.5, 9, 0.7).shape == ()
+    assert noncentral_chi2_sf_array(2.5, 9, 0.7) == noncentral_chi2_sf(2.5, 9, 0.7)
+    assert noncentral_chi2_sf_array([], 9, 0.7).shape == (0,)
+    assert noncentral_chi2_sf_array(np.empty((0, 4)), 9, 0.7).shape == (0, 4)
+    for df in (1, 4, 9, 36):
+        assert noncentral_chi2_sf_array(xs, df, 0.0).tobytes() == chi2_sf_array(xs, df).tobytes()

@@ -153,8 +153,8 @@ def test_batch_constants_match_per_test_calls():
 def test_p_values_of_stacked_rows_are_the_per_row_calls_bit_for_bit():
     # one analysis per row, each with its own sample count (one past any
     # machine integer), as one call and as one call per row; at n = 12 the
-    # 36 rows hold 73,692 statistics, so the central tails take two slices
-    # and the first slice ends inside a row
+    # 36 rows hold 73,692 statistics, so the tails take two slices and the
+    # first slice ends inside a row
     for n, ks in ((5, [10, 40, 40, 300, 10**9, 2**70]),
                   (12, [10, 40, 300, 10**9, 2**70, 41] * 6)):
         _check_stacked_p_values(n, ks, RngStream(20261021))
@@ -172,7 +172,7 @@ def _check_stacked_p_values(n, ks, rng):
             lams = [noncentrality(na, n - na, k) for na in sizes]
             assert got.tolist() == [
                 chi2_sf(stat, df_of(b)) if mode == "central"
-                else noncentral_chi2_sf(stat, df_of(b), lam)
+                else oracles.noncentral_recurrence(stat, df_of(b), lam)
                 for stat, b, lam in zip(row.tolist(), bips, lams)]
         stacked = p_values(stats, sizes, n, np.array(ks, dtype=object), mode)
         assert stacked.tobytes() == np.array(rows).tobytes()
