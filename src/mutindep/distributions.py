@@ -5,7 +5,6 @@ finite sum of positive terms (Abramowitz & Stegun 26.4.4-26.4.5): nothing
 cancels, and it matches the regularized incomplete gamma to about 1e-13.
 """
 
-import functools
 import itertools
 import math
 
@@ -114,8 +113,9 @@ def noncentral_chi2_sf_array(x, df, lam):
     Gamma(df/2+1) with h = x/2.  The ladder steps every statistic at once,
     each in the order of a loop over that statistic alone: +, * and - round
     in numpy as on Python floats, and log and exp are math's, mapped over
-    the elements, so no value depends on the others in the array.  At
-    lam == 0 this is chi2_sf exactly.  The statistics chi2_sf refuses are
+    the elements, so no value depends on the others in the array.  Where
+    lam/2 is 0 (lam = 0, or lam the least subnormal) the mixture is its
+    j = 0 term, chi2_sf exactly.  The statistics chi2_sf refuses are
     refused, the first of them named, and so is a negative or non-finite
     lam.
     """
@@ -127,19 +127,20 @@ def noncentral_chi2_sf_array(x, df, lam):
     # calls on a noncentral infer (ROADMAP item 1a)
     sf = np.fromiter(map(chi2_sf, x.ravel().tolist(), itertools.repeat(df)),
                      dtype=np.float64, count=h.size)
-    if lam == 0.0:
+    if lam / 2.0 == 0.0:
         return sf.reshape(x.shape)
-    weights = _poisson_weights(lam)
-    log_gamma, log_a = _log_ladder(df, len(weights))
     log_h = np.full(h.shape, -math.inf)
     positive = h > 0.0
     log_h[positive] = _each(math.log, h[positive])
-    log_step = df / 2.0 * log_h - h - log_gamma
+    # df/2 + j is exact in binary, so each log is that of the running
+    # df/2 + j of a loop over one statistic
+    a = df / 2.0
+    log_step = a * log_h - h - math.lgamma(a + 1.0)
     acc = np.zeros(h.shape)
-    for weight, log_next in zip(weights, log_a):
+    for j, weight in enumerate(_poisson_weights(lam), 1):
         acc += weight * sf
         sf += _each(math.exp, log_step)
-        log_step += log_h - log_next
+        log_step += log_h - math.log(a + j)
     return np.minimum(acc, 1.0).reshape(x.shape)
 
 
@@ -148,27 +149,9 @@ def noncentral_chi2_sf(x, df, lam):
     return float(noncentral_chi2_sf_array(x, df, lam))
 
 
-@functools.lru_cache(maxsize=256)
-def _log_ladder(df, terms):
-    """lgamma(df/2 + 1) and log(df/2 + j) for j = 1..terms.
-
-    They depend on df and the mixture length alone, which take a few values
-    per model (df on the block sizes, the length on lam), so they are
-    computed once per pair.  df/2 + j is exact in binary, so each log is the
-    one the mixture loop would take of its running df/2 + j.
-    """
-    a = df / 2.0
-    return math.lgamma(a + 1.0), tuple(math.log(a + j) for j in range(1, terms + 1))
-
-
-@functools.lru_cache(maxsize=64)
 def _poisson_weights(lam):
     """Poisson(lam/2) weights of the mixture terms j = 0, 1, ..., up to the
-    first at which the cumulative mass reaches 1 - 1e-12.
-
-    They depend on lam alone, and lam takes only a few values per model (it
-    depends on the block sizes and k), so they are computed once per value.
-    """
+    first at which the cumulative mass reaches 1 - 1e-12; lam/2 > 0."""
     q = lam / 2.0
     log_q = math.log(q)
     weights = []
@@ -180,4 +163,4 @@ def _poisson_weights(lam):
         weight = math.exp(-q + j * log_q - math.lgamma(j + 1))
         weights.append(weight)
         total += weight
-    return tuple(weights)
+    return weights

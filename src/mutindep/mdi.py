@@ -120,11 +120,6 @@ def mdi_statistics(model, bipartitions):
     return _clamped(raw, model.r, model.k)
 
 
-def _degrees_of_freedom(n):
-    """The df of a test of n variables, by the size na of its members block."""
-    return [na * (n - na) for na in range(n + 1)]
-
-
 def p_values(stats, member_sizes, n, k, mode):
     """The tail probability of each statistic of `stats` (..., tests), one
     analysis per row with sample count k (one for all rows or one per row),
@@ -133,46 +128,39 @@ def p_values(stats, member_sizes, n, k, mode):
     (central mode) or noncentral chi-squared with noncentrality(na, n-na, k)
     (noncentral mode).
 
-    The statistics are flattened and taken in slices of at most _TAIL_SLICE,
-    one array call per tail class in a slice: a class is one df (central
-    mode, chi2_sf_array) or one df and one k (noncentral mode,
-    noncentral_chi2_sf_array), so every tail is bit for bit the scalar
-    chi2_sf or noncentral_chi2_sf of its statistic, and the temporaries are
-    bounded whatever the number of rows.
+    A tail depends on its test through the smaller block size alone, and in
+    noncentral mode on the row's k, so a tail class is one smaller block
+    size (central) or one smaller block size and one k (noncentral).  The
+    statistics are flattened and taken in slices of at most _TAIL_SLICE,
+    one chi2_sf_array or noncentral_chi2_sf_array call per class in a
+    slice, so every tail is bit for bit the scalar chi2_sf or
+    noncentral_chi2_sf of its statistic, and the temporaries are bounded
+    whatever the number of rows.
     """
     check_mode(mode)
     stats = np.asarray(stats, dtype=np.float64)
-    # k as Python ints, as noncentrality takes them
-    ks = np.broadcast_to(k, stats.shape[:-1]).ravel().tolist()
-    dfs = _degrees_of_freedom(n)
-    test_dfs = np.array([dfs[na] for na in member_sizes], dtype=np.intp)
-    size_of = {dfs[na]: na for na in member_sizes}  # na and n-na share df and lambda
-    # the rows share one tail class per df in central mode, and those of
-    # one k share one per df in noncentral mode
-    if mode == "central":
-        groups, row_groups = [None], np.zeros(len(ks), dtype=np.intp)
-    else:
-        group_of = {k: g for g, k in enumerate(dict.fromkeys(ks))}
-        groups = list(group_of)
-        row_groups = np.array([group_of[k] for k in ks], dtype=np.intp)
-
-    def tails(x, df, k):
-        if k is None:
-            return chi2_sf_array(x, df)
-        na = size_of[df]
-        return noncentral_chi2_sf_array(x, df, noncentrality(na, n - na, k))
-
+    # every row shares its classes in central mode, and the rows of one k
+    # in noncentral mode; k as Python ints, as noncentrality takes them
+    ks = np.broadcast_to(k, stats.shape[:-1]).ravel()
+    ks, row_groups = np.unique(ks if mode == "noncentral" else np.zeros_like(ks),
+                               return_inverse=True)
+    ks = ks.tolist()
+    sizes = np.asarray(member_sizes, dtype=np.intp)
+    test_sizes = np.minimum(sizes, n - sizes)
     flat, out = stats.ravel(), np.empty(stats.size)
-    tests, width = stats.shape[-1], max(dfs) + 1
+    tests, width = stats.shape[-1], n // 2 + 1
     for start in range(0, flat.size, _TAIL_SLICE):
         at = slice(start, min(start + _TAIL_SLICE, flat.size))
         index = np.arange(at.start, at.stop)
         # the class of each statistic of the slice, by its test and its row
-        codes = row_groups[index // tests] * width + test_dfs[index % tests]
+        codes = row_groups[index // tests] * width + test_sizes[index % tests]
         for code in np.flatnonzero(np.bincount(codes)).tolist():
-            group, df = divmod(code, width)
+            group, na = divmod(code, width)
             pick = codes == code
-            out[at][pick] = tails(flat[at][pick], df, groups[group])
+            x, df = flat[at][pick], na * (n - na)
+            out[at][pick] = (
+                chi2_sf_array(x, df) if mode == "central" else
+                noncentral_chi2_sf_array(x, df, noncentrality(na, n - na, ks[group])))
     return out.reshape(stats.shape)
 
 
@@ -181,13 +169,12 @@ def test_bipartitions(model, bipartitions, mode="central"):
     `mode` is refused by p_values."""
     bipartitions = list(bipartitions)
     stats = mdi_statistics(model, bipartitions)
-    sizes = [b.members.bit_count() for b in bipartitions]
-    dfs = _degrees_of_freedom(model.n)
+    n, sizes = model.n, [b.members.bit_count() for b in bipartitions]
     values = stats.tolist()
     if mode == "central":
         # one scalar chi2_sf per test: perfbench/tests pin that call count (ROADMAP item 1)
-        pvalues = [chi2_sf(stat, dfs[na]) for stat, na in zip(values, sizes)]
+        pvalues = [chi2_sf(stat, na * (n - na)) for stat, na in zip(values, sizes)]
     else:
-        pvalues = p_values(stats, sizes, model.n, model.k, mode).tolist()
-    return [TestResult(b, stat, dfs[na], p)
+        pvalues = p_values(stats, sizes, n, model.k, mode).tolist()
+    return [TestResult(b, stat, na * (n - na), p)
             for b, stat, na, p in zip(bipartitions, values, sizes, pvalues)]

@@ -404,13 +404,7 @@ def _check_count_arg(n):
 def bell_number(n):
     """Number of partitions of an n-element set (exact)."""
     _check_count_arg(n)
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
+    return sum(_stirling2_exact(n, k) for k in range(n + 1))
 
 
 def stirling2(n, k):
@@ -423,8 +417,8 @@ def stirling2(n, k):
 
 @functools.lru_cache(maxsize=None)
 def _stirling2_exact(n, k):
-    # Unbounded helper (Python ints), also used by the uniform partition sampler;
-    # every caller, and the recursion, keeps k <= n.
+    # Unbounded helper (Python ints), also used by bell_number and the uniform
+    # partition sampler; every caller, and the recursion, keeps k <= n.
     if k == 0:
         return 1 if n == 0 else 0
     if k == n or k == 1:

@@ -58,7 +58,8 @@ _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 # survived).  That is 49 runs at the desk size of n = 6, 300 samples and 6
 # sizes, so a 30-run campaign is one chunk.  The tails are not counted:
 # they take at most mdi._TAIL_SLICE statistics at a time, one array call
-# per tail class, so their temporaries are bounded whatever the chunk:
+# per tail class (a smaller block size, and a k in noncentral mode), so
+# their temporaries are bounded whatever the chunk:
 # tracemalloc puts p_values at 140-190 bytes a statistic of a slice that
 # is one class (12 MB at most), of which the tail call itself takes 106
 # (central) or 81 (noncentral).  Nor are other temporaries: tracemalloc

@@ -68,7 +68,7 @@ def chi2_sf_oracle(x, df):
     return reg_gamma_upper(df / 2.0, x / 2.0)
 
 
-# --- the noncentral mixture recurrence, one statistic, nothing cached ------
+# --- the noncentral mixture recurrence, one statistic at a time -----------
 
 
 def noncentral_recurrence(x, df, lam):
@@ -76,13 +76,12 @@ def noncentral_recurrence(x, df, lam):
     a plain loop with every Poisson weight, lgamma and log taken afresh.
 
     Not an independent algorithm: it is the bit-for-bit reference of the
-    array form, whose weights and logs are cached and whose ladder steps
-    many statistics at once.  Q(df) is the scalar chi2_sf, checked above
-    against the incomplete gamma.
+    array form, whose ladder steps many statistics at once.  Q(df) is the
+    scalar chi2_sf, checked above against the incomplete gamma.
     """
-    if lam == 0.0:
-        return chi2_sf(x, df)
     q = lam / 2.0
+    if q == 0.0:  # Poisson(0) is all at j = 0
+        return chi2_sf(x, df)
     log_q = math.log(q)
     weights = []
     total = 0.0
@@ -100,6 +99,24 @@ def noncentral_recurrence(x, df, lam):
         a += 1.0
         log_step += log_h - math.log(a)
     return min(acc, 1.0)
+
+
+# --- the exact null law of a test with one variable on a side --------------
+
+
+def singleton_sf(stat, n, k):
+    """Exact null tail P(S > stat) of the statistic S of a test of n
+    variables with one on a side, from k samples.
+
+    With V = exp(-S/(k-1)), ((1-V)/(n-1)) / (V/(k-n)) is F(n-1, k-n)
+    (the likelihood-ratio criterion U with q = 1; Anderson 2003, sec. 8.4),
+    and (1-V)/V = expm1(S/(k-1)).  scipy is imported here alone, as only
+    the tests need it.
+    """
+    from scipy import stats
+
+    ratio = math.expm1(stat / (k - 1)) * (k - n) / (n - 1)
+    return float(stats.f.sf(ratio, n - 1, k - n))
 
 
 # --- determinants by cofactor expansion ----------------------------------

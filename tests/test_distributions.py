@@ -138,10 +138,10 @@ def _mixture_loop(x, df, lam):
     return min(acc, 1.0)
 
 
-def test_cached_weights_give_the_loop_bit_for_bit():
+def test_mixture_gives_the_loop_and_repeats_bit_for_bit():
     # the recurrence from one central tail sums in another order than the
     # loop over independently evaluated tails, so the two agree to 1e-12
-    # relative; a weight-cache hit must not move a single bit
+    # relative; a repeated call must not move a single bit
     rng = np.random.default_rng(20260844)
     lams = [1e-6, 0.03, 0.2, 1.0, 4.0, 30.0]
     cases = [
@@ -153,18 +153,28 @@ def test_cached_weights_give_the_loop_bit_for_bit():
     first = [noncentral_chi2_sf(*case) for case in cases]
     for case, value in zip(cases, first):
         assert value == pytest.approx(_mixture_loop(*case), rel=1e-12, abs=0.0)
-    for _ in range(2):  # the second and third pass hit the weight cache
+    for _ in range(2):  # the second and third pass give the first's bits
         assert [noncentral_chi2_sf(*case) for case in cases] == first
 
 
-def test_log_ladder_cache_gives_the_uncached_recurrence():
-    # a short mixture first, then a long one at the same df: a ladder cached
-    # for the first must not cut the second short
-    distributions._log_ladder.cache_clear()
+def test_short_then_long_mixture_gives_the_recurrence():
+    # a short mixture first, then a long one at the same df: the ladder
+    # taken for the first must not cut the second short
     for df in (1, 6, 35):
         for lam in (0.01, 40.0, 0.01, 3.0):
             for x in (0.0, 0.7 * df, 3.0 * df):
                 assert noncentral_chi2_sf(x, df, lam) == oracles.noncentral_recurrence(x, df, lam)
+
+
+def test_noncentral_is_central_where_half_lambda_underflows():
+    # lambda/2 of the least subnormal is 0, a Poisson law all at j = 0, so
+    # the mixture is its first term: no log of 0 is taken
+    for df in (1, 4, 35):
+        for x in (0.0, 3.0, 0.7 * df, 1e300):
+            assert noncentral_chi2_sf(x, df, 5e-324) == chi2_sf(x, df)
+        xs = np.array([[0.0, 3.0], [0.7 * df, 1e300]])
+        got = noncentral_chi2_sf_array(xs, df, 5e-324)
+        assert got.tobytes() == chi2_sf_array(xs, df).tobytes()
 
 
 def test_noncentral_computes_one_central_tail(monkeypatch):

@@ -366,6 +366,31 @@ def test_p_value_takes_the_noncentrality_only_in_noncentral_mode():
                                                  noncentrality(2, 1, 40))
 
 
+# the exact size at alpha = 0.05 of each mode's test with one variable on a
+# side, by (n, k): the asymptotic tails over-reject at small k
+SINGLETON_SIZES = {
+    "central": {(6, 10): 0.2707, (6, 20): 0.1108, (10, 20): 0.2382, (12, 30): 0.1850,
+                (6, 10**6): 0.0500},
+    "noncentral": {(6, 10): 0.1279, (6, 20): 0.0618, (10, 20): 0.1012, (12, 30): 0.0795,
+                   (6, 10**6): 0.0500},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_singleton_tests_have_their_exact_size(mode):
+    # bisect the statistic at which p_values crosses alpha = 0.05, then
+    # read the chance of exceeding it off the exact F law of the null
+    for (n, k), size in SINGLETON_SIZES[mode].items():
+        lo, hi = 0.0, 1e3
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if p_values(np.array([mid]), [1], n, k, mode)[0] > 0.05:
+                lo = mid
+            else:
+                hi = mid
+        assert oracles.singleton_sf(hi, n, k) == pytest.approx(size, abs=5e-4), (n, k)
+
+
 def test_data_pipeline_commutes_with_permutation():
     rng = RngStream(20260823)
     data = sample_mvn(sample_wishart_correlation(4, rng), 200, rng).values
