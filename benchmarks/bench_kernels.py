@@ -9,9 +9,10 @@ every dichotomy survives and the meet is the cost, `mdi.p_values` of one
 analysis in each mode (n = 12, 18), `meet_all` alone on
 surviving dichotomies (n = 6, 12, and all of them at n = 20, where the
 meet's temporaries are largest) and on many-block Partitions (n = 2000,
-5000), one desk campaign chunk (its drawing, its scoring and each step of
-the scoring: subset tables, statistics, clamp, p-values, correction,
-classification, AUC, the meets of exact recovery, negatives), the 300-run desk
+5000), one desk campaign chunk (its drawing and the draw's prefix
+correlations, its scoring and each step of the scoring: subset tables,
+statistics, clamp, p-values, correction, classification, AUC, the meet of
+exact recovery, negatives), the 300-run desk
 simulation in central and in noncentral mode (five times each, reported as
 the median with its quartiles), that central campaign's summary, the
 rewrite of its CSV and summary onto the same two paths, as a campaign
@@ -153,37 +154,17 @@ def bench_meet():
     return rows
 
 
-def bench_scoring(repeats=20):
-    """The scoring of one desk chunk (30 runs x 6 sizes = 180 analyses, from
-    their drawn correlations) through the campaign's own _score_chunk, and
-    the time spent in each step it calls, taken by wrapping the name it calls
-    the step by (in mutindep.simulation, in mutindep._kernels for the subset
-    tables and the statistic batch, or the correction's entry of
-    simulation.CORRECTIONS) while the chunk is scored `repeats` times."""
-    print()
-    print("one desk chunk, 30 runs x 6 sizes: drawing, scoring and each "
-          "scoring step (per chunk)")
-    config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
-    runs = range(len(config.block_counts) * config.runs_per_k)
-    drawn = simulation._draw_chunk(config, runs)
-    timings = {
-        "draw": _time(lambda: simulation._draw_chunk(config, runs)),
-        "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
-    }
-    module, kernels = vars(simulation), vars(_kernels)
-    steps = {"tables": (kernels, "_subset_logdets"),
-             "statistics": (kernels, "mdi_statistic_batch"),
-             "clamp": (module, "_clamped"), "p_values": (module, "p_values"),
-             "correction": (simulation.CORRECTIONS, config.correction),
-             "classify": (module, "classify_against_truth"), "auc": (module, "auc"),
-             "recovery": (module, "meet_labels"), "negatives": (module, "entailed_masks")}
+def _spent(steps, fn, repeats):
+    """The seconds per call of fn spent in each step of `steps`, {layer:
+    (namespace, name)}, taken by wrapping the name the step is called by
+    while fn runs `repeats` times."""
     spent = dict.fromkeys(steps, 0.0)
 
-    def timed(layer, fn):
+    def timed(layer, step):
         def wrapper(*args):
             start = time.perf_counter()
             try:
-                return fn(*args)
+                return step(*args)
             finally:
                 spent[layer] += time.perf_counter() - start
         return wrapper
@@ -193,11 +174,42 @@ def bench_scoring(repeats=20):
         for layer, (names, key) in steps.items():
             names[key] = timed(layer, originals[layer])
         for _ in range(repeats):
-            simulation._score_chunk(config, runs, *drawn)
+            fn()
     finally:
         for layer, (names, key) in steps.items():
             names[key] = originals[layer]
-    timings.update((layer, t / repeats) for layer, t in spent.items())
+    return {layer: t / repeats for layer, t in spent.items()}
+
+
+def bench_scoring(repeats=20):
+    """The drawing and the scoring of one desk chunk (30 runs x 6 sizes =
+    180 analyses) through the campaign's own _draw_chunk and _score_chunk,
+    and the time spent in the draw's prefix correlations and in each step
+    the scoring calls, taken by wrapping the name it calls the step by (in
+    mutindep.simulation, in mutindep._kernels for the subset tables and the
+    statistic batch, or the correction's entry of simulation.CORRECTIONS)
+    while the chunk is drawn, or scored, `repeats` times."""
+    print()
+    print("one desk chunk, 30 runs x 6 sizes: drawing, its correlations, scoring "
+          "and each scoring step (per chunk)")
+    config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
+    runs = range(len(config.block_counts) * config.runs_per_k)
+    drawn = simulation._draw_chunk(config, runs)
+    timings = {
+        "draw": _time(lambda: simulation._draw_chunk(config, runs)),
+        "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
+    }
+    module, kernels = vars(simulation), vars(_kernels)
+    timings.update(_spent({"correlations": (module, "_correlations")},
+                          lambda: simulation._draw_chunk(config, runs), repeats))
+    steps = {"tables": (kernels, "_subset_logdets"),
+             "statistics": (kernels, "mdi_statistic_batch"),
+             "clamp": (module, "_clamped"), "p_values": (module, "p_values"),
+             "correction": (simulation.CORRECTIONS, config.correction),
+             "classify": (module, "classify_against_truth"), "auc": (module, "auc"),
+             "recovery": (module, "meet_labels"), "negatives": (module, "entailed_masks")}
+    timings.update(_spent(steps, lambda: simulation._score_chunk(config, runs, *drawn),
+                          repeats))
     rows = []
     for layer, t in timings.items():
         print(f"  {layer:<16} {t * 1e3:>8.2f}ms")

@@ -127,10 +127,10 @@ def classify_against_truth(rejected, negative):
     `rejected` holds the correction's flag per test (an outcome's
     `rejected`), and `negative` flags, per test, the dichotomies entailed
     by the truth (the null hypothesis holds): `entailed_masks(
-    bipartition_masks(n), truth)`.  All other bipartitions are positives.  A
-    test is "detected positive" when it was rejected.  For `(rows, tests)`
-    flags, one analysis per row, each count is an int array with one entry
-    per row.
+    bipartition_masks(n), truth.least_elements)`.  All other bipartitions
+    are positives.  A test is "detected positive" when it was rejected.
+    For `(rows, tests)` flags, one analysis per row, each count is an int
+    array with one entry per row.
     """
     rejected = np.asarray(rejected, dtype=bool)
     negative = np.asarray(negative, dtype=bool)

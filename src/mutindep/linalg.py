@@ -114,25 +114,27 @@ def sample_correlation(data):
 
 
 def _correlations(x):
-    """The correlation matrix of each data set of a stack (..., k, n), and
-    which of its columns are constant (those make the matrix meaningless)."""
-    k, n = x.shape[-2:]
-    # a copy of the transposes, since numpy reduces a few long rows several
-    # times faster than a few columns
-    columns = np.swapaxes(x, -1, -2).copy()
-    top, bottom = columns.max(axis=-1), columns.min(axis=-1)
-    del columns
+    """The correlation matrix of each data set of a samples-first stack
+    (k, ..., n), and which of its columns are constant (those make the
+    matrix meaningless).  A 2-D data matrix (k, n) is a stack of one, and
+    the leading slice x[:size] of a stack is its data sets' first size
+    samples."""
+    k, n = x.shape[0], x.shape[-1]
+    # the reductions run over the leading axis, so each adds whole rows of
+    # the stack in sample order
+    top, bottom = x.max(axis=0), x.min(axis=0)
     # the mean of equal values can round away from them, so a constant
     # column is told by its range, not by its sum of squares
     constant = top == bottom
     # dividing a column by the power of two at its largest |value| is exact,
     # and keeps the squares below from overflowing or underflowing; the
     # centering and the scaling to unit variance work in place on that copy
-    z = np.ldexp(x, -np.frexp(np.maximum(top, -bottom))[1][..., None, :])
-    z -= z.mean(axis=-2, keepdims=True)
-    ss = np.einsum("...ij,...ij->...j", z, z)
+    z = np.ldexp(x, -np.frexp(np.maximum(top, -bottom))[1])
+    z -= z.mean(axis=0)
+    ss = np.einsum("i...j,i...j->...j", z, z)
     with np.errstate(divide="ignore", invalid="ignore"):  # constant columns
-        z /= np.sqrt(ss / (k - 1))[..., None, :]
+        z /= np.sqrt(ss / (k - 1))
+    z = np.moveaxis(z, 0, -2)
     r = (np.swapaxes(z, -1, -2) @ z) / (k - 1)
     r = np.clip((r + np.swapaxes(r, -1, -2)) / 2.0, -1.0, 1.0)
     r[..., range(n), range(n)] = 1.0

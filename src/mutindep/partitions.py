@@ -97,6 +97,13 @@ class Partition:
         return self._assignment
 
     @property
+    def least_elements(self):
+        """Tuple naming each element's block by its least element, 0-based:
+        the labels meet_labels gives and entailed_masks takes."""
+        least = {}
+        return tuple(least.setdefault(b, i) for i, b in enumerate(self._assignment))
+
+    @property
     def block_count(self):
         return max(self._assignment) + 1
 
@@ -333,16 +340,24 @@ def _entailed_members(mu):
     return np.sort(members[:-1])
 
 
-def entailed_masks(masks, mu):
-    """Boolean array: which members bitmasks are dichotomies entailed by mu,
-    the members masks of entailed_dichotomies(mu)."""
+def entailed_masks(masks, labels):
+    """Which members bitmasks are dichotomies entailed by the partitions
+    whose `(..., n)` labels name each element's block by its least element
+    (`Partition.least_elements`, or a stack of them), as `(..., tests)`
+    flags: for one partition, the members masks of its entailed_dichotomies.
+
+    A dichotomy is entailed when it splits no block: when each element lies
+    on the side of its block's least element.
+    """
     masks = np.asarray(masks, dtype=np.uint64)
-    members = _entailed_members(mu)
-    # a mask is entailed when it is the member at its sorted position
-    at = np.searchsorted(members, masks)
-    found = at < members.size
-    entailed = np.zeros(masks.shape, dtype=bool)
-    entailed[found] = members[at[found]] == masks[found]
+    labels = np.asarray(labels, dtype=np.intp)
+    entailed = np.ones(labels.shape[:-1] + masks.shape, dtype=bool)
+    # sides[e] is element e+1's bit of each mask; the elements are compared
+    # one at a time, so no temporary outgrows the flags or the sides
+    sides = np.stack([masks >> np.uint64(e) & np.uint64(1) == 1
+                      for e in range(labels.shape[-1])])
+    for e, side in enumerate(sides):
+        entailed &= sides[labels[..., e]] == side
     return entailed
 
 

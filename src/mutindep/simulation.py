@@ -145,10 +145,11 @@ def auc(pvalues, negative):
     a random negative one, ties counted one half.
 
     `negative` flags, per p-value, the dichotomies entailed by the truth:
-    `entailed_masks(bipartition_masks(n), truth)`.  The others are the
-    positives, whose dichotomic independence fails.  None when either side
-    is empty (e.g. a 1-block or all-singleton truth).  For `(rows, tests)`
-    arrays, one analysis per row, a list with one value per row.
+    `entailed_masks(bipartition_masks(n), truth.least_elements)`.  The
+    others are the positives, whose dichotomic independence fails.  None
+    when either side is empty (e.g. a 1-block or all-singleton truth).  For
+    `(rows, tests)` arrays, one analysis per row, a list with one value per
+    row.
     """
     p = np.asarray(pvalues, dtype=np.float64)
     negative = np.asarray(negative, dtype=bool)
@@ -226,15 +227,18 @@ def _draw_chunk(config, run_ids):
     """Each run's (truth, sigma), drawn from its own stream with the block
     count config.block_counts[run_id // config.runs_per_k]; the correlations
     of the runs' sample prefixes, (runs, sizes, n, n) with the subset sizes
-    in config order; and which of those prefixes have a constant column."""
+    in config order; and which of those prefixes have a constant column.
+
+    The samples are laid out samples-first, (max_samples, runs, n), so the
+    prefixes of every run at one size are the buffer's leading slice."""
     truths = []
-    data = np.empty((len(run_ids), config.max_samples, config.n))
+    data = np.empty((config.max_samples, len(run_ids), config.n))
     for i, run_id in enumerate(run_ids):
         rng = RngStream(config.master_seed, run_id)
         blocks = config.block_counts[run_id // config.runs_per_k]
         truths.append(generate_model(config.n, blocks, rng))
-        data[i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
-    r, constant = zip(*(_correlations(data[:, :size]) for size in config.subset_sizes))
+        data[:, i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
+    r, constant = zip(*(_correlations(data[:size]) for size in config.subset_sizes))
     return truths, np.stack(r, axis=1), np.stack(constant, axis=1).any(axis=-1)
 
 
@@ -248,7 +252,8 @@ def _score_chunk(config, run_ids, truths, r, constant):
     stops the campaign at the first analysis that meets it, and are scored
     together as (analyses, tests) arrays: their p-values, the correction of
     each row, its confusion counts, AUC and exact recovery: the meet of the
-    survivors equals the meet of the dichotomies the truth entails, the truth.
+    survivors has the labels of the truth.  The truths' labels, one
+    (runs, n) array, give every run's negatives in one call.
     """
     n, sizes = config.n, config.subset_sizes
     masks = bipartition_masks(n)
@@ -260,15 +265,15 @@ def _score_chunk(config, run_ids, truths, r, constant):
     run_at, size_at = np.nonzero(scored)
     stats = _clamped(stats[scored], r[scored], ks[size_at])
     p = p_values(stats, member_sizes, n, ks[size_at], config.mode)
-    negative = np.array([entailed_masks(masks, truth) for truth, _ in truths])[run_at]
+    labels = np.array([truth.least_elements for truth, _ in truths])
+    negative = entailed_masks(masks, labels)[run_at]
     rejected = CORRECTIONS[config.correction](p, config.alpha)
     counts = classify_against_truth(rejected, negative)
     tp, fn, tn, fp = (c.tolist() for c in (counts.tp, counts.fn, counts.tn, counts.fp))
     metrics = zip([_rate(hits, hits + misses) for hits, misses in zip(tp, fn)],
                   [_rate(hits, hits + misses) for hits, misses in zip(tn, fp)],
                   auc(p, negative),
-                  (meet_labels(masks, n, ~rejected)
-                   == meet_labels(masks, n, negative)).all(axis=-1).tolist())
+                  (meet_labels(masks, n, ~rejected) == labels[run_at]).all(axis=-1).tolist())
     rows = []
     for i, (run_id, (truth, sigma)) in enumerate(zip(run_ids, truths)):
         truth_text = format_partition(truth)
@@ -336,8 +341,7 @@ def open_output(path, **kwargs):
 def write_json(payload, path):
     """Write `payload` as key-sorted, indented JSON, the summary file format."""
     with open_output(path, encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class Campaign:

@@ -197,6 +197,18 @@ def is_refinement_blocks(blocks_p, blocks_q):
     return all(any(a <= b for b in blocks_q) for a in blocks_p)
 
 
+def entailed(partition, masks):
+    """Which members bitmasks are dichotomies the partition entails: those
+    that split none of its blocks, each block read as a bitmask."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.ones(masks.shape, dtype=bool)
+    for block in partition.blocks():
+        bits = np.uint64(sum(1 << (e - 1) for e in block))
+        inside = masks & bits
+        out &= (inside == 0) | (inside == bits)
+    return out
+
+
 # --- ROC area by explicit threshold sweep --------------------------------
 
 

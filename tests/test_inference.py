@@ -40,7 +40,7 @@ def survivors(bipartitions, rejected):
 
 
 def negatives(truth):
-    return entailed_masks(bipartition_masks(truth.n), truth)
+    return entailed_masks(bipartition_masks(truth.n), truth.least_elements)
 
 
 def test_worked_example_survivors():

@@ -14,7 +14,7 @@ from mutindep.linalg import (
 )
 from mutindep.mdi import mdi_statistics
 from mutindep.partitions import Bipartition
-from mutindep.randomness import RngStream, sample_wishart_correlation
+from mutindep.randomness import RngStream, sample_mvn, sample_wishart_correlation
 
 import oracles
 
@@ -129,32 +129,58 @@ def test_sample_correlation_constant_column_named():
 
 
 def test_stacked_correlations_are_the_single_matrix_ones_bit_for_bit():
+    # samples-first stacks (k, data sets, n), with a duplicated column in
+    # the last data set: each data set's matrix is its own model's, and up
+    # to n = 10 so is the subset table built with the stack
     rng = RngStream(20260809)
-    scales = (1.0, 3.7, 1e-3, 1e5, 2.0**990, 2.0**-990)
-    for n in range(3, 11):
-        for k in (n + 1, 50, 300):
-            mix = rng.generator.standard_normal((n, n))
-            stack = rng.generator.standard_normal((2 * len(scales), k, n)) @ mix
-            stack[: len(scales)] *= np.array(scales)[:, None, None]
-            # per-column scales, one of each per column in turn
-            stack[len(scales):] *= np.resize(scales, n)
-            r, constant = _correlations(stack)
-            assert not constant.any()
-            tables = _kernels._subset_logdets(r)
-            for x, matrix, table in zip(stack, r, tables):
-                single = sample_correlation(DataMatrix(x))
-                assert matrix.tobytes() == single.r.tobytes()
+    scales = (1.0, 3.7, 1e-3, 1e5, 2.0**990, 2.0**-990, 1e-300, 1e300)
+    cases = [(n, k) for n in range(3, 11) for k in (n + 1, 50, 300)]
+    for n, k in cases + [(14, 2000), (20, 21), (20, 2000)]:
+        mix = rng.generator.standard_normal((n, n))
+        stack = rng.generator.standard_normal((k, 2 * len(scales), n)) @ mix
+        stack[:, : len(scales)] *= np.array(scales)[:, None]
+        # per-column scales, one of each per column in turn
+        stack[:, len(scales):] *= np.resize(scales, n)
+        stack[:, -1, -1] = stack[:, -1, 0]
+        r, constant = _correlations(stack)
+        assert r.shape == (2 * len(scales), n, n) and not constant.any()
+        tables = _kernels._subset_logdets(r) if n <= 10 else [None] * len(r)
+        for i, (matrix, table) in enumerate(zip(r, tables)):
+            single = sample_correlation(DataMatrix(stack[:, i]))
+            assert matrix.tobytes() == single.r.tobytes()
+            if table is not None:
                 # the table built with the stack is the one a model builds
                 assert table.tobytes() == single.logdets.tobytes()
+        # a stack of one is the 2-D data matrix
+        one, _ = _correlations(stack[:, :1])
+        assert one[0].tobytes() == _correlations(stack[:, 0])[0].tobytes()
     # a constant column flags its own data set and column only
-    stack = rng.generator.standard_normal((4, 30, 3))
-    stack[2, :, 1] = 0.1
-    r, constant = _correlations(stack)
-    assert constant.tolist() == [[False] * 3] * 2 + [[False, True, False], [False] * 3]
-    for i in (0, 1, 3):
-        assert r[i].tobytes() == sample_correlation(stack[i]).r.tobytes()
-    with pytest.raises(DegenerateDataError, match=r"column\(s\) 2 are constant"):
-        sample_correlation(stack[2])
+    for n, k in ((3, 30), (20, 2000)):
+        stack = rng.generator.standard_normal((k, 4, n))
+        stack[:, 2, 1] = 0.1
+        r, constant = _correlations(stack)
+        assert constant.tolist() == [[False] * n] * 2 + [
+            [False, True] + [False] * (n - 2), [False] * n]
+        for i in (0, 1, 3):
+            assert r[i].tobytes() == sample_correlation(stack[:, i]).r.tobytes()
+        assert r[2].tobytes() == _correlations(stack[:, 2])[0].tobytes()
+        with pytest.raises(DegenerateDataError, match=r"column\(s\) 2 are constant"):
+            sample_correlation(stack[:, 2])
+
+
+def test_a_buffers_leading_slices_are_its_data_sets_prefix_correlations():
+    # one samples-first buffer, filled a data set at a time as a campaign
+    # chunk is: the leading slice of each size correlates each data set's
+    # first size samples
+    rng = RngStream(20261021)
+    data = np.empty((300, 5, 6))
+    for i in range(data.shape[1]):
+        data[:, i] = sample_mvn(sample_wishart_correlation(6, rng), 300, rng).values
+    for size in (7, 50, 123, 300):
+        r, constant = _correlations(data[:size])
+        assert not constant.any()
+        for i, matrix in enumerate(r):
+            assert matrix.tobytes() == sample_correlation(data[:size, i]).r.tobytes()
 
 
 def test_a_model_keeps_its_subset_table():

@@ -241,7 +241,7 @@ def test_meet_labels_of_all_twenty_variable_dichotomies_match_the_oracle():
     kept = []
     for blocks in (1, 3, 6):
         truth = random_partition_with_k_blocks(n, blocks, RngStream(20261020, blocks))
-        entailed = entailed_masks(masks, truth)
+        entailed = entailed_masks(masks, truth.least_elements)
         added = np.zeros(masks.size, dtype=bool)
         added[rng.integers(masks.size, size=3)] = True
         kept += [entailed, entailed & (rng.random(masks.size) < 0.5), entailed | added]
@@ -427,18 +427,45 @@ def test_dichotomy_reconstruction_exhaustive():
 
 def test_entailed_masks_match_entailed_dichotomies():
     # both against the set-algebra rule: a dichotomy is entailed when mu
-    # refines it
-    for n in range(2, 7):
+    # refines it; every partition of n at once, as a stack of labels, and
+    # each alone
+    for n in range(2, 8):
         masks = bipartition_masks(n)
         bipartitions = enumerate_bipartitions(n)
         assert masks.tolist() == [b.members for b in bipartitions]
-        for mu in enumerate_partitions(n):
+        partitions = enumerate_partitions(n)
+        labels = [mu.least_elements for mu in partitions]
+        stacked = entailed_masks(masks, labels)
+        assert stacked.shape == (len(partitions), masks.size)
+        for mu, row in zip(partitions, stacked.tolist()):
             blocks = oracles.as_block_sets(mu)
             expected = [oracles.is_refinement_blocks(blocks, oracles.as_block_sets(b))
                         for b in bipartitions]
-            assert entailed_masks(masks, mu).tolist() == expected
+            assert row == expected
+            assert entailed_masks(masks, mu.least_elements).tolist() == expected
+            assert oracles.entailed(mu, masks).tolist() == expected
             assert entailed_dichotomies(mu) == [
                 b for b, entailed in zip(bipartitions, expected) if entailed]
+        # the meet of a partition's entailed dichotomies is the partition,
+        # named by least elements (with none entailed, the one block)
+        assert meet_labels(masks, n, stacked).tolist() == [list(row) for row in labels]
+
+
+def test_entailed_masks_of_twenty_variables_match_the_oracle():
+    # random partitions of 20 variables and the two extremes, over all
+    # 524,287 dichotomies in one stacked call
+    n = 20
+    rng = np.random.default_rng(20261021)
+    masks = bipartition_masks(n)
+    partitions = [random_partition(rng, n) for _ in range(3)] + [
+        random_partition_with_k_blocks(n, 4, RngStream(20261021)),
+        Partition.one_block(n), Partition.singletons(n)]
+    labels = [mu.least_elements for mu in partitions]
+    stacked = entailed_masks(masks, labels)
+    for mu, row in zip(partitions, stacked):
+        assert (row == oracles.entailed(mu, masks)).all()
+        assert np.count_nonzero(row) == 2 ** (mu.block_count - 1) - 1
+    assert meet_labels(masks, n, stacked).tolist() == [list(row) for row in labels]
 
 
 # --- coarsenings -------------------------------------------------------------

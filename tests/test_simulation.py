@@ -48,7 +48,7 @@ import oracles
 
 
 def negatives(truth):
-    return entailed_masks(bipartition_masks(truth.n), truth)
+    return entailed_masks(bipartition_masks(truth.n), truth.least_elements)
 
 
 # --- model generation -------------------------------------------------------
@@ -152,7 +152,7 @@ def test_exact_recovery_equals_the_meet_of_the_survivors(n):
     # two added, the negatives of another pattern with as many blocks, and
     # a random set; meet_labels gives the brute-force meet of each, named
     # by least elements, and exact recovery (the survivors' meet has the
-    # labels of the meet of the truth's negatives) is the meet being the truth
+    # truth's least-element labels) is the meet being the truth
     rng = np.random.default_rng(20261020 + n)
     masks = bipartition_masks(n)
     everything = frozenset(range(1, n + 1))
@@ -162,18 +162,21 @@ def test_exact_recovery_equals_the_meet_of_the_survivors(n):
     for k in range(1, n + 1):
         stream = RngStream(20261020, 100 * n + k)
         truth, other = (random_partition_with_k_blocks(n, k, stream) for _ in range(2))
-        entailed = entailed_masks(masks, truth)
+        entailed = entailed_masks(masks, truth.least_elements)
         for keep in (np.zeros(masks.size, dtype=bool), np.ones(masks.size, dtype=bool),
                      entailed, entailed & (rng.random(masks.size) < 0.5),
                      entailed | (rng.random(masks.size) < 2 / masks.size),
-                     entailed_masks(masks, other), rng.random(masks.size) < 0.3):
+                     entailed_masks(masks, other.least_elements), rng.random(masks.size) < 0.3):
             survived.append(keep)
             negative.append(entailed)
             truths.append(truth)
     survived, negative = np.array(survived), np.array(negative)
     labels = meet_labels(masks, n, survived)
     assert labels.shape == (len(truths), n)
-    recovered = (labels == meet_labels(masks, n, negative)).all(axis=-1)
+    truth_labels = np.array([truth.least_elements for truth in truths])
+    # the meet of the truth's negatives is the truth, one block included
+    assert (meet_labels(masks, n, negative) == truth_labels).all()
+    recovered = (labels == truth_labels).all(axis=-1)
     for keep, row, truth, exact in zip(survived, labels.tolist(), truths, recovered.tolist()):
         expected = frozenset([everything])
         for members in (m for m, flag in zip(sides, keep) if flag):
@@ -538,17 +541,20 @@ def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypat
 
 
 def test_campaign_finds_each_runs_negatives_once(monkeypatch):
+    # one call for the chunk (its 12 runs fit one), with one row of
+    # least-element labels per run
     calls = []
     original = mutindep.simulation.entailed_masks
 
-    def counted(masks, truth):
-        calls.append(truth)
-        return original(masks, truth)
+    def counted(masks, labels):
+        calls.append(np.asarray(labels).tolist())
+        return original(masks, labels)
 
     monkeypatch.setattr(mutindep.simulation, "entailed_masks", counted)
     campaign = run_campaign(small_config())
     assert campaign.run_count() == 12 and len(campaign.rows) == 24
-    assert [str(truth) for truth in calls] == [row.truth for row in campaign.rows[::2]]
+    assert calls == [[list(parse_partition(row.truth).least_elements)
+                      for row in campaign.rows[::2]]]
 
 
 def test_summary_structure(tmp_path):
