@@ -252,7 +252,7 @@ def cmd_simulate(args):
         with _file_errors("write", args.summary):
             write_json(summary, args.summary)
     _print_campaign_table(campaign.config, summary)
-    failed = campaign.failure_count()
+    failed = summary["failed_analyses"]
     total = len(campaign.rows)
     if failed:
         print(f"analyses failed: {failed} of {total} (flagged in the CSV)")

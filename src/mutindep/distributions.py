@@ -23,10 +23,14 @@ _LOG_RESCALE = math.log(_RESCALE)
 
 
 def _check_args(x, df):
-    if int(df) != df or df < 1:
+    """df as an int, once it and the statistic x pass the checks: an
+    integral float df (4.0) gives the tail of its int (4), bit for bit."""
+    whole = int(df)
+    if whole != df or whole < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df}")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"the statistic must be finite and nonnegative, got {x}")
+    return whole
 
 
 def chi2_sf(x, df):
@@ -36,7 +40,7 @@ def chi2_sf(x, df):
     erfc(sqrt(h)) + e^-h * sum_{i < (df-1)/2} h^(i+1/2) / Gamma(i+3/2) for
     odd df.  The result is clamped at 1.
     """
-    _check_args(x, df)
+    df = _check_args(x, df)
     h = x / 2.0
     if df % 2:
         tail, term, a = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
@@ -62,12 +66,11 @@ def _each(fn, values):
 
 
 def _statistics(x, df):
-    """x as a float64 array, once df and every statistic pass chi2_sf's
-    checks; the first statistic refused is named."""
+    """x as a float64 array and df as an int, once df and every statistic
+    pass chi2_sf's checks; the first statistic refused is named."""
     x = np.asarray(x, dtype=np.float64)
     refused = x[~((x >= 0.0) & (x < math.inf))]
-    _check_args(refused[0] if refused.size else 0.0, df)
-    return x
+    return x, _check_args(refused[0] if refused.size else 0.0, df)
 
 
 def chi2_sf_array(x, df):
@@ -80,7 +83,7 @@ def chi2_sf_array(x, df):
     are not correctly rounded and differ from math's on some inputs).  The
     statistics chi2_sf refuses are refused, the first of them named.
     """
-    x = _statistics(x, df)
+    x, df = _statistics(x, df)
     h = x.ravel() / 2.0
     if df % 2:
         tail, term, a = _each(math.erfc, np.sqrt(h)), 2.0 * np.sqrt(h / math.pi), 1.5
@@ -119,7 +122,7 @@ def noncentral_chi2_sf_array(x, df, lam):
     refused, the first of them named, and so is a negative or non-finite
     lam.
     """
-    x = _statistics(x, df)
+    x, df = _statistics(x, df)
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"the noncentrality must be finite and nonnegative, got {lam}")
     h = x.ravel() / 2.0

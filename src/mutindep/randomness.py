@@ -87,32 +87,21 @@ def random_partition_with_k_blocks(n, blocks, rng):
     Walks elements n..2, deciding singleton-vs-join with probabilities given
     by the Stirling recurrence S(i, b) = S(i-1, b-1) + b * S(i-1, b); every
     partition with the requested block count then has equal probability.
+    Each decision sets the element's restricted-growth label: with b blocks
+    among 1..i, a new block at i ranks after the b - 1 blocks below it, and
+    a join picks one of the b blocks below, by least element.
     """
     if not 1 <= blocks <= n:
         raise ValueError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     g = rng.generator
-    # choices[t] for element n-t: -1 = open a new block, u >= 0 = join the
-    # u-th block (by least element) of the partition of the elements below.
-    choices = []
-    i, b = n, blocks
-    while i > 1:
-        if b == i:
-            choices.append(-1)
+    labels = [0] * n
+    b = blocks
+    for i in range(n, 1, -1):
+        if b == 1:
+            break  # the elements below all join block 0, with no draw
+        if b == i or g.random() < _stirling2_exact(i - 1, b - 1) / _stirling2_exact(i, b):
             b -= 1
-        elif b == 1:
-            choices.append(0)
+            labels[i - 1] = b
         else:
-            p_new = _stirling2_exact(i - 1, b - 1) / _stirling2_exact(i, b)
-            if g.random() < p_new:
-                choices.append(-1)
-                b -= 1
-            else:
-                choices.append(int(g.integers(b)))
-        i -= 1
-    out_blocks = [[1]]
-    for element, choice in zip(range(2, n + 1), reversed(choices)):
-        if choice < 0:
-            out_blocks.append([element])
-        else:
-            out_blocks[choice].append(element)
-    return Partition.from_blocks(out_blocks, n)
+            labels[i - 1] = int(g.integers(b))
+    return Partition(labels)

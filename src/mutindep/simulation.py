@@ -7,10 +7,12 @@ of the dataset so that larger sample sizes refine the same experiment.
 """
 
 import csv
+import itertools
 import json
+import operator
 import os
 import stat
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,6 +79,13 @@ MAX_RUN_VALUES = 1 << 24
 MAX_CAMPAIGN_ROWS = 1 << 21
 
 
+def _integer(field, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Campaign parameters; defaults mirror the full reference study."""
@@ -92,8 +101,13 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "block_counts", tuple(self.block_counts))
-        object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
+        # the counts and the seed are stored as Python ints; a float or any
+        # other non-integer is refused here, not later inside range or JSON
+        for name in ("n", "runs_per_k", "max_samples", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("block_counts", "subset_sizes"):
+            object.__setattr__(self, name,
+                               tuple(_integer(name, value) for value in getattr(self, name)))
         check_size(self.n)
         if not self.block_counts:
             raise ValueError("need at least one block count")
@@ -129,12 +143,11 @@ class SimulationConfig:
 def generate_model(n, blocks, rng):
     """Random ground truth: a uniform partition with the given block count
     and a block-diagonal correlation matrix (identity across blocks, a
-    rescaled Wishart draw inside each block of size >= 2)."""
+    rescaled Wishart draw inside each block: [[1]], drawing nothing, for a
+    block of one)."""
     truth = random_partition_with_k_blocks(n, blocks, rng)
     sigma = np.eye(n)
     for block in truth.blocks():
-        if len(block) == 1:
-            continue
         idx = np.array(block) - 1
         sigma[np.ix_(idx, idx)] = sample_wishart_correlation(len(block), rng)
     return truth, sigma
@@ -179,18 +192,25 @@ def auc(pvalues, negative):
     return values if stacked else values[0]
 
 
-def _rate(hits, total):
-    return hits / total if total else None
+def _rate(hits, misses):
+    # hits / (hits + misses), None without a case; a list for count arrays
+    values = [h / (h + m) if h + m else None
+              for h, m in zip(np.ravel(hits).tolist(), np.ravel(misses).tolist())]
+    return values if np.ndim(hits) else values[0]
 
 
 def sensitivity(confusion):
-    """TP / (TP + FN); None when the truth has no positive case."""
-    return _rate(confusion.tp, confusion.tp + confusion.fn)
+    """TP / (TP + FN); None when the truth has no positive case.  For the
+    `(rows, tests)` counts of classify_against_truth, a list with one value
+    per row."""
+    return _rate(confusion.tp, confusion.fn)
 
 
 def specificity(confusion):
-    """TN / (TN + FP); None when the truth has no negative case."""
-    return _rate(confusion.tn, confusion.tn + confusion.fp)
+    """TN / (TN + FP); None when the truth has no negative case.  For the
+    `(rows, tests)` counts of classify_against_truth, a list with one value
+    per row."""
+    return _rate(confusion.tn, confusion.fp)
 
 
 def correct_ratio(flags):
@@ -207,11 +227,8 @@ def within_block_correlation(truth, matrix):
     matrix = np.asarray(matrix)
     if matrix.shape[0] != truth.n:
         raise ValueError("matrix dimension does not match the partition")
-    values = []
-    for block in truth.blocks():
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                values.append(abs(matrix[block[i] - 1, block[j] - 1]))
+    values = [abs(matrix[i - 1, j - 1])
+              for block in truth.blocks() for i, j in itertools.combinations(block, 2)]
     if not values:
         return None
     return float(np.mean(values))
@@ -269,10 +286,7 @@ def _score_chunk(config, run_ids, truths, r, constant):
     negative = entailed_masks(masks, labels)[run_at]
     rejected = CORRECTIONS[config.correction](p, config.alpha)
     counts = classify_against_truth(rejected, negative)
-    tp, fn, tn, fp = (c.tolist() for c in (counts.tp, counts.fn, counts.tn, counts.fp))
-    metrics = zip([_rate(hits, hits + misses) for hits, misses in zip(tp, fn)],
-                  [_rate(hits, hits + misses) for hits, misses in zip(tn, fp)],
-                  auc(p, negative),
+    metrics = zip(sensitivity(counts), specificity(counts), auc(p, negative),
                   (meet_labels(masks, n, ~rejected) == labels[run_at]).all(axis=-1).tolist())
     rows = []
     for i, (run_id, (truth, sigma)) in enumerate(zip(run_ids, truths)):
@@ -301,16 +315,6 @@ def run_campaign(config):
     rows = [row for start in range(0, len(run_ids), step)
             for row in _execute_chunk(config, run_ids[start:start + step])]
     return Campaign(config, tuple(rows))
-
-
-def _fmt_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def open_output(path, **kwargs):
@@ -351,25 +355,25 @@ class Campaign:
         self.config = config
         self.rows = rows
 
-    def failure_count(self):
-        return sum(1 for row in self.rows if row.failed)
-
-    def run_count(self):
-        return len({row.run_id for row in self.rows})
-
     def write_csv(self, path):
         with open_output(path, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([_fmt_cell(v) for v in row])
+            # the csv module writes None as an empty cell and a float as its
+            # repr; the flags are written 1/0
+            writer.writerows((*row[:7], None if row.correct is None else int(row.correct),
+                              row.mean_abs_within_block_corr, int(row.failed))
+                             for row in self.rows)
 
     def summary(self):
         """Aggregate medians/quartiles per (block count, subset size), the
         exact-recovery ratio, failure counts, and AUC binned by within-block
-        correlation deciles."""
-        by_cell = {}
+        correlation deciles, pooled over subset sizes, one table per block
+        count that admits an AUC; all from one pass over the rows."""
+        by_cell, run_ids = {}, set()
+        auc_bins = defaultdict(lambda: [[] for _ in range(10)])
         for row in self.rows:
+            run_ids.add(row.run_id)
             cell = by_cell.setdefault(
                 (row.blocks, row.size),
                 {"auc": [], "sensitivity": [], "specificity": [], "correct": [],
@@ -384,6 +388,19 @@ class Campaign:
                 if value is not None:
                     cell[metric].append(value)
             cell["correct"].append(row.correct)
+            rho = row.mean_abs_within_block_corr
+            if rho is not None and row.auc is not None:
+                auc_bins[str(row.blocks)][min(int(rho * 10), 9)].append(row.auc)
+
+        auc_tables = {}
+        for blocks, bins in sorted(auc_bins.items()):
+            auc_tables[blocks] = [
+                {"lo": _DECILE_EDGES[i], "hi": _DECILE_EDGES[i + 1], "count": len(values),
+                 "mean_auc": float(np.mean(values)) if values else None}
+                for i, values in enumerate(bins)
+            ]
+        total_runs = len(run_ids)
+        del auc_bins, run_ids  # freed before the quartile arrays are made
 
         quartiles = self._quartiles(by_cell)
         by_block = {}
@@ -399,10 +416,10 @@ class Campaign:
 
         return {
             "config": asdict(self.config),
-            "total_runs": self.run_count(),
-            "failed_analyses": self.failure_count(),
+            "total_runs": total_runs,
+            "failed_analyses": sum(cell["failed"] for cell in by_cell.values()),
             "by_block_count": by_block,
-            "auc_by_within_block_correlation": self._correlation_auc_bins(),
+            "auc_by_within_block_correlation": auc_tables,
         }
 
     @staticmethod
@@ -421,30 +438,6 @@ class Campaign:
             for (key, _), (q25, med, q75) in zip(lists, q.T.tolist()):
                 out[key] = {"q25": q25, "median": med, "q75": q75, "count": length}
         return out
-
-    def _correlation_auc_bins(self):
-        # Deciles of mean |rho| within blocks vs AUC, pooled over subset
-        # sizes, one table per block count that admits an AUC.
-        out = {}
-        for row in self.rows:
-            rho = row.mean_abs_within_block_corr
-            if rho is None or row.failed or row.auc is None:
-                continue
-            bin_idx = min(int(rho * 10), 9)
-            key = out.setdefault(str(row.blocks), [[] for _ in range(10)])
-            key[bin_idx].append(row.auc)
-        tables = {}
-        for blocks, bins in sorted(out.items()):
-            tables[blocks] = [
-                {
-                    "lo": _DECILE_EDGES[i],
-                    "hi": _DECILE_EDGES[i + 1],
-                    "count": len(vals),
-                    "mean_auc": float(np.mean(vals)) if vals else None,
-                }
-                for i, vals in enumerate(bins)
-            ]
-        return tables
 
     def write_summary(self, path):
         write_json(self.summary(), path)

@@ -101,7 +101,7 @@ def noncentral_recurrence(x, df, lam):
     return min(acc, 1.0)
 
 
-# --- the exact null law of a test with one variable on a side --------------
+# --- the exact null law of a test with one or two variables on a side -----
 
 
 def singleton_sf(stat, n, k):
@@ -117,6 +117,20 @@ def singleton_sf(stat, n, k):
 
     ratio = math.expm1(stat / (k - 1)) * (k - n) / (n - 1)
     return float(stats.f.sf(ratio, n - 1, k - n))
+
+
+def pair_sf(stat, n, k):
+    """Exact null tail P(S > stat) of the statistic S of a test of n
+    variables with two on a side, from k samples.
+
+    With V = exp(-S/(k-1)), ((1-sqrt V)/(2(n-2))) / (sqrt V/(2(k-n))) is
+    F(2(n-2), 2(k-n)) (the criterion U with q = 2; Anderson 2003, sec.
+    8.4), and (1-sqrt V)/sqrt V = expm1(S/(2(k-1))).
+    """
+    from scipy import stats
+
+    ratio = math.expm1(stat / (2 * (k - 1))) * (k - n) / (n - 2)
+    return float(stats.f.sf(ratio, 2 * (n - 2), 2 * (k - n)))
 
 
 # --- determinants by cofactor expansion ----------------------------------

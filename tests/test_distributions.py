@@ -94,6 +94,19 @@ def test_array_tails_refuse_what_chi2_sf_refuses():
         assert str(noncentral.value) == str(scalar.value)
 
 
+def test_integral_float_df_is_its_int():
+    # the checks accept df = 4.0; every tail then equals its df = 4 value,
+    # odd and even df alike, with and without a noncentrality
+    xs = [0.0, 0.7, 3.0, 40.0]
+    for df in (1, 4, 7, 30):
+        for x in xs:
+            assert chi2_sf(x, float(df)) == chi2_sf(x, df)
+            assert noncentral_chi2_sf(x, float(df), 0.5) == noncentral_chi2_sf(x, df, 0.5)
+        assert chi2_sf_array(xs, float(df)).tobytes() == chi2_sf_array(xs, df).tobytes()
+        assert (noncentral_chi2_sf_array(xs, np.float64(df), 2.0).tobytes()
+                == noncentral_chi2_sf_array(xs, df, 2.0).tobytes())
+
+
 def test_noncentral_reduces_to_central_at_zero():
     for df in (1, 3, 9, 40):
         for x in (0.0, 0.3, 2.0, 17.5, 80.0):

@@ -392,6 +392,28 @@ def test_singleton_tests_have_their_exact_size(mode):
         assert oracles.singleton_sf(hi, n, k) == pytest.approx(size, abs=5e-4), (n, k)
 
 
+# the same for the test with two variables on a side
+PAIR_SIZES = {
+    "central": {(6, 10): 0.3345, (6, 20): 0.1273, (10, 20): 0.3162, (12, 30): 0.2446,
+                (6, 10**6): 0.0500},
+    "noncentral": {(6, 10): 0.1400, (6, 20): 0.0635, (10, 20): 0.1134, (12, 30): 0.0867,
+                   (6, 10**6): 0.0500},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_tests_have_their_exact_size(mode):
+    for (n, k), size in PAIR_SIZES[mode].items():
+        lo, hi = 0.0, 1e3
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if p_values(np.array([mid]), [2], n, k, mode)[0] > 0.05:
+                lo = mid
+            else:
+                hi = mid
+        assert oracles.pair_sf(hi, n, k) == pytest.approx(size, abs=5e-4), (n, k)
+
+
 def test_data_pipeline_commutes_with_permutation():
     rng = RngStream(20260823)
     data = sample_mvn(sample_wishart_correlation(4, rng), 200, rng).values

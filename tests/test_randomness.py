@@ -36,7 +36,11 @@ def test_stream_key_validation():
 
 
 def test_wishart_correlation_scalar():
-    assert sample_wishart_correlation(1, RngStream(3)).tolist() == [[1.0]]
+    # a block of one draws nothing: generate_model calls this for every
+    # singleton block, so a draw here would move every later campaign draw
+    rng = RngStream(3)
+    assert sample_wishart_correlation(1, rng).tolist() == [[1.0]]
+    assert rng.generator.random(4).tolist() == RngStream(3).generator.random(4).tolist()
 
 
 def test_wishart_correlation_invariants():

@@ -202,6 +202,13 @@ def test_sensitivity_specificity_undefined_flags():
     c = ConfusionCounts(tp=3, fn=1, tn=5, fp=0)
     assert sensitivity(c) == 0.75
     assert specificity(c) == 1.0
+    # the (rows, tests) counts of classify_against_truth give one value a row
+    stacked = classify_against_truth([[True, False, True], [False, False, False]],
+                                     [[False, False, True], [True, True, True]])
+    assert sensitivity(stacked) == [0.5, None]
+    assert specificity(stacked) == [0.0, 1.0]
+    empty = classify_against_truth(np.zeros((0, 3), bool), np.zeros((0, 3), bool))
+    assert sensitivity(empty) == specificity(empty) == []
 
 
 def test_correct_ratio():
@@ -279,10 +286,42 @@ def test_config_validation():
                          subset_sizes=(50, 100))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("runs_per_k", 2.5), ("n", 6.0), ("max_samples", 60.0), ("master_seed", 1.5),
+    ("subset_sizes", (30.5, 60)), ("block_counts", (1, 2.0))],
+    ids=["runs_per_k", "n", "max_samples", "master_seed", "subset_sizes", "block_counts"])
+def test_config_refuses_non_integer_counts(field, value):
+    # refused up front with the field named, not inside range or a slice
+    # mid-campaign, nor (master_seed) stored as 1.5 while the stream runs 1
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+        small_config(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_ints(tmp_path):
+    # numpy integers are taken as the Python ints they stand for, so the
+    # summary's config is JSON and both files equal those of plain ints
+    config = small_config(block_counts=(np.int64(1), 3), runs_per_k=np.int64(2),
+                          subset_sizes=(np.int64(30), 60), master_seed=np.uint64(3),
+                          n=np.int32(6), max_samples=np.int64(120))
+    plain = small_config(block_counts=(1, 3), runs_per_k=2, subset_sizes=(30, 60),
+                         master_seed=3)
+    assert config == plain
+    for value in (config.n, config.runs_per_k, config.max_samples, config.master_seed,
+                  *config.block_counts, *config.subset_sizes):
+        assert type(value) is int
+    for name, c in (("numpy", config), ("plain", plain)):
+        campaign = run_campaign(c)
+        campaign.write_csv(tmp_path / f"{name}.csv")
+        campaign.write_summary(tmp_path / f"{name}.json")
+    for suffix in ("csv", "json"):
+        assert (tmp_path / f"numpy.{suffix}").read_bytes() == \
+            (tmp_path / f"plain.{suffix}").read_bytes()
+
+
 def test_campaign_shape_and_determinism(tmp_path):
     config = small_config()
     campaign = run_campaign(config)
-    assert campaign.run_count() == 12
+    assert campaign.summary()["total_runs"] == 12
     assert len(campaign.rows) == 24
     # one row per (run, size), runs in order, sizes in config order
     assert [(row.run_id, row.size) for row in campaign.rows] == [
@@ -388,7 +427,7 @@ def test_campaign_builds_no_test_results(monkeypatch):
     built.clear()
     met.clear()
     campaign = run_campaign(small_config())
-    assert len(campaign.rows) == 24 and campaign.failure_count() == 0
+    assert len(campaign.rows) == 24 and campaign.summary()["failed_analyses"] == 0
     assert built == [] and met == []
 
 
@@ -418,7 +457,7 @@ def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
     with pytest.raises(NotPositiveDefiniteError):
         infer_from_model(sample_correlation(drawn[2][:30]))
     assert [row.failed for row in campaign.rows] == [False, False, True, False, True, False]
-    assert campaign.failure_count() == 2
+    assert campaign.summary()["failed_analyses"] == 2
     # a failure flags its own row only
     assert campaign.rows[:2] == clean.rows[:2]
     for row, data in ((campaign.rows[3], drawn[1]), (campaign.rows[5], drawn[2])):
@@ -447,7 +486,7 @@ def test_a_chunk_whose_analyses_all_fail_has_only_failed_rows(monkeypatch):
 
         monkeypatch.setattr(mutindep.simulation, "sample_mvn", constant_column)
         campaign = run_campaign(small_config())
-        assert len(campaign.rows) == 24 and campaign.failure_count() == 24
+        assert len(campaign.rows) == 24 and campaign.summary()["failed_analyses"] == 24
         for row in campaign.rows:
             assert (row.sensitivity, row.specificity, row.auc, row.correct) == (None,) * 4
         assert campaign.summary()["by_block_count"]["3"]["50"]["auc"] is None
@@ -504,7 +543,7 @@ def test_each_analysis_is_clamped_with_its_own_sample_count(monkeypatch):
             with pytest.raises(InternalNumericError, match=f"came out at {value},"):
                 run_campaign(config)
         else:
-            assert run_campaign(config).failure_count() == 0
+            assert run_campaign(config).summary()["failed_analyses"] == 0
 
 
 def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypatch):
@@ -534,7 +573,7 @@ def test_campaign_builds_no_models_and_reads_the_tables_once_per_chunk(monkeypat
     assert built == [1] and called == [1] and shapes == [(16,)]
     built.clear(), called.clear(), shapes.clear()
     campaign = run_campaign(small_config())
-    assert len(campaign.rows) == 24 and campaign.failure_count() == 0
+    assert len(campaign.rows) == 24 and campaign.summary()["failed_analyses"] == 0
     assert built == [] and called == []
     # one call per chunk (12 runs x 2 sizes fit one), with every analysis
     assert shapes == [(12, 2, 64)]
@@ -552,7 +591,7 @@ def test_campaign_finds_each_runs_negatives_once(monkeypatch):
 
     monkeypatch.setattr(mutindep.simulation, "entailed_masks", counted)
     campaign = run_campaign(small_config())
-    assert campaign.run_count() == 12 and len(campaign.rows) == 24
+    assert campaign.summary()["total_runs"] == 12 and len(campaign.rows) == 24
     assert calls == [[list(parse_partition(row.truth).least_elements)
                       for row in campaign.rows[::2]]]
 
