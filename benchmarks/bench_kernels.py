@@ -9,10 +9,10 @@ every dichotomy survives and the meet is the cost, `mdi.p_values` of one
 analysis in each mode (n = 12, 18), `meet_all` alone on
 surviving dichotomies (n = 6, 12, and all of them at n = 20, where the
 meet's temporaries are largest) and on many-block Partitions (n = 2000,
-5000), one desk campaign chunk (its drawing and the draw's prefix
-correlations, its scoring and each step of the scoring: subset tables,
-statistics, clamp, p-values, correction, classification, AUC, the meet of
-exact recovery, negatives), the 300-run desk
+5000), one desk campaign chunk (its drawing and each step of the draw:
+streams, models, normals, prefix correlations; its scoring and each step
+of the scoring: subset tables, statistics, clamp, p-values, correction,
+classification, AUC, the meet of exact recovery, negatives), the 300-run desk
 simulation in central and in noncentral mode (five times each, reported as
 the median with its quartiles), that central campaign's summary, the
 rewrite of its CSV and summary onto the same two paths, as a campaign
@@ -184,13 +184,15 @@ def _spent(steps, fn, repeats):
 def bench_scoring(repeats=20):
     """The drawing and the scoring of one desk chunk (30 runs x 6 sizes =
     180 analyses) through the campaign's own _draw_chunk and _score_chunk,
-    and the time spent in the draw's prefix correlations and in each step
-    the scoring calls, taken by wrapping the name it calls the step by (in
-    mutindep.simulation, in mutindep._kernels for the subset tables and the
-    statistic batch, or the correction's entry of simulation.CORRECTIONS)
-    while the chunk is drawn, or scored, `repeats` times."""
+    and the time spent in each step of the draw (the streams, the models,
+    the normals with their Cholesky product, the prefix correlations) and
+    in each step the scoring calls, taken by wrapping the name it calls the
+    step by (in mutindep.simulation, in mutindep._kernels for the subset
+    tables and the statistic batch, or the correction's entry of
+    simulation.CORRECTIONS) while the chunk is drawn, or scored, `repeats`
+    times."""
     print()
-    print("one desk chunk, 30 runs x 6 sizes: drawing, its correlations, scoring "
+    print("one desk chunk, 30 runs x 6 sizes: drawing and each drawing step, scoring "
           "and each scoring step (per chunk)")
     config = SimulationConfig(n=6, runs_per_k=5, master_seed=3)
     runs = range(len(config.block_counts) * config.runs_per_k)
@@ -200,7 +202,13 @@ def bench_scoring(repeats=20):
         "scoring": _time(lambda: simulation._score_chunk(config, runs, *drawn)),
     }
     module, kernels = vars(simulation), vars(_kernels)
-    timings.update(_spent({"correlations": (module, "_correlations")},
+    # the draw's steps: the runs' streams, their models and their normals
+    # (the stacked draws, or the one-run calls of a checkout that draws one
+    # run at a time) and the prefix correlations
+    draw_steps = {"streams": ("RngStream",), "model": ("_draw_models", "generate_model"),
+                  "normals": ("_mvn_stack", "sample_mvn"), "correlations": ("_correlations",)}
+    timings.update(_spent({layer: (module, next(name for name in names if name in module))
+                           for layer, names in draw_steps.items()},
                           lambda: simulation._draw_chunk(config, runs), repeats))
     steps = {"tables": (kernels, "_subset_logdets"),
              "statistics": (kernels, "mdi_statistic_batch"),

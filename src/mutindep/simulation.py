@@ -9,7 +9,6 @@ of the dataset so that larger sample sizes refine the same experiment.
 import csv
 import itertools
 import json
-import operator
 import os
 import stat
 from collections import defaultdict, namedtuple
@@ -26,9 +25,12 @@ from .mdi import _clamped, check_mode, p_values
 from .partitions import bipartition_masks, entailed_masks, format_partition, meet_labels
 from .randomness import (
     RngStream,
+    _bartlett_draws,
+    _integer,
+    _mvn_stack,
+    _wishart_correlations,
     random_partition_with_k_blocks,
-    sample_mvn,
-    sample_wishart_correlation,
+    sample_mvn,  # not called here: the one-run draw, importable from this module
 )
 
 CSV_COLUMNS = (
@@ -54,36 +56,34 @@ _DECILE_EDGES = [i / 10.0 for i in range(11)]
 _QUARTILE_METRICS = ("auc", "sensitivity", "specificity")
 
 # Runs are drawn and analysed in chunks of at most CHUNK_BYTES, counted by
-# run_campaign: per run, its data (max_samples x n floats); per run and
-# subset size, its subset table (2^n floats), its statistics and p-values
-# (two floats a test) and three flags a test (negative, rejected,
-# survived).  That is 49 runs at the desk size of n = 6, 300 samples and 6
-# sizes, so a 30-run campaign is one chunk.  The tails are not counted:
+# run_campaign: per run, the draw's three buffers of max_samples x n floats
+# (its normals, their product with the Cholesky factor and the
+# samples-first copy; a one-run chunk needs no copy, as its (1, k, n) and
+# (k, 1, n) layouts are one); per run and subset size, its subset table
+# (2^n floats), its statistics and p-values (two floats a test) and three
+# flags a test (negative, rejected, survived).  That is 42 runs at the
+# desk size of n = 6, 300 samples and 6 sizes, so a 30-run campaign is one
+# chunk.  The tails are not counted:
 # they take at most mdi._TAIL_SLICE statistics at a time, one array call
 # per tail class (a smaller block size, and a k in noncentral mode), so
 # their temporaries are bounded whatever the chunk:
 # tracemalloc puts p_values at 140-190 bytes a statistic of a slice that
 # is one class (12 MB at most), of which the tail call itself takes 106
-# (central) or 81 (noncentral).  Nor are other temporaries: tracemalloc
-# puts a chunk's peak at 1.5-2.3 times the count (1.6 MB for a 49-run desk
-# chunk; 63 MB for one n = 18 run, where the subset-table build and auc
-# set it).
-CHUNK_BYTES = 1 << 20
+# (central) or 81 (noncentral).  Nor are other temporaries.  tracemalloc
+# puts a chunk's peak at 0.7-2.3 times the count: 1.4 MB for a 42-run desk
+# chunk, where the prefix correlations set it (the normals are freed
+# before the copy is made), and 63 MB for one n = 18 run, where the
+# subset-table build and auc set it.
+CHUNK_BYTES = 2 << 20
 
 # Past these limits a campaign is refused rather than left to exhaust
-# memory.  A run draws max_samples x n floats at once (2^24 are 128 MiB).  A
-# campaign keeps one Row per (run, subset size), 210-250 bytes each
+# memory.  A run's draw holds two buffers of max_samples x n floats at once
+# (2^24 floats are 128 MiB each).  A campaign keeps one Row per (run,
+# subset size), 210-250 bytes each
 # (tracemalloc, on SimulationConfig() and a one-size campaign), so 2^21
 # rows are about 0.5 GiB.
 MAX_RUN_VALUES = 1 << 24
 MAX_CAMPAIGN_ROWS = 1 << 21
-
-
-def _integer(field, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field}: {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,39 @@ def generate_model(n, blocks, rng):
     """Random ground truth: a uniform partition with the given block count
     and a block-diagonal correlation matrix (identity across blocks, a
     rescaled Wishart draw inside each block: [[1]], drawing nothing, for a
-    block of one)."""
-    truth = random_partition_with_k_blocks(n, blocks, rng)
-    sigma = np.eye(n)
-    for block in truth.blocks():
-        idx = np.array(block) - 1
-        sigma[np.ix_(idx, idx)] = sample_wishart_correlation(len(block), rng)
-    return truth, sigma
+    block of one).  A one-element call of the stacked draw that campaigns
+    make."""
+    truths, sigma = _draw_models(n, [blocks], [rng])
+    return truths[0], sigma[0]
+
+
+def _draw_models(n, block_counts, rngs):
+    """Each run's truth, a uniform partition with its block count, and the
+    (runs, n, n) stack of their correlation matrices, run i drawn from
+    rngs[i] as generate_model draws it: the partition walk, then the
+    Bartlett rows of each block in the truth's block order.  The Wishart
+    arithmetic runs once per block size on the stack of its blocks, whose
+    matrices are scattered into the identity stack in one assignment."""
+    truths = [random_partition_with_k_blocks(n, blocks, rng)
+              for blocks, rng in zip(block_counts, rngs, strict=True)]
+    # each block of two or more, by size: its run and its elements; and in
+    # draw order, its run, its size and its slot in the stack of its size
+    by_size, draws = defaultdict(list), []
+    for run, truth in enumerate(truths):
+        for block in truth.blocks():
+            if len(block) > 1:
+                draws.append((run, len(block), len(by_size[len(block)])))
+                by_size[len(block)].append((run, block))
+    factors = {dim: np.zeros((len(members), dim, dim)) for dim, members in by_size.items()}
+    for run, dim, slot in draws:
+        _bartlett_draws(factors[dim][slot], rngs[run])
+    sigma = np.zeros((len(truths), n, n))
+    sigma[:, range(n), range(n)] = 1.0
+    for dim, members in by_size.items():
+        runs = np.array([run for run, _ in members])[:, None, None]
+        idx = np.array([block for _, block in members]) - 1
+        sigma[runs, idx[:, :, None], idx[:, None, :]] = _wishart_correlations(factors[dim])
+    return truths, sigma
 
 
 def auc(pvalues, negative):
@@ -246,17 +272,19 @@ def _draw_chunk(config, run_ids):
     of the runs' sample prefixes, (runs, sizes, n, n) with the subset sizes
     in config order; and which of those prefixes have a constant column.
 
-    The samples are laid out samples-first, (max_samples, runs, n), so the
-    prefixes of every run at one size are the buffer's leading slice."""
-    truths = []
-    data = np.empty((config.max_samples, len(run_ids), config.n))
-    for i, run_id in enumerate(run_ids):
-        rng = RngStream(config.master_seed, run_id)
-        blocks = config.block_counts[run_id // config.runs_per_k]
-        truths.append(generate_model(config.n, blocks, rng))
-        data[:, i] = sample_mvn(truths[-1][1], config.max_samples, rng).values
+    The models and the samples are drawn as stacks, each run's draws in
+    generate_model and sample_mvn order.  The samples are then laid out
+    samples-first, (max_samples, runs, n), so the prefixes of every run at
+    one size are the buffer's leading slice; a one-run chunk has that
+    layout already."""
+    rngs = [RngStream(config.master_seed, run_id) for run_id in run_ids]
+    truths, sigma = _draw_models(
+        config.n, [config.block_counts[run_id // config.runs_per_k] for run_id in run_ids],
+        rngs)
+    data = np.ascontiguousarray(np.swapaxes(_mvn_stack(sigma, config.max_samples, rngs), 0, 1))
     r, constant = zip(*(_correlations(data[:size]) for size in config.subset_sizes))
-    return truths, np.stack(r, axis=1), np.stack(constant, axis=1).any(axis=-1)
+    return (list(zip(truths, sigma)), np.stack(r, axis=1),
+            np.stack(constant, axis=1).any(axis=-1))
 
 
 def _score_chunk(config, run_ids, truths, r, constant):
@@ -309,7 +337,7 @@ def run_campaign(config):
     """
     run_ids = range(len(config.block_counts) * config.runs_per_k)
     tests = 2 ** (config.n - 1) - 1
-    per_run = (8 * config.max_samples * config.n
+    per_run = (3 * 8 * config.max_samples * config.n
                + len(config.subset_sizes) * (8 * 2**config.n + 19 * tests))
     step = max(1, CHUNK_BYTES // per_run)
     rows = [row for start in range(0, len(run_ids), step)

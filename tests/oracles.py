@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch with different
 algorithms than the package (set algebra instead of label arrays, cofactor
 expansion and a one-matrix Cholesky instead of the subset table of Schur
 complements, series/continued fractions instead of closed-form sums), so
-agreement is meaningful.  The one exception is `noncentral_recurrence`: the
-package's noncentral recurrence as a plain scalar loop, the bit-for-bit
-reference of its array form.
+agreement is meaningful.  The two exceptions are `noncentral_recurrence`,
+the package's noncentral recurrence as a plain scalar loop, and
+`model_and_samples`, a campaign run's draw one matrix at a time: the
+bit-for-bit references of their array forms.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from mutindep.distributions import chi2_sf
+from mutindep.randomness import random_partition_with_k_blocks
 
 # --- regularized incomplete gamma (series + continued fraction) ----------
 
@@ -99,6 +101,43 @@ def noncentral_recurrence(x, df, lam):
         a += 1.0
         log_step += log_h - math.log(a)
     return min(acc, 1.0)
+
+
+# --- a campaign run's draw, one matrix at a time ---------------------------
+
+
+def model_and_samples(n, blocks, k, rng):
+    """A campaign run's truth, correlation matrix and (k, n) samples drawn
+    from rng one matrix at a time: the partition walk, then each block's
+    Bartlett factor row by row (a chi-squared and i normals), rescaled to
+    a correlation matrix and placed with np.ix_, then the 2-D Cholesky
+    factor and the product of a (k, n) block of normals with it.
+
+    Not an independent algorithm: it is the bit-for-bit reference of the
+    stacked draw, which takes every step but the random ones once per
+    chunk.  The walk is the package's, checked on its own.
+    """
+    truth = random_partition_with_k_blocks(n, blocks, rng)
+    sigma = np.eye(n)
+    g = rng.generator
+    for block in truth.blocks():
+        dim = len(block)
+        if dim == 1:
+            continue
+        factor = np.zeros((dim, dim))
+        for i in range(dim):
+            factor[i, i] = math.sqrt(g.chisquare(dim + 1 - i))
+            if i:
+                factor[i, :i] = g.standard_normal(i)
+        w = factor @ factor.T
+        d = np.sqrt(np.diag(w))
+        r = w / np.outer(d, d)
+        r = (r + r.T) / 2.0
+        np.fill_diagonal(r, 1.0)
+        idx = np.array(block) - 1
+        sigma[np.ix_(idx, idx)] = r
+    z = g.standard_normal((k, n))
+    return truth, sigma, z @ np.linalg.cholesky(sigma).T
 
 
 # --- the exact null law of a test with one or two variables on a side -----

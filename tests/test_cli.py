@@ -10,7 +10,6 @@ import pytest
 import mutindep
 from mutindep.cli import main
 from mutindep.datasets import hiv_correlation
-from mutindep.linalg import DataMatrix
 from mutindep.randomness import RngStream, sample_mvn
 
 
@@ -418,20 +417,20 @@ def test_simulate_seed_env_override(tmp_path, capsys, monkeypatch):
 
 def test_simulate_total_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
     # every analysis fails, and the campaign reports it: run 0's data have a
-    # constant column, run 1's a duplicated one
-    draw = mutindep.simulation.sample_mvn
-    drawn = []
+    # constant column, run 1's a duplicated one, doctored in the chunk's
+    # stack of samples, one (k, n) block a run
+    draw = mutindep.simulation._mvn_stack
 
-    def degenerate(sigma, k, rng):
-        data = draw(sigma, k, rng).values.copy()
-        if drawn:
-            data[:, 4] = data[:, 1]
-        else:
-            data[:, 2] = -1.5
-        drawn.append(data)
-        return DataMatrix(data)
+    def degenerate(sigma, k, rngs):
+        data = draw(sigma, k, rngs)
+        for run, rng in zip(data, rngs):
+            if rng.stream:
+                run[:, 4] = run[:, 1]
+            else:
+                run[:, 2] = -1.5
+        return data
 
-    monkeypatch.setattr(mutindep.simulation, "sample_mvn", degenerate)
+    monkeypatch.setattr(mutindep.simulation, "_mvn_stack", degenerate)
     code = main([
         "simulate", "--n", "6", "--blocks", "2", "--runs", "2",
         "--samples", "50", "--sizes", "50", "--seed", "3",

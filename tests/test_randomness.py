@@ -6,6 +6,7 @@ from mutindep.errors import NotPositiveDefiniteError
 from mutindep.partitions import Partition, stirling2
 from mutindep.randomness import (
     RngStream,
+    _mvn_stack,
     random_partition_with_k_blocks,
     sample_mvn,
     sample_wishart_correlation,
@@ -33,6 +34,22 @@ def test_stream_key_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 1 << 64)
+
+
+@pytest.mark.parametrize("seed, stream, field", [
+    (1.5, 2, "seed"), (1, 2.9, "stream"), ("7", 0, "seed"), (0, "1", "stream"),
+    (np.float64(3.0), 0, "seed"), (None, 0, "seed")])
+def test_stream_key_must_be_an_integer(seed, stream, field):
+    # int() would run RngStream(1.5, 2.9) as seed 1, stream 2
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+        RngStream(seed, stream)
+
+
+def test_stream_stores_numpy_integers_as_ints():
+    stream = RngStream(np.int64(3), np.uint32(9))
+    assert type(stream.seed) is int and type(stream.stream) is int
+    assert repr(stream) == "RngStream(seed=3, stream=9)"
+    assert stream.generator.random(4).tolist() == RngStream(3, 9).generator.random(4).tolist()
 
 
 def test_wishart_correlation_scalar():
@@ -82,6 +99,43 @@ def test_mvn_deterministic_and_pd_guard():
     assert (a == b).all()
     with pytest.raises(NotPositiveDefiniteError):
         sample_mvn([[1.0, 1.0], [1.0, 1.0]], 10, RngStream(0))
+
+
+@pytest.mark.parametrize("covariance, message", [
+    ([[1.0, 0.9], [0.0, 1.0]], "not symmetric"),  # Cholesky reads the lower triangle
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be square"),
+    ([1.0, 1.0], "must be square"),
+])
+def test_mvn_refuses_a_covariance_that_is_not_square_and_symmetric(covariance, message):
+    rng = RngStream(7)
+    with pytest.raises(ValueError, match=message):
+        sample_mvn(covariance, 10, rng)
+    assert rng.generator.random(4).tolist() == RngStream(7).generator.random(4).tolist()
+    if np.ndim(covariance) == 2 and len(covariance) == len(covariance[0]):
+        # in a stack, one such matrix refuses the stack
+        rngs = [RngStream(7, i) for i in range(3)]
+        with pytest.raises(ValueError, match=message):
+            _mvn_stack(np.stack([np.eye(2), covariance, np.eye(2)]), 10, rngs)
+
+
+def test_mvn_takes_a_covariance_symmetric_up_to_rounding():
+    a = RngStream(8).generator.standard_normal((4, 4))
+    cov = a @ np.diag([1.0, 2.0, 3.0, 4.0]) @ a.T
+    assert not (cov == cov.T).all()
+    assert sample_mvn(cov, 10, RngStream(8)).values.shape == (10, 4)
+
+
+def test_mvn_stack_refuses_as_the_one_run_call_does():
+    rngs = [RngStream(5, i) for i in range(3)]
+    singular, infinite = np.ones((3, 3)), np.diag([np.inf, 1.0, 1.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        _mvn_stack(np.stack([np.eye(3), singular, np.eye(3)]), 10, rngs)
+    with pytest.raises(NotPositiveDefiniteError):
+        sample_mvn(singular, 10, RngStream(5))
+    with pytest.raises(ValueError, match="non-finite"):
+        _mvn_stack(np.stack([np.eye(3), np.eye(3), infinite]), 10, rngs)
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_mvn(infinite, 10, RngStream(5))
 
 
 def test_random_partition_forced_cases():

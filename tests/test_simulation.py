@@ -20,7 +20,7 @@ from mutindep.inference import (
     classify_against_truth,
     infer_from_model,
 )
-from mutindep.linalg import CorrelationModel, DataMatrix, sample_correlation
+from mutindep.linalg import CorrelationModel, DataMatrix, _correlations, sample_correlation
 from mutindep.partitions import (
     Partition,
     bipartition_masks,
@@ -79,6 +79,65 @@ def test_generate_model_block_diagonal_structure():
                     assert sigma[i, j] == 0.0
         assert np.allclose(np.diag(sigma), 1.0)
         np.linalg.cholesky(sigma)  # positive definite
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_a_stacked_draw_gives_each_run_its_one_run_draws(n):
+    # a chunk of 2n runs, two of each block count 1..n, so it mixes every
+    # block size; each run of the stack equals generate_model then
+    # sample_mvn on a fresh stream of its key, and the matrix-at-a-time
+    # draw, bit for bit, and leaves its stream where they leave theirs
+    k = n + 3
+    block_counts = [*range(1, n + 1)] * 2
+    keys = [(20261022, 100 * n + i) for i in range(len(block_counts))]
+    rngs = [RngStream(*key) for key in keys]
+    truths, sigma = mutindep.simulation._draw_models(n, block_counts, rngs)
+    data = mutindep.simulation._mvn_stack(sigma, k, rngs)
+    assert sigma.shape == (2 * n, n, n) and data.shape == (2 * n, k, n)
+    for i, (blocks, key) in enumerate(zip(block_counts, keys)):
+        one, matrixwise = RngStream(*key), RngStream(*key)
+        truth, one_sigma = generate_model(n, blocks, one)
+        one_data = sample_mvn(one_sigma, k, one).values
+        oracle_truth, oracle_sigma, oracle_data = oracles.model_and_samples(
+            n, blocks, k, matrixwise)
+        assert truths[i] == truth == oracle_truth
+        assert truth.block_count == blocks
+        assert sigma[i].tobytes() == one_sigma.tobytes() == oracle_sigma.tobytes()
+        assert data[i].tobytes() == one_data.tobytes() == oracle_data.tobytes()
+        after = [stream.generator.random(4).tolist() for stream in (rngs[i], one, matrixwise)]
+        assert after[0] == after[1] == after[2]
+
+
+@pytest.mark.parametrize("config", [
+    SimulationConfig(n=6, block_counts=(1, 3, 6), runs_per_k=3, max_samples=120,
+                     subset_sizes=(50, 120), master_seed=99),
+    # a one-run chunk, whose stack is samples-first as drawn
+    SimulationConfig(n=18, block_counts=(5,), runs_per_k=1, max_samples=40,
+                     subset_sizes=(20, 40), master_seed=7),
+], ids=["mixed", "one-run"])
+def test_draw_chunk_holds_each_runs_one_run_draws(monkeypatch, config):
+    draw = mutindep.simulation._mvn_stack
+    stacks = []
+
+    def kept(sigma, k, rngs):
+        stacks.append(draw(sigma, k, rngs))
+        return stacks[-1]
+
+    monkeypatch.setattr(mutindep.simulation, "_mvn_stack", kept)
+    run_ids = range(len(config.block_counts) * config.runs_per_k)
+    truths, r, constant = mutindep.simulation._draw_chunk(config, run_ids)
+    (data,) = stacks
+    for run_id, (truth, sigma) in zip(run_ids, truths):
+        rng = RngStream(config.master_seed, run_id)
+        blocks = config.block_counts[run_id // config.runs_per_k]
+        one_truth, one_sigma = generate_model(config.n, blocks, rng)
+        one = sample_mvn(one_sigma, config.max_samples, rng).values
+        assert truth == one_truth and sigma.tobytes() == one_sigma.tobytes()
+        assert data[run_id].tobytes() == one.tobytes()
+        for s, size in enumerate(config.subset_sizes):
+            expected, flags = _correlations(one[:size])
+            assert r[run_id, s].tobytes() == expected.tobytes()
+            assert constant[run_id, s] == flags.any()
 
 
 # --- metrics ----------------------------------------------------------------
@@ -367,18 +426,20 @@ def test_campaign_nested_subsets_reuse_prefix():
 def test_campaign_scores_equal_infer_from_model(monkeypatch, mode, correction):
     # every row of a campaign equals infer_from_model and
     # classify_against_truth on its run's data prefix; in run 4, the first
-    # 30 rows duplicate a column, so its size-30 analysis fails
-    draw = mutindep.simulation.sample_mvn
-    drawn = []
+    # 30 rows duplicate a column, so its size-30 analysis fails; the data are
+    # doctored, and kept by run id, in the chunk's stack of samples
+    draw = mutindep.simulation._mvn_stack
+    drawn = {}
 
-    def doctored(sigma, k, rng):
-        data = draw(sigma, k, rng).values.copy()
-        if len(drawn) == 4:
-            data[:30, 3] = data[:30, 2]
-        drawn.append(data)
-        return DataMatrix(data)
+    def doctored(sigma, k, rngs):
+        data = draw(sigma, k, rngs)
+        for run, rng in zip(data, rngs):
+            if rng.stream == 4:
+                run[:30, 3] = run[:30, 2]
+            drawn[rng.stream] = run.copy()
+        return data
 
-    monkeypatch.setattr(mutindep.simulation, "sample_mvn", doctored)
+    monkeypatch.setattr(mutindep.simulation, "_mvn_stack", doctored)
     config = small_config(block_counts=(1, 2, 3, 6), runs_per_k=3, subset_sizes=(30, 60, 120),
                           mode=mode, correction=correction, alpha=0.2)
     campaign = run_campaign(config)
@@ -434,23 +495,25 @@ def test_campaign_builds_no_test_results(monkeypatch):
 def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
     # in one chunk of three runs, run 1's first 30 rows have a constant
     # column and run 2's a duplicated one; the rows after them vary, so only
-    # the size-30 analyses of those two runs fail
-    draw = mutindep.simulation.sample_mvn
-    drawn = []
+    # the size-30 analyses of those two runs fail; the data are doctored,
+    # and kept by run id, in the chunk's stack of samples
+    draw = mutindep.simulation._mvn_stack
+    drawn = {}
 
-    def doctored(sigma, k, rng):
-        data = draw(sigma, k, rng).values.copy()
-        if len(drawn) == 1:
-            data[:30, 0] = 0.5
-        elif len(drawn) == 2:
-            data[:30, 3] = data[:30, 2]
-        drawn.append(data)
-        return DataMatrix(data)
+    def doctored(sigma, k, rngs):
+        data = draw(sigma, k, rngs)
+        for run, rng in zip(data, rngs):
+            if rng.stream == 1:
+                run[:30, 0] = 0.5
+            elif rng.stream == 2:
+                run[:30, 3] = run[:30, 2]
+            drawn[rng.stream] = run.copy()
+        return data
 
     config = small_config(block_counts=(2,), runs_per_k=3, subset_sizes=(30, 50))
     monkeypatch.setattr(mutindep.simulation, "CHUNK_BYTES", 1 << 30)  # one chunk
     clean = run_campaign(config)
-    monkeypatch.setattr(mutindep.simulation, "sample_mvn", doctored)
+    monkeypatch.setattr(mutindep.simulation, "_mvn_stack", doctored)
     campaign = run_campaign(config)
     with pytest.raises(DegenerateDataError):
         sample_correlation(drawn[1][:30])
@@ -475,16 +538,16 @@ def test_campaign_records_failures_without_aborting(tmp_path, monkeypatch):
 
 
 def test_a_chunk_whose_analyses_all_fail_has_only_failed_rows(monkeypatch):
-    draw = mutindep.simulation.sample_mvn
+    draw = mutindep.simulation._mvn_stack
     # the mean of a column of 0.1s rounds away from 0.1, so its correlations
     # come out finite: only the constant-column flag fails those analyses
     for value in (0.5, 0.1):
-        def constant_column(sigma, k, rng):
-            data = draw(sigma, k, rng).values.copy()
-            data[:, 1] = value
-            return DataMatrix(data)
+        def constant_column(sigma, k, rngs):
+            data = draw(sigma, k, rngs)
+            data[:, :, 1] = value  # every run of the stack
+            return data
 
-        monkeypatch.setattr(mutindep.simulation, "sample_mvn", constant_column)
+        monkeypatch.setattr(mutindep.simulation, "_mvn_stack", constant_column)
         campaign = run_campaign(small_config())
         assert len(campaign.rows) == 24 and campaign.summary()["failed_analyses"] == 24
         for row in campaign.rows:
@@ -518,14 +581,14 @@ def test_each_analysis_is_clamped_with_its_own_sample_count(monkeypatch):
     # the run's columns 1 and 2 nearly equal, so its rounding bound passes the
     # 1e-9 floor and grows with k: a statistic between the bounds at sizes 50
     # and 120 raises at size 50 and is clamped at size 120
-    draw, batch = mutindep.simulation.sample_mvn, mutindep._kernels.mdi_statistic_batch
+    draw, batch = mutindep.simulation._mvn_stack, mutindep._kernels.mdi_statistic_batch
 
-    def collinear(sigma, k, rng):
-        data = draw(sigma, k, rng).values.copy()
-        data[:, 1] = data[:, 0] + 1e-4 * data[:, 1]
-        return DataMatrix(data)
+    def collinear(sigma, k, rngs):
+        data = draw(sigma, k, rngs)
+        data[:, :, 1] = data[:, :, 0] + 1e-4 * data[:, :, 1]  # every run of the stack
+        return data
 
-    monkeypatch.setattr(mutindep.simulation, "sample_mvn", collinear)
+    monkeypatch.setattr(mutindep.simulation, "_mvn_stack", collinear)
     config = small_config(block_counts=(2,), runs_per_k=1)
     _, r, _ = mutindep.simulation._draw_chunk(config, [0])
     for s in (0, 1):
