@@ -15,6 +15,8 @@ against, is chol_logdet in tests/oracles.py.  The table agrees with it to
 about 1e-13 relative, not bit for bit: the summation order differs.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import not_pd_submatrix
@@ -24,6 +26,15 @@ PIVOT_TOL = 1e-12
 # An analysis of n variables tests 2^(n-1) - 1 dichotomies off a table of
 # 2^n subsets; past n = 20 it is refused rather than left to exhaust memory.
 MAX_VARIABLES = 20
+
+
+def _integer(field, value):
+    """value as a Python int, a numpy integer included; a float (even 300.0),
+    a string or any other non-integer is refused, not rounded."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: {value!r} is not an integer") from None
 
 
 def check_size(n, what="variables", least=2):

@@ -3,6 +3,7 @@
 A dichotomy test has |a|*|c| degrees of freedom, an integer, so its tail is a
 finite sum of positive terms (Abramowitz & Stegun 26.4.4-26.4.5): nothing
 cancels, and it matches the regularized incomplete gamma to about 1e-13.
+The noncentral tail continues the same series past df (Ding 1992, AS 275).
 """
 
 import itertools
@@ -15,6 +16,14 @@ import numpy as np
 _MIXTURE_TAIL = 1e-12
 _MAX_MIXTURE_TERMS = 100_000
 
+# The domain: a tail loops over df/2 terms (0.2 s for the array tail at df
+# 10^5 on a 2-core x86 machine), and from lam/2 about 1260 the Poisson
+# weights' rounding can keep their sum short of 1 - 1e-12 (every lam up to
+# 1200 sampled sums in 783 terms or fewer).  A dichotomy of n <= 20
+# variables has df <= 100 and lam <= 525.
+_MAX_DF = 100_000
+_MAX_NONCENTRALITY = 1000.0
+
 # The running sum is divided by 2^500 (exactly) whenever the next term could
 # pass 2^500, and e^-h is applied in logs, so that nothing overflows and
 # e^-h does not underflow alone.
@@ -23,24 +32,28 @@ _LOG_RESCALE = math.log(_RESCALE)
 
 
 def _check_args(x, df):
-    """df as an int, once it and the statistic x pass the checks: an
-    integral float df (4.0) gives the tail of its int (4), bit for bit."""
-    whole = int(df)
-    if whole != df or whole < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df}")
+    """x as a float and df as an int, once they pass the checks: an
+    integral float df (4.0) gives the tail of its int (4), bit for bit, and
+    an int x past the float range is refused as not finite."""
+    if not (1 <= df <= _MAX_DF and int(df) == df):
+        raise ValueError(f"degrees of freedom must be an integer from 1 to {_MAX_DF}, got {df}")
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
     if not 0.0 <= x < math.inf:
         raise ValueError(f"the statistic must be finite and nonnegative, got {x}")
-    return whole
+    return x, int(df)
 
 
 def chi2_sf(x, df):
-    """Upper tail P(chi2_df > x) for a positive integer df.
+    """Upper tail P(chi2_df > x) for an integer df from 1 to 10^5.
 
     With h = x/2, the tail is e^-h * sum_{i < df/2} h^i / i! for even df, and
     erfc(sqrt(h)) + e^-h * sum_{i < (df-1)/2} h^(i+1/2) / Gamma(i+3/2) for
     odd df.  The result is clamped at 1.
     """
-    df = _check_args(x, df)
+    x, df = _check_args(x, df)
     h = x / 2.0
     if df % 2:
         tail, term, a = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
@@ -68,63 +81,70 @@ def _each(fn, values):
 def _statistics(x, df):
     """x as a float64 array and df as an int, once df and every statistic
     pass chi2_sf's checks; the first statistic refused is named."""
-    x = np.asarray(x, dtype=np.float64)
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        x = np.array(math.inf)
     refused = x[~((x >= 0.0) & (x < math.inf))]
-    return x, _check_args(refused[0] if refused.size else 0.0, df)
+    return x, _check_args(refused[0] if refused.size else 0.0, df)[1]
 
 
-def chi2_sf_array(x, df):
-    """chi2_sf of each statistic of the array `x`, for one integer df, as an
-    array of x's shape, bit for bit.
-
-    The same recurrence, rescale and clamp run over the elements at once:
-    +, *, / and sqrt round in numpy as they do on Python floats, and erfc,
-    log and exp are math's, mapped over the elements (numpy's exp and log
-    are not correctly rounded and differ from math's on some inputs).  The
-    statistics chi2_sf refuses are refused, the first of them named.
-    """
-    x, df = _statistics(x, df)
-    h = x.ravel() / 2.0
-    if df % 2:
-        tail, term, a = _each(math.erfc, np.sqrt(h)), 2.0 * np.sqrt(h / math.pi), 1.5
-    else:
-        tail, term, a = np.zeros(h.shape), np.ones(h.shape), 1.0
-    total, log_scale = np.zeros(h.shape), np.zeros(h.shape)
+def _series(h, e, term, log_scale, weights):
+    """e^-h * sum_i weights[i] * h^(e+i) / Gamma(e+i+1) at each half
+    statistic of the 1-D array h, by chi2_sf's recurrence and rescale from
+    the first power h^e / Gamma(e+1) = term * e^log_scale (two arrays of
+    h's shape, updated in place)."""
+    total = np.zeros(h.shape)
     cap = _RESCALE / np.maximum(h, 1.0)
-    for i in range(df // 2):
+    for i, weight in enumerate(weights):
         # the scalar while loop, run by each element that is still over
         while (over := term > cap).any():
             total[over] /= _RESCALE
             term[over] /= _RESCALE
             log_scale[over] += _LOG_RESCALE
-        total += term
-        term *= h / (a + i)
-    summed = total != 0.0
-    exponent = _each(math.log, total[summed]) + log_scale[summed] - h[summed]
-    tail[summed] += _each(math.exp, exponent)
+        total += weight * term
+        term *= h / (e + 1.0 + i)
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(total) + log_scale - h)
+
+
+def chi2_sf_array(x, df):
+    """The central tail of each statistic of the array `x`, for one integer
+    df, as an array of x's shape: chi2_sf's series over every element at
+    once (math.erfc mapped for odd df), within 1e-12 relative of the
+    incomplete gamma wherever the tail is at least 1e-300, as chi2_sf is,
+    though not always to its bits.  The statistics chi2_sf refuses are
+    refused, the first of them named.
+    """
+    x, df = _statistics(x, df)
+    h = x.ravel() / 2.0
+    if df % 2:
+        tail, term, e = _each(math.erfc, np.sqrt(h)), 2.0 * np.sqrt(h / math.pi), 0.5
+    else:
+        tail, term, e = 0.0, np.ones(h.shape), 0.0
+    tail = tail + _series(h, e, term, np.zeros(h.shape), itertools.repeat(1.0, df // 2))
     return np.minimum(tail, 1.0).reshape(x.shape)
 
 
 def noncentral_chi2_sf_array(x, df, lam):
     """Upper tail of the noncentral chi-squared distribution with integer df
-    and noncentrality lam, at each statistic of the array `x`, as an array
-    of x's shape.
+    and noncentrality lam (at most 1000), at each statistic of the array
+    `x`, as an array of x's shape.
 
     The Poisson(lam/2)-weighted mixture of the central tails Q(df), Q(df+2),
-    ..., truncated once the residual mixture mass drops below 1e-12.  Q(df)
-    is one chi2_sf call per statistic, and Q(df+2) = Q(df) + e^-h h^(df/2) /
-    Gamma(df/2+1) with h = x/2.  The ladder steps every statistic at once,
-    each in the order of a loop over that statistic alone: +, * and - round
-    in numpy as on Python floats, and log and exp are math's, mapped over
-    the elements, so no value depends on the others in the array.  Where
-    lam/2 is 0 (lam = 0, or lam the least subnormal) the mixture is its
-    j = 0 term, chi2_sf exactly.  The statistics chi2_sf refuses are
-    refused, the first of them named, and so is a negative or non-finite
-    lam.
+    ..., truncated once the residual mixture mass drops below 1e-12.  As
+    Q(df+2j) is Q(df) plus the terms i < j of chi2_sf's series continued
+    from e = df/2, the mixture is Q(df) * sum_j w_j plus that series with
+    term i weighted by the tail mass T_i = sum_{j>i} w_j.  Q(df) is one
+    chi2_sf call per statistic; where lam/2 is 0 (lam = 0, or lam the
+    least subnormal) the mixture is Q(df) exactly.  The statistics chi2_sf
+    refuses are refused, the first of them named, and so is a lam outside
+    [0, 1000].
     """
     x, df = _statistics(x, df)
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"the noncentrality must be finite and nonnegative, got {lam}")
+    if not 0.0 <= lam <= _MAX_NONCENTRALITY:
+        raise ValueError(f"the noncentrality must be finite and nonnegative, at most "
+                         f"{_MAX_NONCENTRALITY:g}, got {lam}")
     h = x.ravel() / 2.0
     # Q(df) by scalar calls, not chi2_sf_array: perfbench/tests count these
     # calls on a noncentral infer (ROADMAP item 1a)
@@ -132,18 +152,12 @@ def noncentral_chi2_sf_array(x, df, lam):
                      dtype=np.float64, count=h.size)
     if lam / 2.0 == 0.0:
         return sf.reshape(x.shape)
-    log_h = np.full(h.shape, -math.inf)
-    positive = h > 0.0
-    log_h[positive] = _each(math.log, h[positive])
-    # df/2 + j is exact in binary, so each log is that of the running
-    # df/2 + j of a loop over one statistic
-    a = df / 2.0
-    log_step = a * log_h - h - math.lgamma(a + 1.0)
-    acc = np.zeros(h.shape)
-    for j, weight in enumerate(_poisson_weights(lam), 1):
-        acc += weight * sf
-        sf += _each(math.exp, log_step)
-        log_step += log_h - math.log(a + j)
+    # the masses summed from the small end: masses[i] = sum_{j>=i} w_j
+    masses = np.cumsum(_poisson_weights(lam)[::-1])[::-1].tolist()
+    e = df / 2.0
+    with np.errstate(divide="ignore"):
+        log_scale = e * np.log(h) - math.lgamma(e + 1.0)
+    acc = masses[0] * sf + _series(h, e, np.ones(h.shape), log_scale, masses[1:])
     return np.minimum(acc, 1.0).reshape(x.shape)
 
 

@@ -11,12 +11,15 @@ _MODEL_TOL = 1e-12
 
 
 def check_sample_count(k):
-    """Refuse fewer than 3 samples, as two rows correlate at +-1, and more
-    than the largest float, so that k - 1 is a finite float."""
+    """k as an int, once it passes the checks: an integer (300.0 is refused,
+    not rounded), at least 3, as two rows correlate at +-1, and at most the
+    largest float, so that k - 1 is a finite float."""
+    k = _kernels._integer("k", k)
     if k < 3:
         raise ValueError(f"need a sample count of at least 3, got {k}")
     if k > sys.float_info.max:
         raise ValueError(f"need a sample count of at most {sys.float_info.max!r}")
+    return k
 
 
 class DataMatrix:
@@ -60,8 +63,7 @@ class CorrelationModel:
     __slots__ = ("r", "k", "_logdets")
 
     def __init__(self, r, k):
-        k = int(k)
-        check_sample_count(k)
+        k = check_sample_count(k)
         r = np.array(r, dtype=np.float64)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {r.shape}")

@@ -64,7 +64,7 @@ def noncentrality(na, nc, k):
     Equals [(2n^3 + 3n^2 - n) - (2na^3 + 3na^2 - na) - (2nc^3 + 3nc^2 - nc)]
     / (12(k-1)) with n = na + nc; always nonnegative and O(1/k).
     """
-    check_sample_count(k)
+    k = check_sample_count(k)
     n = na + nc
     return (_odd_cubic(n) - _odd_cubic(na) - _odd_cubic(nc)) / (12.0 * (k - 1))
 
@@ -133,9 +133,8 @@ def p_values(stats, member_sizes, n, k, mode):
     size (central) or one smaller block size and one k (noncentral).  The
     statistics are flattened and taken in slices of at most _TAIL_SLICE,
     one chi2_sf_array or noncentral_chi2_sf_array call per class in a
-    slice, so every tail is bit for bit the scalar chi2_sf or
-    noncentral_chi2_sf of its statistic, and the temporaries are bounded
-    whatever the number of rows.
+    slice, so a tail depends on its statistic alone, whatever the rows
+    around it, and the temporaries are bounded whatever the number of rows.
     """
     check_mode(mode)
     stats = np.asarray(stats, dtype=np.float64)

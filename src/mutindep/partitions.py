@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from ._kernels import check_size
+from ._kernels import _integer, check_size
 
 # Largest n accepted by the public counting functions.  Bell/Stirling values
 # up to this point fit a signed 64-bit int (bell_number(26) does not); Python
@@ -408,23 +408,25 @@ def _iter_restricted_growth(n):
 
 
 def _check_count_arg(n):
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if n > COUNT_LIMIT:
         raise ValueError(
             f"counting is limited to n <= {COUNT_LIMIT} to stay within 64-bit range"
         )
+    return n
 
 
 def bell_number(n):
     """Number of partitions of an n-element set (exact)."""
-    _check_count_arg(n)
+    n = _check_count_arg(n)
     return sum(_stirling2_exact(n, k) for k in range(n + 1))
 
 
 def stirling2(n, k):
     """Number of partitions of an n-element set into exactly k blocks (exact)."""
-    _check_count_arg(n)
+    n, k = _check_count_arg(n), _integer("k", k)
     if k < 0 or k > n:
         return 0
     return _stirling2_exact(n, k)

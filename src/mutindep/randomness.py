@@ -1,10 +1,9 @@
 """Seeded sampling: reproducible streams, random correlation matrices,
 Gaussian data, and uniform random partitions with a fixed block count."""
 
-import operator
-
 import numpy as np
 
+from ._kernels import _integer
 from .errors import NotPositiveDefiniteError
 from .linalg import DataMatrix
 from .partitions import Partition, _stirling2_exact
@@ -14,13 +13,6 @@ _U64 = 1 << 64
 # a covariance is symmetric when no entry differs from its mirror image by
 # more than this fraction of the matrix's largest |entry|
 _SYMMETRY_TOL = 1e-12
-
-
-def _integer(field, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field}: {value!r} is not an integer") from None
 
 
 class RngStream:
@@ -35,7 +27,6 @@ class RngStream:
     __slots__ = ("seed", "stream", "generator")
 
     def __init__(self, seed, stream=0):
-        # a float, a string or any other non-integer is refused, not rounded
         seed = _integer("seed", seed)
         stream = _integer("stream", stream)
         if not 0 <= seed < _U64:
@@ -145,6 +136,7 @@ def random_partition_with_k_blocks(n, blocks, rng):
     among 1..i, a new block at i ranks after the b - 1 blocks below it, and
     a join picks one of the b blocks below, by least element.
     """
+    n, blocks = _integer("n", n), _integer("blocks", blocks)
     if not 1 <= blocks <= n:
         raise ValueError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     g = rng.generator

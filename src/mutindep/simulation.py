@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import check_size
+from ._kernels import _integer, check_size
 from .fdr import check_alpha
 from .inference import CORRECTIONS, check_correction, classify_against_truth
 from .linalg import _correlations
@@ -26,7 +26,6 @@ from .partitions import bipartition_masks, entailed_masks, format_partition, mee
 from .randomness import (
     RngStream,
     _bartlett_draws,
-    _integer,
     _mvn_stack,
     _wishart_correlations,
     random_partition_with_k_blocks,

@@ -4,14 +4,16 @@ Everything here is deliberately written from scratch with different
 algorithms than the package (set algebra instead of label arrays, cofactor
 expansion and a one-matrix Cholesky instead of the subset table of Schur
 complements, series/continued fractions instead of closed-form sums), so
-agreement is meaningful.  The two exceptions are `noncentral_recurrence`,
-the package's noncentral recurrence as a plain scalar loop, and
-`model_and_samples`, a campaign run's draw one matrix at a time: the
-bit-for-bit references of their array forms.
+agreement is meaningful; the chi-squared tails are also taken at 40
+digits with mpmath.  The two exceptions are `noncentral_recurrence`, the
+noncentral mixture as a plain scalar loop in logs, the accuracy reference
+of the array form, and `model_and_samples`, a campaign run's draw one
+matrix at a time, the bit-for-bit reference of its array form.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from mutindep.distributions import chi2_sf
@@ -70,16 +72,52 @@ def chi2_sf_oracle(x, df):
     return reg_gamma_upper(df / 2.0, x / 2.0)
 
 
+def mp_chi2_sf(x, df):
+    """P(chi2_df > x) at 40 digits, as an mpf: the regularized upper
+    incomplete gamma, taken as 1 minus the lower one below the mean, where
+    mpmath's lower series is the faster."""
+    with mpmath.workdps(40):
+        a, h = mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+        if h < a:
+            return 1 - mpmath.gammainc(a, 0, h, regularized=True)
+        return mpmath.gammainc(a, h, regularized=True)
+
+
+def mp_noncentral_chi2_sf(x, df, lam):
+    """The noncentral chi-squared tail at 40 digits, as a float: its whole
+    Poisson(lam/2) mixture, summed until the remaining mass is below 1e-30,
+    each central tail Q(a+1, h) stepped up from Q(a, h) by
+    h^a e^-h / Gamma(a+1)."""
+    with mpmath.workdps(40):
+        q, h, a = mpmath.mpf(lam) / 2, mpmath.mpf(x) / 2, mpmath.mpf(df) / 2
+        tail, weight = mp_chi2_sf(x, df), mpmath.exp(-q)
+        step = mpmath.exp(a * mpmath.log(h) - h - mpmath.loggamma(a + 1)) if h else 0
+        total = mass = 0
+        j = 0
+        while mass < 1 - mpmath.mpf(10) ** -30:
+            total += weight * tail
+            mass += weight
+            tail += step
+            j += 1
+            step *= h / (a + j)
+            weight *= q / j
+        return float(total)
+
+
 # --- the noncentral mixture recurrence, one statistic at a time -----------
 
 
 def noncentral_recurrence(x, df, lam):
-    """The package's noncentral chi-squared recurrence for one statistic, as
-    a plain loop with every Poisson weight, lgamma and log taken afresh.
+    """The noncentral chi-squared mixture for one statistic, as a plain
+    loop over the Poisson weights that steps Q(df+2j) up one term at a
+    time in logs, every weight, lgamma and log taken afresh.
 
-    Not an independent algorithm: it is the bit-for-bit reference of the
-    array form, whose ladder steps many statistics at once.  Q(df) is the
-    scalar chi2_sf, checked above against the incomplete gamma.
+    Not an independent algorithm: the same truncated mixture as the array
+    form, summed in another order, so the two agree to rounding.  Its
+    steps take each term's log as a*log(h) - h - lgamma(a+1), whose
+    absolute error of about h*eps reaches 1.5e-13 relative at h = 500
+    against the same truncated mixture at 40 digits.  Q(df) is the scalar
+    chi2_sf, checked above against the incomplete gamma.
     """
     q = lam / 2.0
     if q == 0.0:  # Poisson(0) is all at j = 0

@@ -7,13 +7,15 @@ the trajectory across files needs every file in that shape, so a
 malformed one fails here rather than in a later reader.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-BENCH_FILES = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("BENCH_*.json"))
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+BENCH_FILES = sorted(BENCH_DIR.glob("BENCH_*.json"))
 
 # the one file with a third run: the change with its compiled kernel, a
 # backend the package no longer has
@@ -41,3 +43,36 @@ def test_bench_file_shape(path):
             for value in seconds.values():
                 assert isinstance(value, (int, float)) and not isinstance(value, bool), row
                 assert 0.0 < value < math.inf, row
+
+
+def _trajectory():
+    spec = importlib.util.spec_from_file_location("trajectory", BENCH_DIR / "trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trajectory_chains_the_campaign_rows():
+    # the four files from BENCH_20261020d to BENCH_20261022 chain to the
+    # products the ROADMAP Baseline read off them by hand
+    trajectory = _trajectory()
+    names = ["20261020d", "20261020e", "20261021", "20261022"]
+    table, lacking = trajectory.chains([BENCH_DIR / f"BENCH_{name}.json" for name in names])
+    for row, expected in ((("reference_campaign", 3000), 0.68), (("desk_campaign", 300), 0.74),
+                          (("desk_campaign_noncentral", 300), 0.65),
+                          (("campaign_n18_noncentral", 2), 0.76)):
+        assert None not in table[row]
+        assert trajectory.product(table[row]) == pytest.approx(expected, abs=0.01), row
+    assert [round(r, 2) for r in table[("desk_campaign", 300)]] == [0.99, 1.09, 0.84, 0.82]
+    assert lacking == {}
+
+
+def test_trajectory_names_the_rows_one_side_lacks(capsys):
+    trajectory = _trajectory()
+    _, lacking = trajectory.chains([BENCH_DIR / "BENCH_20261020b.json"])
+    assert lacking == {"BENCH_20261020b.json": [("desk_chunk_clamp", 180),
+                                                ("desk_chunk_tables", 180)]}
+    assert trajectory.main([]) == 0
+    out = capsys.readouterr().out
+    assert "BENCH_20261020b.json: one side only: desk_chunk_clamp 180, desk_chunk_tables 180" in out
+    assert len(out.splitlines()[1].split()) == len(BENCH_FILES) + 2

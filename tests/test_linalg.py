@@ -93,6 +93,19 @@ def test_correlation_model_validation():
     assert (model.n, model.k) == (3, 5)
 
 
+@pytest.mark.parametrize("k", [10.7, 3.9, 300.0, np.float64(300.0), "300", None])
+def test_sample_count_must_be_an_integer(k):
+    # int(k) ran 10.7 as 10 and "300" as 300: every statistic scales by k - 1
+    with pytest.raises(ValueError, match=r"^k: .* is not an integer$"):
+        CorrelationModel(np.eye(3), k)
+
+
+def test_sample_count_stores_numpy_integers_as_ints():
+    for k in (np.int64(300), np.uint16(300), np.int32(300)):
+        model = CorrelationModel(np.eye(3), k)
+        assert model.k == 300 and type(model.k) is int
+
+
 def test_sample_correlation_perfect_and_anti():
     x = np.arange(10.0)
     model = sample_correlation(DataMatrix(np.column_stack([x, x])))

@@ -96,6 +96,16 @@ def test_noncentrality_scaling():
     assert noncentrality(2, 4, 3) > 0
 
 
+def test_noncentrality_takes_integer_sample_counts_only():
+    # a fractional k moved every noncentral tail, as k = 40.5 or 10.5
+    for k in (10.5, 40.0, "40"):
+        with pytest.raises(ValueError, match=r"^k: .* is not an integer$"):
+            noncentrality(2, 4, k)
+        with pytest.raises(ValueError, match=r"^k: .* is not an integer$"):
+            p_values(np.array([[5.0, 6.0]]), [1, 2], 6, np.array([k]), "noncentral")
+    assert noncentrality(2, 4, np.int64(40)) == noncentrality(2, 4, 40)
+
+
 def test_noncentrality_nonnegative_everywhere():
     for n in range(2, 9):
         for na in range(1, n):
@@ -168,12 +178,17 @@ def _check_stacked_p_values(n, ks, rng):
     stats[1, :3] = 0.0
     for mode in MODES:
         rows = [p_values(row, sizes, n, k, mode) for row, k in zip(stats, ks)]
+        # each tail within 1e-12 relative of the scalar chi2_sf or of the
+        # noncentral recurrence wherever it is at least 1e-300: the large
+        # ks give tails near 1e-280, where e^-h rounds by about h * eps and
+        # the two noncentral forms differ by up to 3e-13
         for row, k, got in zip(stats, ks, rows):
             lams = [noncentrality(na, n - na, k) for na in sizes]
-            assert got.tolist() == [
+            np.testing.assert_allclose(got, [
                 chi2_sf(stat, df_of(b)) if mode == "central"
                 else oracles.noncentral_recurrence(stat, df_of(b), lam)
-                for stat, b, lam in zip(row.tolist(), bips, lams)]
+                for stat, b, lam in zip(row.tolist(), bips, lams)],
+                rtol=1e-12, atol=1e-300)
         stacked = p_values(stats, sizes, n, np.array(ks, dtype=object), mode)
         assert stacked.tobytes() == np.array(rows).tobytes()
         deeper = p_values(stats.reshape(2, 3, -1, len(bips)), sizes, n,

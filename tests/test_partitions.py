@@ -538,6 +538,20 @@ def test_stirling_numbers():
     assert stirling2(5, 6) == 0
 
 
+@pytest.mark.parametrize("count", [lambda: stirling2(4.5, 2), lambda: stirling2(4, 2.0),
+                                   lambda: bell_number(3.0), lambda: stirling2("4", 2)],
+                         ids=["stirling2 n", "stirling2 k", "bell_number n", "a string n"])
+def test_counts_must_be_integers(count):
+    # stirling2(4.5, 2) recursed past 0 and died with RecursionError
+    with pytest.raises(ValueError, match=r"^[nk]: .* is not an integer$"):
+        count()
+
+
+def test_counts_take_numpy_integers():
+    assert stirling2(np.int64(5), np.uint8(2)) == stirling2(5, 2) == 15
+    assert bell_number(np.int32(4)) == 15
+
+
 def test_counting_guard():
     # COUNT_LIMIT = 25 is the last n at which every count fits a signed
     # 64-bit int

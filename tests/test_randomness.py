@@ -149,6 +149,18 @@ def test_random_partition_forced_cases():
         random_partition_with_k_blocks(4, 0, rng)
 
 
+@pytest.mark.parametrize("n, blocks, field", [(4, 2.5, "blocks"), (4.0, 2, "n"), (4, 2.0, "blocks")])
+def test_random_partition_counts_must_be_integers(n, blocks, field):
+    # blocks = 2.5 recursed in the Stirling numbers to a RecursionError
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+        random_partition_with_k_blocks(n, blocks, RngStream(20261023))
+
+
+def test_random_partition_takes_numpy_integers():
+    drawn = random_partition_with_k_blocks(np.int64(6), np.uint8(3), RngStream(20261023))
+    assert drawn == random_partition_with_k_blocks(6, 3, RngStream(20261023))
+
+
 def _goodness_of_fit(counts, total):
     cells = len(counts)
     expected = total / cells

@@ -60,6 +60,11 @@ def test_generate_model_all_singletons_is_identity():
     assert (sigma == np.eye(6)).all()
 
 
+def test_generate_model_refuses_a_fractional_block_count():
+    with pytest.raises(ValueError, match=r"^blocks: 2\.0 is not an integer$"):
+        generate_model(4, 2.0, RngStream(20261023))
+
+
 def test_generate_model_one_dense_block():
     truth, sigma = generate_model(5, 1, RngStream(20260833))
     assert truth == Partition.one_block(5)
